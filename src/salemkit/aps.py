@@ -76,28 +76,7 @@ def find_ap_integers(A: IntegerSet, n: int, *, first_only: bool = False) -> list
     not re-reported; the length is the full run length.  ``first_only``
     stops at the first witness in (start, difference) order.
     """
-    if n < 3:
-        raise ValueError("progression length must be at least 3")
-    members = set(A.elements)
-    out: list[APWitness] = []
-    for start in A.elements:
-        d_max = (A.horizon - 1 - start) // (n - 1)
-        for d in range(1, d_max + 1):
-            if start + d not in members:
-                continue
-            if start - d in members:
-                continue
-            length = 2
-            term = start + 2 * d
-            while term in members:
-                length += 1
-                term += d
-            if length >= n:
-                out.append(APWitness(start, d, length))
-                if first_only:
-                    return out
-    out.sort(key=lambda w: (w.start, w.difference))
-    return out
+    return _maximal_runs(A.elements, n, first_only)
 
 
 def find_ap_points(points: Sequence[Fraction], n: int, *, first_only: bool = False) -> list[APWitness]:
@@ -106,16 +85,30 @@ def find_ap_points(points: Sequence[Fraction], n: int, *, first_only: bool = Fal
     Pairwise (first, second) enumeration with a membership index on
     canonical reduced fractions; all comparisons are exact.
     """
-    if n < 3:
-        raise ValueError("progression length must be at least 3")
     pts = sorted(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    index = set(pts)
+    return _maximal_runs(pts, n, first_only)
+
+
+def _maximal_runs(values: Sequence, n: int, first_only: bool) -> list[APWitness]:
+    """Maximal-run witnesses of length at least n among sorted distinct
+    values, in (start, difference) order.
+
+    Each pair (x, y) proposes the difference d = y - x; it is skipped when
+    x - d is a member (x is not a run start), and the scan over y stops
+    once n terms from x would pass the largest value.
+    """
+    if n < 3:
+        raise ValueError("progression length must be at least 3")
+    index = set(values)
     out: list[APWitness] = []
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
+    for i, x in enumerate(values):
+        span = values[-1] - x
+        for y in values[i + 1 :]:
             d = y - x
+            if d * (n - 1) > span:
+                break
             if x - d in index:
                 continue
             length = 2
@@ -127,7 +120,6 @@ def find_ap_points(points: Sequence[Fraction], n: int, *, first_only: bool = Fal
                 out.append(APWitness(x, d, length))
                 if first_only:
                     return out
-    out.sort(key=lambda w: (w.start, w.difference))
     return out
 
 
@@ -153,22 +145,6 @@ def dyadic_embed(A: IntegerSet, exponents: Sequence[int], depth: int) -> list[Fr
     return [a * slope for a in A.elements]
 
 
-def _integer_ap_among(values: list[int], n: int) -> tuple[int, ...] | None:
-    """First n-term progression among sorted distinct integers, if any."""
-    index = set(values)
-    for i, x in enumerate(values):
-        for y in values[i + 1 :]:
-            d = y - x
-            count = 2
-            term = y + d
-            while count < n and term in index:
-                count += 1
-                term += d
-            if count >= n:
-                return tuple(x + j * d for j in range(n))
-    return None
-
-
 def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int, *, base: int = 2) -> GridAP | None:
     """Scan stages k_max, k_max-1, ... while floor(x * base**k) stays
     pairwise distinct; return the finest stage whose indices contain an
@@ -192,9 +168,11 @@ def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int, *, base: int
         if len(set(indices)) != len(indices):
             break
         separated = True
-        hit = _integer_ap_among(indices, n)
-        if hit is not None:
-            return GridAP(k, hit, base)
+        # The smallest start of any n-term progression is a run start, so
+        # the first maximal-run witness is the first n-term progression.
+        hit = _maximal_runs(indices, n, first_only=True)
+        if hit:
+            return GridAP(k, tuple(hit[0].terms()[:n]), base)
     if not separated:
         raise SeparationError(f"points are not separated at any stage <= {k_max}")
     return None

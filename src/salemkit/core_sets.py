@@ -13,7 +13,6 @@ order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -26,8 +25,11 @@ import numpy as np
 # rounding noise of summing up to 1e6 unit-modulus terms in doubles.
 ZERO_FLOOR = 1e-12
 
-# Chunk budget (entries) for vectorized outer products.
-_CHUNK = 1 << 22
+# Entries per int64 phase block in exp_sum: full-range spectra of a few
+# thousand members stay within tens of MB, and blocks stay large enough
+# that numpy, not the block loop, sets the time.
+_CHUNK = 1 << 16
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -110,53 +112,87 @@ def fractional_density(A: IntegerSet, grid: Sequence[int]) -> DensityEstimate:
     fit = [(n, c) for n, c in samples if c > 0]
     if len(fit) < 2:
         return DensityEstimate(0.0, samples, 0.0, empty=True)
-    x = np.log([n for n, _ in fit])
-    y = np.log([c for _, c in fit])
+    slope, resid = loglog_fit(fit)
+    return DensityEstimate(min(1.0, max(0.0, slope)), samples, resid)
+
+
+def loglog_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Least-squares line through (log x, log y) over positive (x, y) pairs:
+    its slope and the RMS misfit of the logs around it."""
+    x = np.log([p for p, _ in points])
+    y = np.log([q for _, q in points])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DensityEstimate(float(min(1.0, max(0.0, slope))), samples, resid)
+    return float(slope), float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+
+
+def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -> np.ndarray:
+    """sum_j e^{-2 pi i k a_j / D} for each integer k in ``freqs``.
+
+    Every phase k*a_j is reduced mod D exactly before exponentiation, so the
+    sum is exact in its phases at every size: in int64 blocks when all the
+    products fit, in Python integers otherwise.  A residue r becomes the
+    angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D) on the
+    other, and each row is summed by numpy.  The empty set sums to 0.
+    """
+    D = int(denominator)
+    if D < 1:
+        raise ValueError("denominator must be positive")
+    out = np.zeros(len(freqs), dtype=complex)
+    if len(numerators) == 0 or len(freqs) == 0:
+        return out
+    a, k = _reduce(numerators, D), _reduce(freqs, D)
+    if a.dtype == np.int64 and k.dtype == np.int64 and int(a.max()) * int(k.max()) <= _INT64_MAX:
+        rows = max(1, _CHUNK // len(a))
+        for lo in range(0, len(k), rows):
+            block = k[lo : lo + rows, None] * a[None, :] % D
+            out[lo : lo + rows] = np.exp((-2j * np.pi / D) * block).sum(axis=1)
+        return out
+    members = a.tolist()
+    for i, kk in enumerate(k.tolist()):
+        out[i] = np.exp(-2j * np.pi * np.array([kk * x % D / D for x in members])).sum()
+    return out
+
+
+def _reduce(values: Sequence[int], D: int) -> np.ndarray:
+    """Values mod D: int64 when the values and D fit in int64, else an
+    object array of Python integers."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int64 and D <= _INT64_MAX:
+        return arr % D
+    return np.asarray([int(v) % D for v in values], dtype=object)
 
 
 def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
     """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N}.
 
     Sparse sum over the members only, so the cost is |A| per frequency.
-    Phases are reduced to (k*n) mod N in exact integer arithmetic before
-    exponentiation; integral phases contribute exactly 1.
+    Phases are reduced to (k*n) mod N exactly by :func:`exp_sum` at every
+    horizon, so integral phases contribute exactly 1.
     """
     N = A.horizon
     ks = [int(k) for k in freqs]
     for k in ks:
         if not 0 <= k < N:
             raise ValueError(f"frequency {k} outside [0, {N})")
-    if not A.elements:
-        return [SpectrumSample(float(k), 0j) for k in ks]
-    elems = np.asarray(A.elements, dtype=np.int64)
-    karr = np.asarray(ks, dtype=np.int64)
-    values = np.empty(len(ks), dtype=complex)
-    rows = max(1, _CHUNK // len(elems))
-    for lo in range(0, len(ks), rows):
-        block = karr[lo : lo + rows, None] * elems[None, :] % N
-        values[lo : lo + rows] = np.exp((-2j * np.pi / N) * block).sum(axis=1)
+    values = exp_sum(A.elements, N, ks)
     return [SpectrumSample(float(k), complex(v) / N) for k, v in zip(ks, values)]
 
 
 def weyl_sum(points: Sequence[Fraction], m: int) -> complex:
     """Normalized exponential sum (1/d) * sum_j e^{-2 pi i x_j m}.
 
-    Each phase x_j * m is reduced modulo 1 in exact rational arithmetic, so
-    points whose phases are all integral sum to exactly 1.
+    The points are put over the lcm D of their denominators and each phase
+    x_j * m is reduced modulo 1 exactly by :func:`exp_sum`, so points whose
+    phases are all integral sum to exactly 1.
     """
     if m == 0:
         raise ValueError("m = 0 is excluded")
-    pts = list(points)
+    pts = [Fraction(p) for p in points]
     if not pts:
         raise ValueError("points must be nonempty")
-    total = 0j
-    for p in pts:
-        phase = (Fraction(p) * m) % 1
-        total += cmath.exp(-2j * math.pi * float(phase))
-    return total / len(pts)
+    D = math.lcm(*(p.denominator for p in pts))
+    total = exp_sum([p.numerator * (D // p.denominator) for p in pts], D, [m])[0]
+    return complex(total) / len(pts)
 
 
 def decay_exponent_fit(samples: Sequence[tuple[float, float]], cap: float = 1.0) -> float:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cantor import CantorStage
-from .core_sets import ZERO_FLOOR, IntegerSet, decay_exponent_fit, geometric_grid
+from .core_sets import ZERO_FLOOR, IntegerSet, decay_exponent_fit, exp_sum, geometric_grid, loglog_fit
 
 
 @dataclass(frozen=True)
@@ -137,18 +137,14 @@ def n_approximation(target, N: int) -> NApproximation:
 
 
 def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
-    """|(1/d) sum_j e^{-2 pi i (j/N) m}| for each m, with exact integer
-    phase reduction (j*m mod N)."""
-    if N >= 1 << 31:
-        raise ValueError("N too large for exact int64 phase reduction")
-    arr = np.asarray(cells, dtype=np.int64)
-    if arr.size == 0:
+    """|(1/d) sum_j e^{-2 pi i (j/N) m}| for each m, with the phases j*m
+    reduced mod N exactly by :func:`exp_sum` at every N."""
+    if len(cells) == 0:
         raise ValueError("empty approximation has no Weyl sums")
-    out = np.empty(len(ms))
-    for i, m in enumerate(ms):
-        residues = (arr * int(m)) % N
-        out[i] = abs(np.exp((-2j * np.pi / N) * residues).mean())
-    return out
+    sums = exp_sum(cells, N, ms) / len(cells)
+    # Scalar abs: numpy's vectorised complex abs rounds differently, and
+    # the reports print these moduli.
+    return np.array([abs(v) for v in sums])
 
 
 def equidist_order(
@@ -217,11 +213,10 @@ def _sequence_order(
             part = weyl_moduli(approx.cells, approx.N, ms[start:stop])
         peak = float(part.max())
         if peak >= ZERO_FLOOR:
-            points.append((math.log(approx.N), math.log(peak)))
+            points.append((approx.N, peak))
     if len(points) < 2:
         return cap
-    x, y = zip(*points)
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope, _ = loglog_fit(points)
     return min(cap, max(0.0, -2.0 * slope))
 
 
@@ -256,13 +251,7 @@ def characterize_salem(
         stages.append(StageDensity(approx.N, count, c_val, pw))
     c_in_bounds = all(c_bounds[0] <= s.c_value <= c_bounds[1] for s in stages)
     fit = [(s.N, s.count) for s in stages if s.count > 0]
-    if len(fit) >= 2:
-        x = np.log([n for n, _ in fit])
-        y = np.log([c for _, c in fit])
-        slope = float(np.polyfit(x, y, 1)[0])
-        beta_hat = min(1.0, max(0.0, slope))
-    else:
-        beta_hat = 0.0
+    beta_hat = min(1.0, max(0.0, loglog_fit(fit)[0])) if len(fit) >= 2 else 0.0
     order = equidist_order(approximations, cap=1.0, m_grid=m_grid)
     if abs(beta_hat - order.alpha) <= tolerance:
         verdict = "salem"

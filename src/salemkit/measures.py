@@ -70,6 +70,9 @@ def _phase_unit(u, scale: Fraction) -> complex:
 
 def q_factor(plan: LevelPlan, k: int, u) -> complex:
     """(1/d_k) * sum_{a in A_k} e^{-2 pi i u a / M_k}; modulus at most 1."""
+    # Not routed through core_sets.exp_sum: at exact zeros of the transform
+    # the reports print this sum's rounding noise, which the kernel's
+    # angles and pairwise summation round differently.
     if not 1 <= k <= plan.depth:
         raise ValueError(f"level {k} outside the plan")
     level = plan.levels[k - 1]
@@ -195,7 +198,7 @@ def decay_check(
         factors, hit = truncation_for(measure, u)
         depth_used = max(depth_used, factors)
         capped = capped or hit
-        samples.append((u, abs(mu_hat(measure, u))))
+        samples.append((u, abs(mu_hat(measure, u, depth=factors))))
     envelope = dyadic_block_envelope(samples)
     alpha_hat = decay_exponent_fit(envelope, cap=1.0)
     return DecayReport(

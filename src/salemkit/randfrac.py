@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core_sets import exp_sum
 from .equidist import NApproximation, OrderEstimate, equidist_order
 
 
@@ -41,14 +42,12 @@ class RandomFractalConfig:
             raise ValueError("trials must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
+        if self.resolution() >= 2**63:
+            raise ValueError("the resolution N_1 * ... * N_depth must stay below 2**63 (int64 cells)")
 
     def resolution(self, depth: int | None = None) -> int:
         """M_i = N_1 * ... * N_i at the requested (default full) depth."""
-        d = self.depth if depth is None else depth
-        out = 1
-        for n in self.level_sizes[:d]:
-            out *= n
-        return out
+        return _resolution(self.level_sizes, self.depth if depth is None else depth)
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,11 @@ class TrialResult:
     master_seed: int
 
     def resolution(self, depth: int | None = None) -> int:
-        d = len(self.stages) if depth is None else depth
-        out = 1
-        for n in self.level_sizes[:d]:
-            out *= n
-        return out
+        return _resolution(self.level_sizes, len(self.stages) if depth is None else depth)
+
+
+def _resolution(level_sizes: Sequence[int], depth: int) -> int:
+    return math.prod(level_sizes[:depth])
 
 
 @dataclass(frozen=True)
@@ -189,14 +188,13 @@ def mu1_hat(trial: TrialResult, u) -> complex:
         return 0j
     if u == 0:
         return complex(len(cells) / (p * N1))
-    exact = isinstance(u, (int, Fraction))
-    total = 0j
-    for c in cells:
-        if exact:
-            phase = float((Fraction(u) * c / N1) % 1)
-        else:
-            phase = (float(u) * c / N1) % 1.0
-        total += cmath.exp(-2j * math.pi * phase)
+    if isinstance(u, (int, Fraction)):
+        q = Fraction(u)
+        total = complex(exp_sum(cells, N1 * q.denominator, [q.numerator])[0])
+    else:
+        total = 0j
+        for c in cells:
+            total += cmath.exp(-2j * math.pi * ((float(u) * c / N1) % 1.0))
     factor = (1 - cmath.exp(-2j * math.pi * float(u) / N1)) / (2j * math.pi * float(u))
     return total * factor / p
 
@@ -204,13 +202,8 @@ def mu1_hat(trial: TrialResult, u) -> complex:
 def _mu1_values(cells: Sequence[int], N1: int, beta: float, us: np.ndarray) -> np.ndarray:
     """Vectorized mu1_hat over integer frequencies."""
     p = N1 ** (-beta)
-    if len(cells) == 0:
-        return np.zeros(len(us), dtype=complex)
-    arr = np.asarray(cells, dtype=np.int64)
-    u = np.asarray(us, dtype=np.int64)
-    residues = u[:, None] * arr[None, :] % N1
-    comb = np.exp((-2j * np.pi / N1) * residues).sum(axis=1)
-    uf = u.astype(float)
+    comb = exp_sum(cells, N1, us)
+    uf = np.asarray(us, dtype=float)
     factor = (1 - np.exp(-2j * np.pi * uf / N1)) / (2j * np.pi * uf)
     return comb * factor / p
 

@@ -149,6 +149,22 @@ class TestGridApDescent:
         assert (8 // 7, 24 // 7, 40 // 7) == (1, 3, 5)
         assert hit.stage == 3 and hit.indices == (1, 3, 5)
 
+    @given(st.sets(st.integers(0, 40), min_size=1, max_size=15), st.integers(3, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_first_progression_matches_oracle(self, values, n):
+        # integer points at k_max = 0 make the indices the values themselves;
+        # oracle: lexicographically first (start, difference) with n terms
+        expected = None
+        for x in sorted(values):
+            for d in range(1, 41):
+                if all(x + j * d in values for j in range(n)):
+                    expected = tuple(x + j * d for j in range(n))
+                    break
+            if expected:
+                break
+        hit = grid_ap_descent([Fraction(v) for v in values], n, 0)
+        assert (hit.indices if hit else None) == expected
+
     def test_none_at_any_stage(self):
         pts = [Fraction(0), Fraction(3, 8), Fraction(7, 8)]
         assert grid_ap_descent(pts, 3, 6) is None

@@ -32,6 +32,11 @@ class TestExitCodes:
         code = run("weyl", "--points", "0,1/2", "--m", "0")
         assert code == 1
 
+    def test_resolution_beyond_int64_is_domain_error(self, capsys):
+        code = run("random-salem", "--beta", "0.75", "--levels", "65536,65536,65536,65536",
+                   "--depth", "4", "--trials", "5", "--seed", "0")
+        assert code == 1
+
     def test_missing_operand_is_usage_error(self, capsys):
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2

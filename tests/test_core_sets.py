@@ -10,6 +10,7 @@ from salemkit.core_sets import (
     IntegerSet,
     decay_exponent_fit,
     dft_char,
+    exp_sum,
     fractional_density,
     geometric_grid,
     weyl_sum,
@@ -32,6 +33,21 @@ def naive_dft(A, k):
         if n in members:
             total += cmath.exp(-2j * math.pi * k * n / A.horizon)
     return total / A.horizon
+
+
+def exact_phase_sum(numerators, D, k):
+    # oracle: each phase k*a/D reduced mod 1 as a Fraction, one cmath.exp per term
+    return sum(cmath.exp(-2j * math.pi * float(Fraction(k * a, D) % 1)) for a in numerators)
+
+
+def first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 class TestIntegerSet:
@@ -142,6 +158,51 @@ class TestDftChar:
     def test_zero_frequency_is_density(self, A):
         assert dft_char(A, [0])[0].value == len(A) / A.horizon
 
+    @pytest.mark.parametrize("N", [2**31 - 1, 2**31 + 1, 2**62, 10**10])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_exact_at_large_horizons(self, N, data):
+        # k*n overflows int64 above N ~ 3e9; the phases must still be exact
+        values = st.integers(0, N - 1) | st.integers(0, 2**20).map(lambda j: N - 1 - j)
+        elems = data.draw(st.sets(values, min_size=1, max_size=12))
+        ks = data.draw(st.lists(values, min_size=1, max_size=4))
+        A = IntegerSet.from_elements(elems, N)
+        for s, k in zip(dft_char(A, ks), ks):
+            assert abs(s.value - exact_phase_sum(A.elements, N, k) / N) <= 1e-14 * len(A) / N
+
+
+class TestExpSum:
+    def test_empty_inputs(self):
+        assert list(exp_sum([], 7, [1, 2])) == [0j, 0j]
+        assert len(exp_sum([1, 2], 7, [])) == 0
+
+    def test_denominator_validated(self):
+        with pytest.raises(ValueError):
+            exp_sum([1], 0, [1])
+
+    def test_integral_phases_sum_exactly(self):
+        assert list(exp_sum([0, 5, 10], 5, [0, 3])) == [3, 3]
+
+    @given(
+        st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=10),
+        st.sampled_from([1, 12, 2**31 + 1, 2**40, 2**63 - 1, 2**63, 3**50]),
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_oracle(self, numerators, D, freqs):
+        # arbitrary signs and sizes on either side of the int64 products
+        got = exp_sum(numerators, D, freqs)
+        for v, k in zip(got, freqs):
+            assert abs(v - exact_phase_sum(numerators, D, k)) <= 1e-14 * len(numerators)
+
+    def test_int64_boundary(self):
+        # largest product 2**63 - 2**31 fits int64, 2**63 does not
+        D = 2**40 + 15
+        k = 2**31
+        for numerators in ([3, 2**32 - 1], [3, 2**32]):
+            got = exp_sum(numerators, D, [k])[0]
+            assert abs(got - exact_phase_sum(numerators, D, k)) <= 2e-14
+
 
 class TestWeylSum:
     def test_antipodal_cancellation(self):
@@ -161,6 +222,18 @@ class TestWeylSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             weyl_sum([], 1)
+
+    def test_large_common_denominator(self):
+        # the lcm of the first 200 primes has 513 digits; the value is the
+        # exact-rational per-point sum
+        pts = [Fraction(1, p) for p in first_primes(200)]
+        assert weyl_sum(pts, 3) == pytest.approx(0.9474378159000466 - 0.0891330102924277j, abs=1e-12)
+
+    def test_points_outside_unit_interval(self):
+        pts = [Fraction(-7, 3), Fraction(5, 2), Fraction(1, 6)]
+        want = sum(cmath.exp(-2j * math.pi * float(p * 5 % 1)) for p in pts) / 3
+        assert weyl_sum(pts, 5) == pytest.approx(want, abs=1e-14)
+        assert weyl_sum(pts, -5) == pytest.approx(want.conjugate(), abs=1e-14)
 
     @given(
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64), min_size=1, max_size=20),

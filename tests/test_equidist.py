@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemkit.cantor import build_stage, ternary_plan
-from salemkit.core_sets import decay_exponent_fit, fractional_density, weyl_sum
+from salemkit.core_sets import decay_exponent_fit, fractional_density
 from salemkit.equidist import (
     NApproximation,
     characterize_salem,
@@ -18,6 +19,11 @@ from salemkit.equidist import (
 )
 
 LOG23 = math.log(2) / math.log(3)
+
+
+def naive_weyl_modulus(points, m):
+    # oracle: each phase x*m reduced mod 1 as a Fraction, one cmath.exp per point
+    return abs(sum(cmath.exp(-2j * math.pi * float(p * m % 1)) for p in points) / len(points))
 
 
 def interval_strategy():
@@ -100,7 +106,16 @@ class TestEquidistOrder:
         ms = [2, 3, 5, 17, 31]
         mods = weyl_moduli(approx.cells, approx.N, ms)
         for m, mod in zip(ms, mods):
-            assert mod == pytest.approx(abs(weyl_sum(approx.fractions(), m)), abs=1e-12)
+            assert mod == pytest.approx(naive_weyl_modulus(approx.fractions(), m), abs=1e-12)
+
+    @pytest.mark.parametrize("N", [2**31 + 1, 2**62 + 3])
+    def test_moduli_beyond_int32(self, N):
+        cells = (0, 1, 2**30 + 5, N // 3, N - 2)
+        ms = [2, 3, 2**31 - 5, N // 2, N - 1]
+        mods = weyl_moduli(cells, N, ms)
+        fractions = [Fraction(c, N) for c in cells]
+        for m, mod in zip(ms, mods):
+            assert mod == pytest.approx(naive_weyl_modulus(fractions, m), abs=1e-12)
 
     def test_duplicate_phase_point_never_raises_alpha(self):
         base = NApproximation(64, (0, 5, 17, 33, 50))

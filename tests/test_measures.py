@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salemkit import measures
 from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, geometric_grid
 from salemkit.generators import power_law_set, quadratic_residues
@@ -194,6 +195,16 @@ class TestDecayCheck:
         report = decay_check(m, list(range(2, 64)), 1.0)
         assert report.alpha_hat == 1.0
         assert report.passed
+
+    def test_truncation_computed_once_per_frequency(self, monkeypatch):
+        calls = []
+        original = measures.truncation_for
+        monkeypatch.setattr(measures, "truncation_for", lambda m, u: calls.append(u) or original(m, u))
+        m = StagewiseMeasure(ternary_plan(6, unit_eta=True), 6)
+        grid = list(range(2, 40))
+        report = decay_check(m, grid, LOG23)
+        assert calls == grid
+        assert report.envelope == tuple(dyadic_block_envelope([(u, abs(mu_hat(m, u))) for u in grid]))
 
     def test_ternary_negative_control(self):
         # flat envelope along powers of 3 pins the fitted exponent far below

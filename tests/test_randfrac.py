@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from salemkit.randfrac import (
 SEED = 20260810
 
 
+def naive_mu1(cells, N1, beta, u):
+    # oracle: exact integral of e^{-2 pi i u x} / p over each white cell,
+    # with every phase u*c/N1 reduced mod 1 as a Fraction
+    p = N1 ** (-beta)
+    comb = sum(cmath.exp(-2j * math.pi * float(u * c / N1 % 1)) for c in cells)
+    return comb * (1 - cmath.exp(-2j * math.pi * float(u) / N1)) / (2j * math.pi * float(u)) / p
+
+
 class TestGenerateTrial:
     def test_beta_zero_full_survival(self):
         cfg = RandomFractalConfig(0.0, (4, 4, 4), 3, 1, SEED)
@@ -29,6 +38,13 @@ class TestGenerateTrial:
         cfg = RandomFractalConfig(0.5, (16, 16, 16), 3, 2, SEED)
         assert generate_trial(cfg, 0) == generate_trial(cfg, 0)
         assert generate_trial(cfg, 0) != generate_trial(cfg, 1)
+
+    def test_resolution_beyond_int64_rejected(self):
+        # cells are int64: M = 2**64 would wrap; only construct, since
+        # generating at this size would allocate tens of GiB
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            RandomFractalConfig(0.75, (65536,) * 4, 4, 5, SEED)
+        assert RandomFractalConfig(0.75, (65536,) * 4, 3, 5, SEED).resolution() == 2**48
 
     def test_order_independent_of_other_trials(self):
         cfg = RandomFractalConfig(0.5, (16, 16), 2, 5, SEED)
@@ -136,7 +152,15 @@ class TestMu1Hat:
         us = np.array([1, 2, 9, 100])
         vec = _mu1_values(trial.stages[0], 256, 0.5, us)
         for u, v in zip(us, vec):
-            assert v == pytest.approx(mu1_hat(trial, int(u)), abs=1e-12)
+            want = naive_mu1(trial.stages[0], 256, 0.5, Fraction(int(u)))
+            assert v == pytest.approx(want, abs=1e-12)
+            assert mu1_hat(trial, int(u)) == pytest.approx(want, abs=1e-12)
+
+    def test_rational_frequency(self):
+        cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
+        trial = generate_trial(cfg, 0)
+        for u in (Fraction(1, 3), Fraction(-7, 2), Fraction(129, 4)):
+            assert mu1_hat(trial, u) == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, u), abs=1e-12)
 
 
 class TestLemma63:
