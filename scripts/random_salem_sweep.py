@@ -8,7 +8,6 @@ Example:
 """
 
 import argparse
-import statistics
 import sys
 
 import salemkit as sk
@@ -29,18 +28,14 @@ def main() -> int:
     for beta in (float(b) for b in args.betas.split(",")):
         config = sk.RandomFractalConfig(beta, levels, len(levels), args.trials, args.seed)
         stats = sk.dimension_experiment(config)
-        alphas = []
-        for t in range(config.trials):
-            trial = sk.generate_trial(config, t)
-            if not trial.extinct:
-                alphas.append(sk.corollary64_check(trial).alpha)
+        orders = sk.order_experiment(config)
         rows.append({
             "beta": beta,
             "target_dim": 1 - beta,
             "mean_dim": stats.mean_dim,
             "std_dim": stats.std_dim,
             "extinct": stats.extinction_rate,
-            "median_alpha": statistics.median(alphas) if alphas else None,
+            "median_alpha": orders.median_alpha,
         })
         print(f"beta={beta}: mean_dim={stats.mean_dim:.3f} "
               f"median_alpha={rows[-1]['median_alpha']}")

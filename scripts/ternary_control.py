@@ -14,7 +14,6 @@ import math
 import sys
 
 import salemkit as sk
-from salemkit.core_sets import SpectrumSample
 from salemkit.formats import canonical_json, spectrum_csv, write_report
 
 
@@ -29,8 +28,7 @@ def main() -> int:
     plan = sk.ternary_plan(args.plan_depth, unit_eta=True)
     measure = sk.StagewiseMeasure(plan, args.plan_depth)
     u_max = 3**args.depth
-    grid = list(range(2, u_max + 1))
-    decay = sk.decay_check(measure, grid, math.log(2) / math.log(3))
+    decay = sk.decay_check(measure, range(2, u_max + 1), math.log(2) / math.log(3))
 
     stages = [sk.n_approximation(sk.build_stage(plan, k), 3**k) for k in range(1, args.depth + 1)]
     approx = stages[-1]
@@ -45,8 +43,7 @@ def main() -> int:
     print(f"box dimension {payload['box_dimension']:.4f}, decay alpha "
           f"{decay.alpha_hat:.4f}, order alpha {order.alpha:.4f}")
     if args.spectrum:
-        samples = [SpectrumSample(float(u), sk.mu_hat(measure, u)) for u in grid]
-        write_report(spectrum_csv(samples, freq_label="u"), args.spectrum, "csv")
+        write_report(spectrum_csv(decay.spectrum, freq_label="u"), args.spectrum, "csv")
     if args.output:
         write_report(payload, args.output)
     else:

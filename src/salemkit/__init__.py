@@ -58,6 +58,7 @@ from .measures import (
 from .randfrac import (
     DimensionStats,
     LemmaCheckReport,
+    OrderStats,
     RandomFractalConfig,
     TrialResult,
     corollary64_check,
@@ -65,6 +66,7 @@ from .randfrac import (
     generate_trial,
     lemma63_experiment,
     mu1_hat,
+    order_experiment,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,6 @@ class APWitness:
 class GridAP:
     stage: int
     indices: tuple[int, ...]
-    grid_base: int = 2
 
 
 class SeparationError(ValueError):
@@ -145,8 +144,8 @@ def dyadic_embed(A: IntegerSet, exponents: Sequence[int], depth: int) -> list[Fr
     return [a * slope for a in A.elements]
 
 
-def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int, *, base: int = 2) -> GridAP | None:
-    """Scan stages k_max, k_max-1, ... while floor(x * base**k) stays
+def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int) -> GridAP | None:
+    """Scan dyadic stages k_max, k_max-1, ... while floor(x * 2**k) stays
     pairwise distinct; return the finest stage whose indices contain an
     n-term integer progression, or None.
 
@@ -164,7 +163,7 @@ def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int, *, base: int
         raise ValueError("k_max must be non-negative")
     separated = False
     for k in range(k_max, -1, -1):
-        indices = sorted(int(p * base**k) for p in pts)
+        indices = sorted(int(p * 2**k) for p in pts)
         if len(set(indices)) != len(indices):
             break
         separated = True
@@ -172,39 +171,30 @@ def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int, *, base: int
         # the first maximal-run witness is the first n-term progression.
         hit = _maximal_runs(indices, n, first_only=True)
         if hit:
-            return GridAP(k, tuple(hit[0].terms()[:n]), base)
+            return GridAP(k, tuple(hit[0].terms()[:n]))
     if not separated:
         raise SeparationError(f"points are not separated at any stage <= {k_max}")
     return None
 
 
-def check_thm32_hypotheses(
-    A: IntegerSet,
-    beta: float,
-    C: float,
-    *,
-    density_grid: Sequence[int] | None = None,
-    freq_grid: Sequence[int] | None = None,
-) -> HypothesisReport:
+def check_thm32_hypotheses(A: IntegerSet, beta: float, C: float) -> HypothesisReport:
     """Test the sufficient conditions for a 3-term progression and report
     whether the conclusion held regardless.
 
     Conditions: fitted density exponent above 1/2, beta > 2 - 2*alpha_hat,
     and |spectrum(k)| <= C * (k*N)**(-beta/2) across the frequency sweep.
-    The 3-term search runs either way.
+    The density is fitted at the powers of 2 below N and at N itself; the
+    sweep is geometric at 8 per octave over [1, N-1].  The 3-term search
+    runs either way.
     """
     if not 2 / 3 < beta <= 1:
         raise ValueError("beta must lie in (2/3, 1]")
-    if density_grid is None:
-        density_grid = [2**j for j in range(1, max(2, A.horizon.bit_length() - 1)) if 2**j < A.horizon]
-        density_grid.append(A.horizon)
-    dens = fractional_density(A, density_grid)
+    density_grid = [2**j for j in range(1, max(2, A.horizon.bit_length() - 1)) if 2**j < A.horizon]
+    dens = fractional_density(A, density_grid + [A.horizon])
     alpha_hat = dens.exponent
     density_ok = alpha_hat > 0.5
     exponent_ok = beta > 2 - 2 * alpha_hat
-    if freq_grid is None:
-        freq_grid = geometric_grid(1, A.horizon - 1, 8, integers=True)
-    spectrum = dft_char(A, freq_grid)
+    spectrum = dft_char(A, geometric_grid(1, A.horizon - 1, 8, integers=True))
     violations = tuple(
         int(s.frequency)
         for s in spectrum

@@ -25,6 +25,8 @@ from .core_sets import IntegerSet
 # Denominators grow like M_k times the eta denominators; the cap keeps
 # endpoint numerators within a few machine words.
 DEPTH_CAP = 12
+# Default uniform bounds on the normalized digit counts |A_k| / N_k**beta.
+C_BOUNDS = (Fraction(1, 4), Fraction(4))
 
 
 def default_eta(level: int) -> Fraction:
@@ -60,7 +62,7 @@ class Level:
 class LevelPlan:
     levels: tuple[Level, ...]
     beta: float
-    c_bounds: tuple[Fraction, Fraction] = (Fraction(1, 4), Fraction(4))
+    c_bounds: tuple[Fraction, Fraction] = C_BOUNDS
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -128,7 +130,7 @@ def make_plan(
     level_horizons: Sequence[int],
     beta: float,
     *,
-    c_bounds: tuple[Fraction, Fraction] = (Fraction(1, 4), Fraction(4)),
+    c_bounds: tuple[Fraction, Fraction] = C_BOUNDS,
     etas: Sequence[Fraction] | None = None,
 ) -> LevelPlan:
     """Plan whose level-k digits are the prefix A intersect [0, N_k).
@@ -155,17 +157,16 @@ def make_plan(
     return LevelPlan(tuple(levels), float(beta), c_bounds)
 
 
-def ternary_plan(depth: int, *, unit_eta: bool = False, beta: float | None = None) -> LevelPlan:
-    """Middle-thirds plan: N = 3, digits {0, 2} at every level."""
-    if beta is None:
-        beta = math.log(2) / math.log(3)
+def ternary_plan(depth: int, *, unit_eta: bool = False) -> LevelPlan:
+    """Middle-thirds plan: N = 3, digits {0, 2} at every level, beta =
+    log 2 / log 3."""
     levels = tuple(
         Level(3, (0, 2), Fraction(1) if unit_eta else default_eta(k)) for k in range(1, depth + 1)
     )
-    return LevelPlan(levels, beta)
+    return LevelPlan(levels, math.log(2) / math.log(3))
 
 
-def build_stage(plan: LevelPlan, depth: int, *, depth_cap: int = DEPTH_CAP) -> CantorStage:
+def build_stage(plan: LevelPlan, depth: int) -> CantorStage:
     """All stage-``depth`` left endpoints, sorted, with the exact length.
 
     Depth 0 is the single interval [0, 1).  The endpoint count is the
@@ -173,8 +174,8 @@ def build_stage(plan: LevelPlan, depth: int, *, depth_cap: int = DEPTH_CAP) -> C
     """
     if not 0 <= depth <= plan.depth:
         raise ValueError(f"depth {depth} exceeds plan depth {plan.depth}")
-    if depth > depth_cap:
-        raise ValueError(f"depth {depth} exceeds the cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise ValueError(f"depth {depth} exceeds the cap {DEPTH_CAP}")
     endpoints = [Fraction(0)]
     for j in range(1, depth + 1):
         coeff = plan.eta_product(j - 1) / plan.M(j)

@@ -10,7 +10,6 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from fractions import Fraction
 
@@ -121,8 +120,7 @@ def cmd_measure_decay(args) -> int:
     beta = args.beta if args.beta is not None else plan.beta
     report = measures.decay_check(measure, grid, beta, args.tolerance)
     if args.spectrum:
-        samples = [core_sets.SpectrumSample(float(u), measures.mu_hat(measure, u)) for u in grid]
-        formats.write_report(formats.spectrum_csv(samples, freq_label="u"), args.spectrum, "csv")
+        formats.write_report(formats.spectrum_csv(report.spectrum, freq_label="u"), args.spectrum, "csv")
     _emit(args, report)
     return 0 if report.passed or not args.strict else 1
 
@@ -186,8 +184,12 @@ def cmd_thm32_check(args) -> int:
     return 0 if not (args.strict and report.failed) else 1
 
 
+def _random_config(args) -> randfrac.RandomFractalConfig:
+    return randfrac.RandomFractalConfig(args.beta, tuple(_int_list(args.levels)), args.depth, args.trials, args.seed)
+
+
 def cmd_random_salem(args) -> int:
-    config = randfrac.RandomFractalConfig(args.beta, tuple(_int_list(args.levels)), args.depth, args.trials, args.seed)
+    config = _random_config(args)
     if args.dump_trial is not None:
         trial = randfrac.generate_trial(config, args.dump_trial)
         formats.write_report({
@@ -219,23 +221,7 @@ def cmd_lemma63(args) -> int:
 
 
 def cmd_corollary64(args) -> int:
-    config = randfrac.RandomFractalConfig(args.beta, tuple(_int_list(args.levels)), args.depth, args.trials, args.seed)
-    alphas = []
-    extinct = 0
-    for t in range(config.trials):
-        trial = randfrac.generate_trial(config, t)
-        if trial.extinct:
-            extinct += 1
-            continue
-        alphas.append(randfrac.corollary64_check(trial).alpha)
-    payload = {
-        "target_order": 1.0 - config.beta,
-        "median_alpha": statistics.median(alphas) if alphas else None,
-        "alphas": alphas,
-        "extinct": extinct,
-        "trials": config.trials,
-    }
-    _emit(args, payload)
+    _emit(args, randfrac.order_experiment(_random_config(args)))
     return 0
 
 
@@ -247,6 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
         return p
+
+    def add_trial_flags(p):
+        """The Bernoulli refinement flags read by :func:`_random_config`."""
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--levels", required=True, help="comma list of per-level sizes N_i")
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
 
     p = add("density", cmd_density, "fit the growth exponent of |A ∩ [0,N)| over a checkpoint grid")
     p.add_argument("--input", required=True)
@@ -340,11 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = add("random-salem", cmd_random_salem, "dimension statistics of Bernoulli refinement trials")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--levels", required=True, help="comma list of per-level sizes N_i")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    add_trial_flags(p)
     p.add_argument("--dump-trial", type=int, help="also dump this trial's stage cells as JSON")
     p.add_argument("--trial-output", default="trial.json")
     p.add_argument("--output")
@@ -360,11 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = add("corollary64", cmd_corollary64, "equidistribution order of surviving final-stage cells across trials")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--levels", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    add_trial_flags(p)
     p.add_argument("--output")
 
     return parser

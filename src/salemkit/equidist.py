@@ -19,8 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import CantorStage
+from .cantor import C_BOUNDS, CantorStage
 from .core_sets import ZERO_FLOOR, IntegerSet, decay_exponent_fit, exp_sum, geometric_grid, loglog_fit
+
+# Fitted orders are clamped to [0, ORDER_CAP].
+ORDER_CAP = 1.0
+# A characterization whose order clears this floor but misses the density
+# exponent is "salem-type" rather than "neither".
+SALEM_TYPE_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,8 @@ def n_approximation(target, N: int) -> NApproximation:
         if p < 1:
             cells.add(int(p * N))
     for lo, hi in intervals:
-        j = int(lo * N)
-        j_end = min(math.ceil(hi * N) - 1, N - 1)
-        for cell in range(j, j_end + 1):
-            if max(lo, Fraction(cell, N)) < min(hi, Fraction(cell + 1, N)):
-                cells.add(cell)
+        # Cell c meets [lo, hi) iff c/N < hi and (c+1)/N > lo.
+        cells.update(range(int(lo * N), min(math.ceil(hi * N), N)))
     return NApproximation(N, tuple(sorted(cells)))
 
 
@@ -149,15 +152,14 @@ def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
 
 def equidist_order(
     approximations: Sequence[NApproximation],
-    cap: float = 1.0,
     *,
     m_grid: Sequence[int] | None = None,
-    per_octave: int = 6,
 ) -> OrderEstimate:
     """Fit the equidistribution order of an approximation sequence.
 
     Normalized Weyl sums of the finest approximation are swept over integer
-    frequencies up to N-1 (geometric by default, or an explicit ``m_grid``)
+    frequencies up to N-1 (geometric at 6 per octave by default, or an
+    explicit ``m_grid``)
     and fed to the bound-fitting exponent estimator, which fixes C = 1 in
     |W(m)| <= C m**(-alpha/2).  The default sweep is kept moderate since
     every extra sample can only pull the fitted minimum down.  Per-frequency
@@ -176,17 +178,17 @@ def equidist_order(
     if finest.N < 16:
         raise ValueError("the largest N must be at least 16")
     if m_grid is None:
-        ms = geometric_grid(2, finest.N - 1, per_octave, integers=True)
+        ms = geometric_grid(2, finest.N - 1, 6, integers=True)
     else:
         ms = sorted({int(m) for m in m_grid})
         if not ms or ms[0] < 2 or ms[-1] >= finest.N:
             raise ValueError("m grid must lie within [2, N-1]")
     moduli = weyl_moduli(finest.cells, finest.N, ms)
     per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
-    alpha = decay_exponent_fit(per_m, cap=cap)
+    alpha = decay_exponent_fit(per_m, cap=ORDER_CAP)
     if len(approximations) >= 2:
-        alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli, cap))
-    return OrderEstimate(alpha, per_m, cap)
+        alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli))
+    return OrderEstimate(alpha, per_m, ORDER_CAP)
 
 
 def _sequence_order(
@@ -194,9 +196,8 @@ def _sequence_order(
     finest: NApproximation,
     ms: Sequence[int],
     finest_moduli: np.ndarray,
-    cap: float,
 ) -> float:
-    """Order implied by a uniform constant along the sequence, or ``cap``
+    """Order implied by a uniform constant along the sequence, or ORDER_CAP
     when fewer than two approximations have a nonzero peak on their part
     of the sweep.  Empty approximations have no Weyl sums and are skipped."""
     points = []
@@ -215,27 +216,23 @@ def _sequence_order(
         if peak >= ZERO_FLOOR:
             points.append((approx.N, peak))
     if len(points) < 2:
-        return cap
+        return ORDER_CAP
     slope, _ = loglog_fit(points)
-    return min(cap, max(0.0, -2.0 * slope))
+    return min(ORDER_CAP, max(0.0, -2.0 * slope))
 
 
 def characterize_salem(
     approximations: Sequence[NApproximation],
     beta: float,
     tolerance: float = 0.1,
-    *,
-    c_bounds: tuple[float, float] = (0.25, 4.0),
-    salem_type_floor: float = 0.05,
-    m_grid: Sequence[int] | None = None,
 ) -> CharacterizationReport:
     """Check the two-sided characterization on a stage sequence.
 
     Stage counts are normalized by N**beta to extract the constants c_i and
-    checked against the uniform bounds; the fitted density exponent
-    beta_hat is compared with the equidistribution order.  Verdict: salem
-    when |beta_hat - alpha| <= tolerance, salem-type when alpha clears the
-    floor but falls short of beta_hat, neither otherwise.
+    checked against the plan bounds ``cantor.C_BOUNDS``; the fitted density
+    exponent beta_hat is compared with the equidistribution order.  Verdict:
+    salem when |beta_hat - alpha| <= tolerance, salem-type when alpha clears
+    SALEM_TYPE_FLOOR but falls short of beta_hat, neither otherwise.
     """
     if len(approximations) < 3:
         raise ValueError("need at least 3 approximations")
@@ -249,13 +246,13 @@ def characterize_salem(
         c_val = count / approx.N**beta
         pw = math.log(count) / math.log(approx.N) if count > 0 and approx.N > 1 else 0.0
         stages.append(StageDensity(approx.N, count, c_val, pw))
-    c_in_bounds = all(c_bounds[0] <= s.c_value <= c_bounds[1] for s in stages)
+    c_in_bounds = all(C_BOUNDS[0] <= s.c_value <= C_BOUNDS[1] for s in stages)
     fit = [(s.N, s.count) for s in stages if s.count > 0]
     beta_hat = min(1.0, max(0.0, loglog_fit(fit)[0])) if len(fit) >= 2 else 0.0
-    order = equidist_order(approximations, cap=1.0, m_grid=m_grid)
+    order = equidist_order(approximations)
     if abs(beta_hat - order.alpha) <= tolerance:
         verdict = "salem"
-    elif order.alpha > salem_type_floor:
+    elif order.alpha > SALEM_TYPE_FLOOR:
         verdict = "salem-type"
     else:
         verdict = "neither"

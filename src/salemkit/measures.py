@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .cantor import CantorStage, LevelPlan, build_stage
-from .core_sets import IntegerSet, decay_exponent_fit, dft_char
+from .core_sets import IntegerSet, SpectrumSample, decay_exponent_fit, dft_char
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class DecayReport:
     truncation_depth_used: int
     capped: bool
     envelope: tuple[tuple[float, float], ...]
+    # mu_hat at every grid frequency, for spectrum files; not in as_dict.
+    spectrum: tuple[SpectrumSample, ...]
 
     def as_dict(self) -> dict:
         return {
@@ -149,16 +152,14 @@ def stage_cdf(measure: StagewiseMeasure, k: int, x) -> float:
     if not 0 <= xq <= 1:
         raise ValueError("x must lie in [0, 1]")
     stage = _cached_stage(measure.plan, k)
+    lefts = stage.left_endpoints
     L = stage.interval_length
-    increment = Fraction(1, len(stage.left_endpoints))
-    total = Fraction(0)
-    for left in stage.left_endpoints:
-        if xq >= left + L:
-            total += increment
-        elif xq > left:
-            total += increment * (xq - left) / L
-        else:
-            break
+    # Stage intervals are disjoint and sorted: those with left + L <= x are
+    # passed in full, and only the next one can contain x.
+    full = bisect_right(lefts, xq - L)
+    total = Fraction(full, len(lefts))
+    if full < len(lefts) and xq > lefts[full]:
+        total += Fraction(1, len(lefts)) * (xq - lefts[full]) / L
     return float(total)
 
 
@@ -182,8 +183,9 @@ def decay_check(
     beta: float,
     tolerance: float = 0.1,
 ) -> DecayReport:
-    """Sample |mu_hat| on the grid, fit the dyadic-block envelope, and judge
-    the fitted exponent against beta - tolerance."""
+    """Sample mu_hat on the sorted grid, fit the dyadic-block envelope of
+    its modulus, and judge the fitted exponent against beta - tolerance.
+    The complex samples are kept on the report's ``spectrum``."""
     grid = sorted(float(u) if not isinstance(u, int) else u for u in u_grid)
     if not grid:
         raise ValueError("empty u grid")
@@ -192,13 +194,16 @@ def decay_check(
     if grid[-1] > measure.u_max:
         raise ValueError("grid exceeds the configured u_max")
     samples = []
+    spectrum = []
     depth_used = 0
     capped = False
     for u in grid:
         factors, hit = truncation_for(measure, u)
         depth_used = max(depth_used, factors)
         capped = capped or hit
-        samples.append((u, abs(mu_hat(measure, u, depth=factors))))
+        value = mu_hat(measure, u, depth=factors)
+        samples.append((u, abs(value)))
+        spectrum.append(SpectrumSample(float(u), value))
     envelope = dyadic_block_envelope(samples)
     alpha_hat = decay_exponent_fit(envelope, cap=1.0)
     return DecayReport(
@@ -208,4 +213,5 @@ def decay_check(
         truncation_depth_used=depth_used,
         capped=capped,
         envelope=tuple(envelope),
+        spectrum=tuple(spectrum),
     )

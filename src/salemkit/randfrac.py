@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,6 +88,24 @@ class DimensionStats:
 
 
 @dataclass(frozen=True)
+class OrderStats:
+    target_order: float
+    median_alpha: float | None
+    alphas: tuple[float, ...]
+    extinct: int
+    trials: int
+
+    def as_dict(self) -> dict:
+        return {
+            "target_order": self.target_order,
+            "median_alpha": self.median_alpha,
+            "alphas": list(self.alphas),
+            "extinct": self.extinct,
+            "trials": self.trials,
+        }
+
+
+@dataclass(frozen=True)
 class LemmaCheckReport:
     N1: int
     epsilon1: float
@@ -144,23 +163,36 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
     )
 
 
-def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
-    """Box-dimension statistics log(count)/log(M_depth) across trials.
+def _survivor_scores(config: RandomFractalConfig, score: Callable[[TrialResult], float]) -> tuple[list[float], int]:
+    """``score`` of every surviving trial in trial order, and the number of
+    extinct trials, which are never resampled.
 
-    Extinct trials are excluded from the mean and counted in the
-    extinction rate; they are never resampled.
+    Trials are generated one at a time and dropped once scored: a single
+    64**4 trial already holds megabytes of Python integers.
     """
-    if config.depth < 3:
-        raise ValueError("dimension experiments need depth at least 3")
-    dims: list[float] = []
+    scores: list[float] = []
     extinct = 0
-    M = config.resolution()
     for t in range(config.trials):
         trial = generate_trial(config, t)
         if trial.extinct:
             extinct += 1
-            continue
-        dims.append(math.log(trial.white_counts[-1]) / math.log(M))
+        else:
+            scores.append(score(trial))
+    return scores, extinct
+
+
+def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
+    """Box-dimension statistics log(count)/log(M_depth) across trials.
+
+    Extinct trials are excluded from the mean and counted in the
+    extinction rate.
+    """
+    if config.depth < 3:
+        raise ValueError("dimension experiments need depth at least 3")
+    M = config.resolution()
+    if M < 2:
+        raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
+    dims, extinct = _survivor_scores(config, lambda trial: math.log(trial.white_counts[-1]) / math.log(M))
     if dims:
         arr = np.asarray(dims)
         mean = float(arr.mean())
@@ -169,6 +201,16 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
         mean = float("nan")
         std = float("nan")
     return DimensionStats(mean, std, extinct / config.trials, config.trials, tuple(dims))
+
+
+def order_experiment(config: RandomFractalConfig) -> OrderStats:
+    """Corollary 6.4 across trials: the equidistribution order of every
+    surviving trial's final-stage cells, their median (None when every
+    trial went extinct) and the extinct count, against the target 1 - beta.
+    """
+    alphas, extinct = _survivor_scores(config, lambda trial: corollary64_check(trial).alpha)
+    median = statistics.median(alphas) if alphas else None
+    return OrderStats(1.0 - config.beta, median, tuple(alphas), extinct, config.trials)
 
 
 def mu1_hat(trial: TrialResult, u) -> complex:
@@ -213,7 +255,9 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
     at every integer u in [2, u_max].
 
     The Lebesgue baseline vanishes at nonzero integers, so the checked
-    difference is |mu1_hat| itself.  Requires u_max <= N_1.
+    difference is |mu1_hat| itself.  Requires u_max <= N_1.  Every trial is
+    scored, extinct ones included: an empty trial has the zero transform,
+    so it passes exactly when epsilon1 > 0.
     """
     if config.depth != 1:
         raise ValueError("the single-stage check needs a depth-1 config")

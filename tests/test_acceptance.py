@@ -8,7 +8,6 @@ and the deterministic control is asserted alongside.
 """
 
 import math
-import statistics
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -207,12 +206,7 @@ def test_criterion_6_lemma_trend():
 def test_criterion_7_order_separation():
     t0 = time.time()
     config = sk.RandomFractalConfig(0.5, (64, 64, 64), 3, 50, SEED)
-    alphas = []
-    for t in range(config.trials):
-        trial = sk.generate_trial(config, t)
-        if not trial.extinct:
-            alphas.append(sk.corollary64_check(trial).alpha)
-    median = statistics.median(alphas)
+    median = sk.order_experiment(config).median_alpha
     plan = sk.ternary_plan(8, unit_eta=True)
     stages = [sk.n_approximation(sk.build_stage(plan, k), 3**k) for k in range(1, 9)]
     control = sk.equidist_order(stages, m_grid=range(2, 3**8)).alpha

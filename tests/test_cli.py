@@ -37,6 +37,12 @@ class TestExitCodes:
                    "--depth", "4", "--trials", "5", "--seed", "0")
         assert code == 1
 
+    def test_resolution_one_is_domain_error(self, capsys):
+        code = run("random-salem", "--beta", "0.5", "--levels", "1,1,1", "--depth", "3",
+                   "--trials", "2", "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("salemkit:")
+
     def test_missing_operand_is_usage_error(self, capsys):
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2

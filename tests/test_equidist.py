@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemkit.cantor import build_stage, ternary_plan
+from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import decay_exponent_fit, fractional_density
+from salemkit.generators import squares_below
 from salemkit.equidist import (
     NApproximation,
     characterize_salem,
@@ -24,6 +25,14 @@ LOG23 = math.log(2) / math.log(3)
 def naive_weyl_modulus(points, m):
     # oracle: each phase x*m reduced mod 1 as a Fraction, one cmath.exp per point
     return abs(sum(cmath.exp(-2j * math.pi * float(p * m % 1)) for p in points) / len(points))
+
+
+def linear_cells(intervals, N):
+    # oracle: scan every cell and test its overlap with each [lo, hi) exactly
+    return tuple(
+        c for c in range(N)
+        if any(max(lo, Fraction(c, N)) < min(hi, Fraction(c + 1, N)) for lo, hi in intervals)
+    )
 
 
 def interval_strategy():
@@ -52,6 +61,18 @@ class TestNApproximation:
 
     def test_point_at_one_meets_no_cell(self):
         assert n_approximation([Fraction(1)], 4).cells == ()
+
+    @given(st.lists(interval_strategy(), min_size=1, max_size=4), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_intervals_match_linear_oracle(self, intervals, N):
+        assert n_approximation(intervals, N).cells == linear_cells(intervals, N)
+
+    def test_stages_match_linear_oracle(self):
+        squares = make_plan(squares_below(100), [100, 100], 0.5)
+        for plan, depth, N in ((ternary_plan(5), 5, 3**6), (ternary_plan(5, unit_eta=True), 5, 3**5),
+                               (squares, 2, 997)):
+            stage = build_stage(plan, depth)
+            assert n_approximation(stage, N).cells == linear_cells(stage.intervals(), N)
 
     @given(st.lists(interval_strategy(), min_size=1, max_size=4), st.integers(1, 24))
     @settings(max_examples=80, deadline=None)

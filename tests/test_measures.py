@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from salemkit import measures
 from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, geometric_grid
-from salemkit.generators import power_law_set, quadratic_residues
+from salemkit.generators import power_law_set, quadratic_residues, squares_below
 from salemkit.measures import (
     StagewiseMeasure,
     decay_check,
@@ -35,6 +35,15 @@ def stieltjes_quadrature(plan, depth, u):
         mid = float(x + L / 2)
         total += cmath.exp(-2j * math.pi * u * mid)
     return weight * total
+
+
+def linear_stage_cdf(measure, k, x):
+    """Oracle: every stage interval contributes its covered share of 1/d,
+    clamped to [0, 1], in exact rationals."""
+    stage = build_stage(measure.plan, k)
+    L = stage.interval_length
+    share = sum(min(max((Fraction(x) - left) / L, Fraction(0)), Fraction(1)) for left in stage.left_endpoints)
+    return float(share / len(stage.left_endpoints))
 
 
 class TestQFactor:
@@ -173,6 +182,21 @@ class TestStageCdf:
         with pytest.raises(ValueError):
             stage_cdf(m, 1, Fraction(3, 2))
 
+    def test_bisect_matches_linear_oracle(self):
+        plans = [
+            ternary_plan(5),
+            ternary_plan(5, unit_eta=True),
+            make_plan(squares_below(100), [100, 100], 0.5),
+        ]
+        xs = [Fraction(i, 97) for i in range(98)] + [Fraction(2, 3), Fraction(1, 9), Fraction(10**5 + 1, 10**6)]
+        for plan in plans:
+            m = StagewiseMeasure(plan, plan.depth)
+            for k in range(plan.depth + 1):
+                stage = build_stage(plan, k)
+                edges = [e for x in stage.left_endpoints for e in (x, x + stage.interval_length) if e <= 1]
+                for x in xs + edges[:40]:
+                    assert stage_cdf(m, k, x) == linear_stage_cdf(m, k, x)
+
     def test_monotone_and_cauchy(self):
         # F_k non-decreasing; sup |F_k - F_{k+1}| <= 1/(d_1...d_k)
         m = StagewiseMeasure(ternary_plan(6), 6)
@@ -205,6 +229,15 @@ class TestDecayCheck:
         report = decay_check(m, grid, LOG23)
         assert calls == grid
         assert report.envelope == tuple(dyadic_block_envelope([(u, abs(mu_hat(m, u))) for u in grid]))
+
+    def test_spectrum_samples_equal_mu_hat(self):
+        m = StagewiseMeasure(ternary_plan(8), 8)
+        for grid in (list(range(40, 1, -1)), geometric_grid(2.0, 500.0, 8)):
+            report = decay_check(m, grid, LOG23)
+            assert [s.frequency for s in report.spectrum] == sorted(float(u) for u in grid)
+            for sample, u in zip(report.spectrum, sorted(grid)):
+                assert sample.value == mu_hat(m, u)
+            assert "spectrum" not in report.as_dict()
 
     def test_ternary_negative_control(self):
         # flat envelope along powers of 3 pins the fitted exponent far below

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +15,10 @@ from salemkit.randfrac import (
     generate_trial,
     lemma63_experiment,
     mu1_hat,
+    order_experiment,
     _mu1_values,
 )
+from salemkit.cli import run_command
 
 SEED = 20260810
 
@@ -102,6 +106,12 @@ class TestDimensionExperiment:
         cfg = RandomFractalConfig(0.25, (64, 64, 64), 3, 50, SEED)
         stats = dimension_experiment(cfg)
         assert 0.65 <= stats.mean_dim <= 0.85
+
+    def test_resolution_one_rejected(self):
+        # log(M) = 0 at M = 1 would divide by zero
+        cfg = RandomFractalConfig(0.5, (1, 1, 1), 3, 2, 1)
+        with pytest.raises(ValueError, match="resolution"):
+            dimension_experiment(cfg)
 
 
 class TestMu1Hat:
@@ -212,3 +222,37 @@ class TestCorollary64:
         alphas.sort()
         median = alphas[len(alphas) // 2]
         assert 0.35 <= median <= 0.65
+
+
+class TestOrderExperiment:
+    def test_matches_survivor_loop(self, tmp_path):
+        cfg = RandomFractalConfig(0.9, (4, 4), 2, 40, SEED)
+        alphas = []
+        extinct = 0
+        for t in range(cfg.trials):
+            trial = generate_trial(cfg, t)
+            if trial.extinct:
+                extinct += 1
+            else:
+                alphas.append(corollary64_check(trial).alpha)
+        assert 0 < extinct < cfg.trials
+        stats = order_experiment(cfg)
+        assert stats.alphas == tuple(alphas)
+        assert stats.extinct == extinct
+        assert stats.trials == cfg.trials
+        assert stats.median_alpha == statistics.median(alphas)
+        assert stats.target_order == 1.0 - cfg.beta
+        out = tmp_path / "c.json"
+        assert run_command(["corollary64", "--beta", "0.9", "--levels", "4,4", "--depth", "2",
+                            "--trials", "40", "--seed", str(SEED), "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(stats.as_dict()) == set(payload)
+        assert payload["extinct"] == extinct
+
+    def test_all_extinct_has_no_median(self):
+        cfg = RandomFractalConfig(0.95, (16, 16), 2, 3, 10)
+        stats = order_experiment(cfg)
+        assert stats.extinct == 3
+        assert stats.alphas == ()
+        assert stats.median_alpha is None
+        assert stats.as_dict()["median_alpha"] is None
