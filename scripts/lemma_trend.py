@@ -11,7 +11,7 @@ import argparse
 import sys
 
 import salemkit as sk
-from salemkit.formats import canonical_json, write_report
+from salemkit.formats import write_report
 
 
 def main() -> int:
@@ -33,10 +33,7 @@ def main() -> int:
         print(f"N1={n1}: satisfied_fraction={rep.satisfied_fraction:.3f}")
     payload = {"beta": args.beta, "epsilon1": args.epsilon, "u_max": args.u_max,
                "trials": args.trials, "seed": args.seed, "rows": rows}
-    if args.output:
-        write_report(payload, args.output)
-    else:
-        print(canonical_json(payload))
+    write_report(payload, args.output)
     return 0
 
 

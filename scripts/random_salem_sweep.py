@@ -11,7 +11,7 @@ import argparse
 import sys
 
 import salemkit as sk
-from salemkit.formats import canonical_json, write_report
+from salemkit.formats import write_report
 
 
 def main() -> int:
@@ -40,10 +40,7 @@ def main() -> int:
         print(f"beta={beta}: mean_dim={stats.mean_dim:.3f} "
               f"median_alpha={rows[-1]['median_alpha']}")
     payload = {"levels": list(levels), "trials": args.trials, "seed": args.seed, "rows": rows}
-    if args.output:
-        write_report(payload, args.output)
-    else:
-        print(canonical_json(payload))
+    write_report(payload, args.output)
     return 0
 
 

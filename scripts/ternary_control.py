@@ -14,7 +14,7 @@ import math
 import sys
 
 import salemkit as sk
-from salemkit.formats import canonical_json, spectrum_csv, write_report
+from salemkit.formats import atomic_write_text, spectrum_csv, write_report
 
 
 def main() -> int:
@@ -43,11 +43,8 @@ def main() -> int:
     print(f"box dimension {payload['box_dimension']:.4f}, decay alpha "
           f"{decay.alpha_hat:.4f}, order alpha {order.alpha:.4f}")
     if args.spectrum:
-        write_report(spectrum_csv(decay.spectrum, freq_label="u"), args.spectrum, "csv")
-    if args.output:
-        write_report(payload, args.output)
-    else:
-        print(canonical_json(payload))
+        atomic_write_text(args.spectrum, spectrum_csv(decay.spectrum, freq_label="u"))
+    write_report(payload, args.output)
     return 0
 
 

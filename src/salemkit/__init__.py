@@ -15,7 +15,6 @@ from .aps import (
 )
 from .cantor import (
     CantorStage,
-    DigitPoint,
     Level,
     LevelPlan,
     box_dimension,

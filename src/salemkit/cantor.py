@@ -16,8 +16,10 @@ disjointness are decidable comparisons rather than float checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .core_sets import IntegerSet
@@ -77,24 +79,25 @@ class LevelPlan:
             c = self.c_value(k)
             if not float(lower) <= c <= float(upper):
                 raise ValueError(f"level {k}: c = {c:.6g} outside bounds ({float(lower):g}, {float(upper):g})")
+        # Prefix products M_0..M_depth and eta_0..eta_depth, built once.  They
+        # are plain attributes, not fields, so equality and hashing still see
+        # only the levels, beta and c_bounds.
+        sizes = (level.size for level in self.levels)
+        etas = (level.eta for level in self.levels)
+        object.__setattr__(self, "_M", tuple(accumulate(sizes, operator.mul, initial=1)))
+        object.__setattr__(self, "_eta", tuple(accumulate(etas, operator.mul, initial=Fraction(1))))
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
     def M(self, k: int) -> int:
-        """N_1 * ... * N_k (1 when k = 0)."""
-        out = 1
-        for level in self.levels[:k]:
-            out *= level.size
-        return out
+        """N_1 * ... * N_k (1 when k = 0), for 0 <= k <= depth."""
+        return self._M[k]
 
     def eta_product(self, k: int) -> Fraction:
-        """eta_1 * ... * eta_k (1 when k = 0)."""
-        out = Fraction(1)
-        for level in self.levels[:k]:
-            out *= level.eta
-        return out
+        """eta_1 * ... * eta_k (1 when k = 0), for 0 <= k <= depth."""
+        return self._eta[k]
 
     def interval_length(self, k: int) -> Fraction:
         return self.eta_product(k) / self.M(k)
@@ -116,13 +119,6 @@ class CantorStage:
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:
         return [(x, x + self.interval_length) for x in self.left_endpoints]
-
-
-@dataclass(frozen=True)
-class DigitPoint:
-    """Digit values (one member of each level's digit set), not indices."""
-
-    digits: tuple[int, ...]
 
 
 def make_plan(
@@ -185,12 +181,12 @@ def build_stage(plan: LevelPlan, depth: int) -> CantorStage:
     return CantorStage(depth, tuple(endpoints), plan.interval_length(depth))
 
 
-def point_from_digits(plan: LevelPlan, point: DigitPoint | Sequence[int]) -> Fraction:
-    """Exact truncated digit expansion of the point selected by digit values.
+def point_from_digits(plan: LevelPlan, digits: Sequence[int]) -> Fraction:
+    """Exact truncated digit expansion of the point selected by digit values
+    (one member of each level's digit set, not indices).
 
     Equals the left endpoint of the stage interval the digits select.
     """
-    digits = point.digits if isinstance(point, DigitPoint) else tuple(point)
     if len(digits) > plan.depth:
         raise ValueError("more digits than plan levels")
     x = Fraction(0)
@@ -212,9 +208,5 @@ def box_dimension(plan: LevelPlan, max_depth: int) -> float:
         raise ValueError("max_depth must be at least 2")
     if max_depth > plan.depth:
         raise ValueError(f"max_depth {max_depth} exceeds plan depth {plan.depth}")
-    cells = 1
-    M = 1
-    for level in plan.levels[:max_depth]:
-        cells *= len(level.digits)
-        M *= level.size
-    return math.log(cells) / math.log(M)
+    cells = math.prod(len(level.digits) for level in plan.levels[:max_depth])
+    return math.log(cells) / math.log(plan.M(max_depth))

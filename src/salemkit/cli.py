@@ -32,20 +32,12 @@ def _rational_list(text: str) -> list[Fraction]:
     return [formats.parse_rational(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _emit(args, payload, *, csv_text: str | None = None) -> None:
-    """Write to --output when given, else print to stdout."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_text is not None:
-        if args.output:
-            formats.write_report(csv_text, args.output, "csv")
-        else:
-            sys.stdout.write(csv_text)
-        return
-    data = payload.as_dict() if hasattr(payload, "as_dict") else payload
-    if args.output:
-        formats.write_report(data, args.output, "json")
+def _write_csv(path, text: str) -> None:
+    """Write CSV text to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(formats.canonical_json(data) + "\n")
+        formats.atomic_write_text(path, text)
 
 
 def _load_points(args) -> list[Fraction]:
@@ -63,12 +55,12 @@ def cmd_density(args) -> int:
     A = formats.load_integer_set(args.input)
     grid = _int_list(args.grid) if args.grid else [2**j for j in range(2, A.horizon.bit_length())] + [A.horizon]
     est = core_sets.fractional_density(A, sorted(set(grid)))
-    _emit(args, {
+    formats.write_report({
         "exponent": est.exponent,
         "residual": est.residual,
         "samples": [[n, c] for n, c in est.sample_points],
         "empty": est.empty,
-    })
+    }, args.output)
     return 0
 
 
@@ -81,15 +73,18 @@ def cmd_dft(args) -> int:
     else:
         freqs = core_sets.geometric_grid(1, A.horizon - 1, args.per_octave, integers=True)
     samples = core_sets.dft_char(A, freqs)
-    csv_text = formats.spectrum_csv(samples, freq_label="m")
-    _emit(args, {"spectrum": [{"m": s.frequency, "re": s.value.real, "im": s.value.imag, "abs": abs(s.value)} for s in samples]}, csv_text=csv_text)
+    if args.format == "csv":
+        _write_csv(args.output, formats.spectrum_csv(samples, freq_label="m"))
+    else:
+        spectrum = [{"m": s.frequency, "re": s.value.real, "im": s.value.imag, "abs": abs(s.value)} for s in samples]
+        formats.write_report({"spectrum": spectrum}, args.output)
     return 0
 
 
 def cmd_weyl(args) -> int:
     points = _load_points(args)
     value = core_sets.weyl_sum(points, args.m)
-    _emit(args, {"m": args.m, "re": value.real, "im": value.imag, "abs": abs(value)})
+    formats.write_report({"m": args.m, "re": value.real, "im": value.imag, "abs": abs(value)}, args.output)
     return 0
 
 
@@ -104,11 +99,7 @@ def cmd_plan(args) -> int:
 def cmd_construct(args) -> int:
     plan = formats.load_plan(args.plan)
     stage = cantor.build_stage(plan, args.depth)
-    csv_text = formats.stage_csv(stage)
-    if args.output:
-        formats.write_report(csv_text, args.output, "csv")
-    else:
-        sys.stdout.write(csv_text)
+    _write_csv(args.output, formats.stage_csv(stage))
     return 0
 
 
@@ -120,8 +111,8 @@ def cmd_measure_decay(args) -> int:
     beta = args.beta if args.beta is not None else plan.beta
     report = measures.decay_check(measure, grid, beta, args.tolerance)
     if args.spectrum:
-        formats.write_report(formats.spectrum_csv(report.spectrum, freq_label="u"), args.spectrum, "csv")
-    _emit(args, report)
+        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(report.spectrum, freq_label="u"))
+    formats.write_report(report, args.output)
     return 0 if report.passed or not args.strict else 1
 
 
@@ -139,7 +130,7 @@ def cmd_approximate(args) -> int:
 def cmd_characterize(args) -> int:
     approximations = [formats.load_approximation(p) for p in args.inputs]
     report = equidist.characterize_salem(approximations, args.beta, args.tolerance)
-    _emit(args, report)
+    formats.write_report(report, args.output)
     return 0 if report.verdict == "salem" or not args.strict else 1
 
 
@@ -153,8 +144,11 @@ def cmd_extract_integers(args) -> int:
 def cmd_ap_find(args) -> int:
     A = formats.load_integer_set(args.input)
     witnesses = aps.find_ap_integers(A, args.n, first_only=args.first_only)
-    csv_text = formats.witnesses_csv(witnesses)
-    _emit(args, {"witnesses": [{"start": w.start, "difference": w.difference, "length": w.length} for w in witnesses]}, csv_text=csv_text)
+    if args.format == "csv":
+        _write_csv(args.output, formats.witnesses_csv(witnesses))
+    else:
+        rows = [{"start": w.start, "difference": w.difference, "length": w.length} for w in witnesses]
+        formats.write_report({"witnesses": rows}, args.output)
     return 0
 
 
@@ -171,16 +165,16 @@ def cmd_ap_descent(args) -> int:
     points = _load_points(args)
     hit = aps.grid_ap_descent(points, args.n, args.k_max)
     if hit is None:
-        _emit(args, {"found": False, "stage": None, "indices": []})
+        formats.write_report({"found": False, "stage": None, "indices": []}, args.output)
     else:
-        _emit(args, {"found": True, "stage": hit.stage, "indices": list(hit.indices)})
+        formats.write_report({"found": True, "stage": hit.stage, "indices": list(hit.indices)}, args.output)
     return 0
 
 
 def cmd_thm32_check(args) -> int:
     A = formats.load_integer_set(args.input)
     report = aps.check_thm32_hypotheses(A, args.beta, args.C)
-    _emit(args, report)
+    formats.write_report(report, args.output)
     return 0 if not (args.strict and report.failed) else 1
 
 
@@ -202,7 +196,7 @@ def cmd_random_salem(args) -> int:
             "extinct": trial.extinct,
         }, args.trial_output)
     stats = randfrac.dimension_experiment(config)
-    _emit(args, stats)
+    formats.write_report(stats, args.output)
     return 0
 
 
@@ -215,13 +209,13 @@ def cmd_lemma63(args) -> int:
             core_sets.SpectrumSample(float(u), randfrac.mu1_hat(trial, u))
             for u in range(1, args.u_max + 1)
         ]
-        formats.write_report(formats.spectrum_csv(samples, freq_label="u"), args.spectrum, "csv")
-    _emit(args, report)
+        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(samples, freq_label="u"))
+    formats.write_report(report, args.output)
     return 0
 
 
 def cmd_corollary64(args) -> int:
-    _emit(args, randfrac.order_experiment(_random_config(args)))
+    formats.write_report(randfrac.order_experiment(_random_config(args)), args.output)
     return 0
 
 

@@ -69,10 +69,6 @@ class IntegerSet:
         """|A intersect [0, n)| by binary search."""
         return bisect_left(self.elements, n)
 
-    def restrict(self, horizon: int) -> "IntegerSet":
-        """The prefix A intersect [0, horizon), with the smaller horizon."""
-        return IntegerSet(self.elements[: self.count_below(horizon)], horizon)
-
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -224,6 +220,8 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 16, *, integers: bool
     With ``integers=True`` samples are rounded and deduplicated, which keeps
     every integer at the low end of the range where spacing is below 1.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("lo and hi must be finite")
     if lo <= 0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
     if per_octave < 1:

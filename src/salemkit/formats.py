@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .aps import APWitness
-from .cantor import CantorStage, Level, LevelPlan
+from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
 from .core_sets import IntegerSet, SpectrumSample
 from .equidist import NApproximation
 
@@ -30,8 +31,7 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def fmt_rational(q) -> str:
-    q = Fraction(q)
+def fmt_rational(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
@@ -119,11 +119,15 @@ def load_integer_set(path) -> IntegerSet:
         raise FormatError(str(exc)) from exc
 
 
-# Plans: header "beta=<real>", then one "N=<int> digits=<comma list> eta=<p/q>" per level.
+# Plans: header "beta=<real>", an optional "c_bounds=<p/q>,<p/q>" line when
+# the bounds are not cantor.C_BOUNDS, then one
+# "N=<int> digits=<comma list> eta=<p/q>" per level.
 
 
 def save_plan(plan: LevelPlan, path) -> None:
     lines = [f"beta={fmt_float(plan.beta)}"]
+    if plan.c_bounds != C_BOUNDS:
+        lines.append("c_bounds=" + ",".join(fmt_rational(b) for b in plan.c_bounds))
     for level in plan.levels:
         digits = ",".join(str(d) for d in level.digits)
         lines.append(f"N={level.size} digits={digits} eta={fmt_rational(level.eta)}")
@@ -132,6 +136,7 @@ def save_plan(plan: LevelPlan, path) -> None:
 
 def load_plan(path) -> LevelPlan:
     beta = None
+    c_bounds = C_BOUNDS
     levels: list[Level] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -142,6 +147,12 @@ def load_plan(path) -> LevelPlan:
                 beta = float(line.split("=", 1)[1])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad beta") from exc
+            continue
+        if line.startswith("c_bounds="):
+            bounds = line.split("=", 1)[1].split(",")
+            if len(bounds) != 2:
+                raise FormatError(f"line {lineno}: c_bounds needs two rationals")
+            c_bounds = tuple(parse_rational(b) for b in bounds)
             continue
         fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
         if not {"N", "digits", "eta"} <= fields.keys():
@@ -159,7 +170,7 @@ def load_plan(path) -> LevelPlan:
     if not levels:
         raise FormatError("plan has no levels")
     try:
-        return LevelPlan(tuple(levels), beta)
+        return LevelPlan(tuple(levels), beta, c_bounds)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -240,12 +251,12 @@ def witnesses_csv(witnesses: Iterable[APWitness]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(obj, path, fmt: str = "json") -> None:
-    """Serialize a report dict (or as_dict-bearing object) canonically."""
-    if fmt == "json":
-        data = obj.as_dict() if hasattr(obj, "as_dict") else obj
-        atomic_write_text(path, canonical_json(data) + "\n")
-    elif fmt == "csv":
-        atomic_write_text(path, obj if isinstance(obj, str) else str(obj))
+def write_report(obj, path) -> None:
+    """Canonical JSON of a report dict (or as_dict-bearing object), written
+    atomically to ``path``, or to stdout when ``path`` is None."""
+    data = obj.as_dict() if hasattr(obj, "as_dict") else obj
+    text = canonical_json(data) + "\n"
+    if path is None:
+        sys.stdout.write(text)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        atomic_write_text(path, text)

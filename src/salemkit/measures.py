@@ -9,7 +9,9 @@ per-level exponential sums
 and the transform of the limit measure is the product
 Q_1(u) * prod_k Q_{k+1}(eta_1...eta_k * u).  Factors whose phases have
 shrunk below the threshold theta differ from 1 by O(theta) and are
-dropped, so evaluation cost is logarithmic in |u|.
+dropped, so evaluation cost is logarithmic in |u|.  Every phase is reduced
+mod 1 exactly in rationals; a float frequency is the binary rational it
+holds.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ from typing import Sequence
 from .cantor import CantorStage, LevelPlan, build_stage
 from .core_sets import IntegerSet, SpectrumSample, decay_exponent_fit, dft_char
 
+# Largest |u| at which the transform is evaluated.  Rejecting larger |u|
+# also keeps infinities out of Fraction(u), which raises OverflowError.
+U_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class StagewiseMeasure:
     plan: LevelPlan
     truncation_depth: int
     theta: float = 1e-3
-    u_max: float = 1e6
 
     def __post_init__(self) -> None:
         if not 1 <= self.truncation_depth <= self.plan.depth:
@@ -62,27 +67,23 @@ class DecayReport:
         }
 
 
-def _phase_unit(u, scale: Fraction) -> complex:
-    """e^{-2 pi i u * scale} with the phase reduced mod 1, exactly when u is
-    an int or Fraction."""
-    if isinstance(u, (int, Fraction)):
-        frac = (Fraction(u) * scale) % 1
-        return cmath.exp(-2j * math.pi * float(frac))
-    return cmath.exp(-2j * math.pi * ((float(u) * float(scale)) % 1.0))
-
-
 def q_factor(plan: LevelPlan, k: int, u) -> complex:
-    """(1/d_k) * sum_{a in A_k} e^{-2 pi i u a / M_k}; modulus at most 1."""
+    """(1/d_k) * sum_{a in A_k} e^{-2 pi i u a / M_k}; modulus at most 1.
+
+    Each phase u*a/M_k is reduced mod 1 exactly, with u read as the
+    rational ``Fraction(u)``.
+    """
     # Not routed through core_sets.exp_sum: at exact zeros of the transform
     # the reports print this sum's rounding noise, which the kernel's
     # angles and pairwise summation round differently.
     if not 1 <= k <= plan.depth:
         raise ValueError(f"level {k} outside the plan")
     level = plan.levels[k - 1]
-    M_k = plan.M(k)
+    q = Fraction(u)
+    D = q.denominator * plan.M(k)
     total = 0j
     for a in level.digits:
-        total += _phase_unit(u, Fraction(a, M_k))
+        total += cmath.exp(-2j * math.pi * (q.numerator * a % D / D))
     return total / len(level.digits)
 
 
@@ -118,8 +119,8 @@ def mu_hat(measure: StagewiseMeasure, u, *, depth: int | None = None) -> complex
     observe the cap).  An explicit ``depth`` forces exactly that many
     factors, i.e. the transform of the depth-``depth`` endpoint comb.
     """
-    if abs(float(u)) > measure.u_max:
-        raise ValueError(f"|u| exceeds the configured u_max {measure.u_max}")
+    if abs(float(u)) > U_MAX:
+        raise ValueError(f"|u| exceeds the largest supported frequency {U_MAX:g}")
     if depth is None:
         factors, _ = truncation_for(measure, u)
     else:
@@ -127,11 +128,10 @@ def mu_hat(measure: StagewiseMeasure, u, *, depth: int | None = None) -> complex
             raise ValueError("depth must lie within the truncation depth")
         factors = depth
     plan = measure.plan
-    exact = isinstance(u, (int, Fraction))
-    value = q_factor(plan, 1, u)
+    q = Fraction(u)
+    value = q_factor(plan, 1, q)
     for k in range(1, factors):
-        scaled = plan.eta_product(k) * Fraction(u) if exact else float(plan.eta_product(k)) * u
-        value *= q_factor(plan, k + 1, scaled)
+        value *= q_factor(plan, k + 1, plan.eta_product(k) * q)
     return value
 
 
@@ -191,8 +191,8 @@ def decay_check(
         raise ValueError("empty u grid")
     if grid[0] < 2:
         raise ValueError("grid frequencies must be at least 2")
-    if grid[-1] > measure.u_max:
-        raise ValueError("grid exceeds the configured u_max")
+    if grid[-1] > U_MAX:
+        raise ValueError(f"grid exceeds the largest supported frequency {U_MAX:g}")
     samples = []
     spectrum = []
     depth_used = 0

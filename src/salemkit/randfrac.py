@@ -46,9 +46,9 @@ class RandomFractalConfig:
         if self.resolution() >= 2**63:
             raise ValueError("the resolution N_1 * ... * N_depth must stay below 2**63 (int64 cells)")
 
-    def resolution(self, depth: int | None = None) -> int:
-        """M_i = N_1 * ... * N_i at the requested (default full) depth."""
-        return _resolution(self.level_sizes, self.depth if depth is None else depth)
+    def resolution(self) -> int:
+        """M = N_1 * ... * N_depth."""
+        return math.prod(self.level_sizes[: self.depth])
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,9 @@ class TrialResult:
     trial_index: int
     master_seed: int
 
-    def resolution(self, depth: int | None = None) -> int:
-        return _resolution(self.level_sizes, len(self.stages) if depth is None else depth)
-
-
-def _resolution(level_sizes: Sequence[int], depth: int) -> int:
-    return math.prod(level_sizes[:depth])
+    def resolution(self) -> int:
+        """N_1 * ... * N_i over the i recorded stages."""
+        return math.prod(self.level_sizes[: len(self.stages)])
 
 
 @dataclass(frozen=True)
@@ -220,6 +217,8 @@ def mu1_hat(trial: TrialResult, u) -> complex:
     (p = N_1**(-beta)), so each cell contributes its exact interval
     integral of e^{-2 pi i u x}.  At u = 0 this is white/(p*N_1); with no
     white cells the zero measure's transform (identically 0) is returned.
+    The cell phases u*c/N_1 are reduced exactly by :func:`exp_sum`, with u
+    read as the rational ``Fraction(u)``.
     """
     if not trial.stages:
         return 0j
@@ -230,13 +229,8 @@ def mu1_hat(trial: TrialResult, u) -> complex:
         return 0j
     if u == 0:
         return complex(len(cells) / (p * N1))
-    if isinstance(u, (int, Fraction)):
-        q = Fraction(u)
-        total = complex(exp_sum(cells, N1 * q.denominator, [q.numerator])[0])
-    else:
-        total = 0j
-        for c in cells:
-            total += cmath.exp(-2j * math.pi * ((float(u) * c / N1) % 1.0))
+    q = Fraction(u)
+    total = complex(exp_sum(cells, N1 * q.denominator, [q.numerator])[0])
     factor = (1 - cmath.exp(-2j * math.pi * float(u) / N1)) / (2j * math.pi * float(u))
     return total * factor / p
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemkit.cantor import (
-    DigitPoint,
     Level,
     LevelPlan,
     box_dimension,
@@ -94,6 +93,23 @@ class TestMakePlan:
             make_plan(squares_below(100), [100, 50], 0.5)
 
 
+class TestPlanScales:
+    @given(small_plans())
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_products(self, plan):
+        for k in range(plan.depth + 1):
+            assert plan.M(k) == math.prod(level.size for level in plan.levels[:k])
+            assert plan.eta_product(k) == math.prod((level.eta for level in plan.levels[:k]), start=Fraction(1))
+
+    @given(small_plans())
+    @settings(max_examples=25, deadline=None)
+    def test_equal_plans_compare_and_hash_equal(self, plan):
+        copy = LevelPlan(plan.levels, plan.beta, plan.c_bounds)
+        assert copy == plan and hash(copy) == hash(plan)
+        assert {plan: "cached"}[copy] == "cached"
+        assert LevelPlan(plan.levels[:-1], plan.beta, plan.c_bounds) != plan
+
+
 class TestBuildStage:
     def test_middle_thirds_step(self):
         stage = build_stage(ternary_plan(2, unit_eta=True), 1)
@@ -128,19 +144,19 @@ class TestBuildStage:
 
 class TestPointFromDigits:
     def test_all_zero_digits(self):
-        assert point_from_digits(ternary_plan(3), DigitPoint((0, 0, 0))) == 0
+        assert point_from_digits(ternary_plan(3), (0, 0, 0)) == 0
 
     def test_unit_eta_expansion(self):
         plan = ternary_plan(2, unit_eta=True)
-        assert point_from_digits(plan, DigitPoint((2, 2))) == Fraction(8, 9)
+        assert point_from_digits(plan, (2, 2)) == Fraction(8, 9)
 
     def test_default_eta_expansion(self):
         plan = ternary_plan(2)
-        assert point_from_digits(plan, DigitPoint((2, 2))) == Fraction(5, 6)
+        assert point_from_digits(plan, (2, 2)) == Fraction(5, 6)
 
     def test_invalid_digit(self):
         with pytest.raises(ValueError):
-            point_from_digits(ternary_plan(2), DigitPoint((1,)))
+            point_from_digits(ternary_plan(2), (1,))
 
     @given(small_plans(max_depth=5))
     @settings(max_examples=20, deadline=None)

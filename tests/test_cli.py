@@ -43,6 +43,13 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("salemkit:")
 
+    def test_infinite_u_max_is_domain_error(self, squares_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.txt"
+        assert run("plan", "--input", str(squares_file), "--horizons", "100,100",
+                   "--beta", "0.5", "--output", str(plan_path)) == 0
+        assert run("measure-decay", "--plan", str(plan_path), "--u-max", "inf") == 1
+        assert capsys.readouterr().err.startswith("salemkit:")
+
     def test_missing_operand_is_usage_error(self, capsys):
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2

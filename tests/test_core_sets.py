@@ -297,3 +297,8 @@ class TestGeometricGrid:
         grid = geometric_grid(2, 10**5 - 1, 8, integers=True)
         assert grid[-1] <= 10**5 - 1
         assert grid == sorted(set(grid))
+
+    @pytest.mark.parametrize("lo, hi", [(2, math.inf), (2, math.nan), (math.nan, 10), (-math.inf, 10)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            geometric_grid(lo, hi, 16)

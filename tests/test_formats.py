@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemkit.cantor import build_stage, ternary_plan
+from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet
 from salemkit.equidist import NApproximation
 from salemkit.formats import (
@@ -61,6 +61,26 @@ class TestPlanFiles:
         again = path.read_bytes()
         save_plan(load_plan(path), path)
         assert path.read_bytes() == again
+
+    def test_c_bounds_round_trip(self, tmp_path):
+        # c = 8 / 8**0.3 = 4.29 lies outside the default bounds (1/4, 4)
+        plan = make_plan(IntegerSet(range(8), 8), [8, 8], 0.3, c_bounds=(1 / 8, 8))
+        path = tmp_path / "plan.txt"
+        save_plan(plan, path)
+        assert path.read_text().splitlines()[1] == "c_bounds=1/8,8"
+        assert load_plan(path) == plan
+        first = path.read_bytes()
+        save_plan(load_plan(path), path)
+        assert path.read_bytes() == first
+        save_plan(ternary_plan(2), path)
+        assert "c_bounds" not in path.read_text()
+
+    def test_bad_c_bounds_is_format_error(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        for line in ("c_bounds=1/8", "c_bounds=4,1/4", "c_bounds=0,4", "c_bounds=a,4"):
+            path.write_text(f"beta=0.5\n{line}\nN=3 digits=0,2 eta=3/4\n")
+            with pytest.raises(FormatError):
+                load_plan(path)
 
     def test_missing_beta_rejected(self, tmp_path):
         path = tmp_path / "plan.txt"

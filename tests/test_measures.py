@@ -37,6 +37,25 @@ def stieltjes_quadrature(plan, depth, u):
     return weight * total
 
 
+def exact_phase_mu_hat(plan, factors, u):
+    """Oracle: the first ``factors`` factors of the product, each phase
+    u * eta_1...eta_{k-1} * a / M_k reduced mod 1 as a Fraction, with the
+    scales rebuilt level by level from the plan's levels."""
+    q = Fraction(u)
+    value = 1 + 0j
+    eta, M = Fraction(1), 1
+    for level in plan.levels[:factors]:
+        M *= level.size
+        terms = [cmath.exp(-2j * math.pi * float(q * eta * a / M % 1)) for a in level.digits]
+        value *= sum(terms) / len(level.digits)
+        eta *= level.eta
+    return value
+
+
+def squares_plan():
+    return make_plan(squares_below(10**4), [100, 100, 100, 100], 0.5)
+
+
 def linear_stage_cdf(measure, k, x):
     """Oracle: every stage interval contributes its covered share of 1/d,
     clamped to [0, 1], in exact rationals."""
@@ -135,9 +154,9 @@ class TestMuHat:
         assert factors == 7 and not capped
 
     def test_u_max_enforced(self):
-        m = StagewiseMeasure(ternary_plan(4), 4, u_max=100.0)
+        m = StagewiseMeasure(ternary_plan(4), 4)
         with pytest.raises(ValueError):
-            mu_hat(m, 101.0)
+            mu_hat(m, measures.U_MAX + 1)
 
     def test_quadrature_agreement(self):
         # forced-depth product equals the endpoint comb; midpoint quadrature
@@ -160,6 +179,32 @@ class TestMuHat:
             for u in (1.0, 7.3, 40.0):
                 direct = stieltjes_quadrature(plan, 3, u)
                 assert abs(mu_hat(m, u, depth=3) - direct) <= 2 * math.pi * L * u
+
+
+class TestExactPhases:
+    FLOATS = (4.5, 17.3, 123456.789, 314159.2653, 2**19 + 0.1, 999999.5)
+
+    def test_float_frequency_is_its_binary_rational(self):
+        plan = squares_plan()
+        m = StagewiseMeasure(plan, 4)
+        for u in self.FLOATS + (-17.3,):
+            assert mu_hat(m, u) == mu_hat(m, Fraction(u))
+            for k in range(1, plan.depth + 1):
+                assert q_factor(plan, k, u) == q_factor(plan, k, Fraction(u))
+
+    @pytest.mark.parametrize("u", FLOATS)
+    def test_large_float_frequencies_match_exact_oracle(self, u):
+        plan = squares_plan()
+        m = StagewiseMeasure(plan, 4)
+        factors, _ = truncation_for(m, u)
+        assert abs(mu_hat(m, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
+
+    def test_integer_frequencies_match_exact_oracle(self):
+        plan = ternary_plan(10)
+        m = StagewiseMeasure(plan, 10)
+        for u in (2, 3**7, 10**5 + 1, Fraction(7, 3)):
+            factors, _ = truncation_for(m, u)
+            assert abs(mu_hat(m, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
 
 class TestStageCdf:

@@ -142,6 +142,12 @@ class TestMu1Hat:
         sigma = N1 ** ((beta - 1) / 2) / math.sqrt(trials)
         assert np.all(np.abs(mean) <= 3.5 * sigma)
 
+    def test_float_frequency_is_its_binary_rational(self):
+        cfg = RandomFractalConfig(0.5, (4096,), 1, 1, SEED)
+        trial = generate_trial(cfg, 0)
+        for u in (0.1, 2.5, 17.3, 1000.001, 123456.789, -3.7):
+            assert mu1_hat(trial, u) == mu1_hat(trial, Fraction(u))
+
     def test_modulus_bounded_by_inverse_p(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 10, SEED)
         p = 64**-0.5
