@@ -29,7 +29,7 @@ def main() -> int:
     for n1 in (int(n) for n in args.n1s.split(",")):
         config = sk.RandomFractalConfig(args.beta, (n1,), 1, args.trials, args.seed)
         rep = sk.lemma63_experiment(config, args.epsilon, args.u_max)
-        rows.append(rep.as_dict())
+        rows.append(rep)
         print(f"N1={n1}: satisfied_fraction={rep.satisfied_fraction:.3f}")
     payload = {"beta": args.beta, "epsilon1": args.epsilon, "u_max": args.u_max,
                "trials": args.trials, "seed": args.seed, "rows": rows}

@@ -21,7 +21,6 @@ from .cantor import (
     build_stage,
     default_eta,
     make_plan,
-    point_from_digits,
     ternary_plan,
 )
 from .core_sets import (
@@ -50,7 +49,6 @@ from .measures import (
     decay_check,
     mu_hat,
     q_factor,
-    q_from_dft,
     stage_cdf,
     truncation_for,
 )

@@ -54,18 +54,6 @@ class HypothesisReport:
     ap_found: bool
     failed: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "beta": self.beta,
-            "constant": self.constant,
-            "density_ok": self.density_ok,
-            "exponent_ok": self.exponent_ok,
-            "bound_violations": list(self.bound_violations),
-            "ap_found": self.ap_found,
-            "failed": list(self.failed),
-        }
-
 
 def find_ap_integers(A: IntegerSet, n: int, *, first_only: bool = False) -> list[APWitness]:
     """All maximal-run witnesses of length at least n, canonicalized.

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .core_sets import IntegerSet
+from .core_sets import IntegerSet, require_increasing
 
 # Denominators grow like M_k times the eta denominators; the cap keeps
 # endpoint numerators within a few machine words.
@@ -49,11 +49,7 @@ class Level:
             raise ValueError("level size must be positive")
         if not self.digits:
             raise ValueError("digit set must be nonempty")
-        prev = -1
-        for d in self.digits:
-            if d <= prev:
-                raise ValueError("digits must be strictly increasing and non-negative")
-            prev = d
+        require_increasing(self.digits, "digits must be strictly increasing and non-negative")
         if self.digits[-1] >= self.size:
             raise ValueError("digits must lie below the level size")
         if not 0 < self.eta <= 1:
@@ -179,22 +175,6 @@ def build_stage(plan: LevelPlan, depth: int) -> CantorStage:
         endpoints = [x + t for x in endpoints for t in terms]
     endpoints.sort()
     return CantorStage(depth, tuple(endpoints), plan.interval_length(depth))
-
-
-def point_from_digits(plan: LevelPlan, digits: Sequence[int]) -> Fraction:
-    """Exact truncated digit expansion of the point selected by digit values
-    (one member of each level's digit set, not indices).
-
-    Equals the left endpoint of the stage interval the digits select.
-    """
-    if len(digits) > plan.depth:
-        raise ValueError("more digits than plan levels")
-    x = Fraction(0)
-    for j, a in enumerate(digits, 1):
-        if a not in plan.levels[j - 1].digits:
-            raise ValueError(f"digit {a} is not in the level-{j} digit set")
-        x += plan.eta_product(j - 1) * Fraction(a, plan.M(j))
-    return x
 
 
 def box_dimension(plan: LevelPlan, max_depth: int) -> float:

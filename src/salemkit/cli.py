@@ -147,8 +147,7 @@ def cmd_ap_find(args) -> int:
     if args.format == "csv":
         _write_csv(args.output, formats.witnesses_csv(witnesses))
     else:
-        rows = [{"start": w.start, "difference": w.difference, "length": w.length} for w in witnesses]
-        formats.write_report({"witnesses": rows}, args.output)
+        formats.write_report({"witnesses": witnesses}, args.output)
     return 0
 
 
@@ -185,16 +184,7 @@ def _random_config(args) -> randfrac.RandomFractalConfig:
 def cmd_random_salem(args) -> int:
     config = _random_config(args)
     if args.dump_trial is not None:
-        trial = randfrac.generate_trial(config, args.dump_trial)
-        formats.write_report({
-            "trial_index": trial.trial_index,
-            "master_seed": trial.master_seed,
-            "beta": trial.beta,
-            "level_sizes": list(trial.level_sizes),
-            "stages": [list(s) for s in trial.stages],
-            "white_counts": list(trial.white_counts),
-            "extinct": trial.extinct,
-        }, args.trial_output)
+        formats.write_report(randfrac.generate_trial(config, args.dump_trial), args.trial_output)
     stats = randfrac.dimension_experiment(config)
     formats.write_report(stats, args.output)
     return 0
@@ -204,11 +194,9 @@ def cmd_lemma63(args) -> int:
     config = randfrac.RandomFractalConfig(args.beta, (args.n1,), 1, args.trials, args.seed)
     report = randfrac.lemma63_experiment(config, args.epsilon, args.u_max)
     if args.spectrum:
-        trial = randfrac.generate_trial(config, 0)
-        samples = [
-            core_sets.SpectrumSample(float(u), randfrac.mu1_hat(trial, u))
-            for u in range(1, args.u_max + 1)
-        ]
+        us = range(1, args.u_max + 1)
+        values = randfrac.mu1_hat(randfrac.generate_trial(config, 0), us)
+        samples = [core_sets.SpectrumSample(float(u), complex(v)) for u, v in zip(us, values)]
         formats.atomic_write_text(args.spectrum, formats.spectrum_csv(samples, freq_label="u"))
     formats.write_report(report, args.output)
     return 0

@@ -14,13 +14,17 @@ order.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
+# Fitted decay exponents are clamped to [0, EXPONENT_CAP].
+EXPONENT_CAP = 1.0
 # Below this magnitude a spectral value is indistinguishable from the
 # rounding noise of summing up to 1e6 unit-modulus terms in doubles.
 ZERO_FLOOR = 1e-12
@@ -30,6 +34,13 @@ ZERO_FLOOR = 1e-12
 # that numpy, not the block loop, sets the time.
 _CHUNK = 1 << 16
 _INT64_MAX = (1 << 63) - 1
+
+
+def require_increasing(values: Sequence[int], message: str) -> None:
+    """Raise ``ValueError(message)`` unless the values are non-negative and
+    strictly increasing."""
+    if values and (values[0] < 0 or not all(map(operator.lt, values, islice(values, 1, None)))):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -43,11 +54,7 @@ class IntegerSet:
         object.__setattr__(self, "elements", tuple(int(e) for e in self.elements))
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
-        prev = -1
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing and non-negative")
-            prev = e
+        require_increasing(self.elements, "elements must be strictly increasing and non-negative")
         if self.elements and self.elements[-1] >= self.horizon:
             raise ValueError(f"elements must lie below the horizon {self.horizon}")
 
@@ -191,14 +198,14 @@ def weyl_sum(points: Sequence[Fraction], m: int) -> complex:
     return complex(total) / len(pts)
 
 
-def decay_exponent_fit(samples: Sequence[tuple[float, float]], cap: float = 1.0) -> float:
+def decay_exponent_fit(samples: Sequence[tuple[float, float]]) -> float:
     """Largest alpha such that magnitude <= m**(-alpha/2) across all samples.
 
     Bound fitting rather than slope regression: every sample (m, mag) above
     the zero floor implies alpha <= 2*(-log mag)/log m, and the minimum is
-    reported, clamped to [0, cap].  Samples below ZERO_FLOOR are treated as
-    exact zeros and skipped; if every sample is a zero the spectrum decays
-    faster than any power and ``cap`` is returned.
+    reported, clamped to [0, EXPONENT_CAP].  Samples below ZERO_FLOOR are
+    treated as exact zeros and skipped; if every sample is a zero the
+    spectrum decays faster than any power and EXPONENT_CAP is returned.
     """
     pairs = [(float(m), float(mag)) for m, mag in samples]
     if len(pairs) < 4:
@@ -208,8 +215,8 @@ def decay_exponent_fit(samples: Sequence[tuple[float, float]], cap: float = 1.0)
             raise ValueError("samples require m >= 2")
     implied = [2.0 * -math.log(mag) / math.log(m) for m, mag in pairs if mag >= ZERO_FLOOR]
     if not implied:
-        return cap
-    return min(cap, max(0.0, min(implied)))
+        return EXPONENT_CAP
+    return min(EXPONENT_CAP, max(0.0, min(implied)))
 
 
 def geometric_grid(lo: float, hi: float, per_octave: int = 16, *, integers: bool = False) -> list:

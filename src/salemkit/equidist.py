@@ -20,10 +20,19 @@ from typing import Sequence
 import numpy as np
 
 from .cantor import C_BOUNDS, CantorStage
-from .core_sets import ZERO_FLOOR, IntegerSet, decay_exponent_fit, exp_sum, geometric_grid, loglog_fit
+from .core_sets import (
+    EXPONENT_CAP,
+    ZERO_FLOOR,
+    IntegerSet,
+    decay_exponent_fit,
+    exp_sum,
+    geometric_grid,
+    loglog_fit,
+    require_increasing,
+)
 
 # Fitted orders are clamped to [0, ORDER_CAP].
-ORDER_CAP = 1.0
+ORDER_CAP = EXPONENT_CAP
 # A characterization whose order clears this floor but misses the density
 # exponent is "salem-type" rather than "neither".
 SALEM_TYPE_FLOOR = 0.05
@@ -38,11 +47,7 @@ class NApproximation:
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         if self.N < 1:
             raise ValueError("N must be positive")
-        prev = -1
-        for c in self.cells:
-            if c <= prev:
-                raise ValueError("cells must be strictly increasing and non-negative")
-            prev = c
+        require_increasing(self.cells, "cells must be strictly increasing and non-negative")
         if self.cells and self.cells[-1] >= self.N:
             raise ValueError("cells must lie below N")
 
@@ -73,28 +78,6 @@ class CharacterizationReport:
     beta_hat: float
     c_in_bounds: bool
     tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "density_exponents": [
-                {
-                    "N": s.N,
-                    "count": s.count,
-                    "c_value": s.c_value,
-                    "pointwise_exponent": s.pointwise_exponent,
-                }
-                for s in self.density_exponents
-            ],
-            "order_estimate": {
-                "alpha": self.order_estimate.alpha,
-                "cap": self.order_estimate.cap,
-                "per_m_bounds": [[m, b] for m, b in self.order_estimate.per_m_bounds],
-            },
-            "verdict": self.verdict,
-            "beta_hat": self.beta_hat,
-            "c_in_bounds": self.c_in_bounds,
-            "tolerance": self.tolerance,
-        }
 
 
 def _coerce_target(target) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
@@ -185,7 +168,7 @@ def equidist_order(
             raise ValueError("m grid must lie within [2, N-1]")
     moduli = weyl_moduli(finest.cells, finest.N, ms)
     per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
-    alpha = decay_exponent_fit(per_m, cap=ORDER_CAP)
+    alpha = decay_exponent_fit(per_m)
     if len(approximations) >= 2:
         alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli))
     return OrderEstimate(alpha, per_m, ORDER_CAP)
@@ -236,10 +219,7 @@ def characterize_salem(
     """
     if len(approximations) < 3:
         raise ValueError("need at least 3 approximations")
-    Ns = [a.N for a in approximations]
-    for a, b in zip(Ns, Ns[1:]):
-        if b <= a:
-            raise ValueError("approximation sizes must be strictly increasing")
+    require_increasing([a.N for a in approximations], "approximation sizes must be strictly increasing")
     stages = []
     for approx in approximations:
         count = len(approx.cells)
@@ -268,10 +248,7 @@ def integers_from_approximations(approximations: Sequence[NApproximation]) -> In
     """
     if not approximations:
         raise ValueError("need at least one approximation")
-    Ns = [a.N for a in approximations]
-    for a, b in zip(Ns, Ns[1:]):
-        if b <= a:
-            raise ValueError("approximation sizes must be strictly increasing")
+    require_increasing([a.N for a in approximations], "approximation sizes must be strictly increasing")
     out: set[int] = set()
     prev_fractions: set[Fraction] = set()
     prev_N = 0

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,7 +45,8 @@ def parse_rational(text: str) -> Fraction:
 
 def canonical_json(obj) -> str:
     """Render with sorted keys and fixed float formatting; non-finite
-    floats become null."""
+    floats become null.  A dataclass instance renders as the dict of its
+    own fields, or of its ``as_dict()`` where it defines one."""
     return _render(obj)
 
 
@@ -64,6 +66,11 @@ def _render(obj) -> str:
         return fmt_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, complex):
         return _render({"re": obj.real, "im": obj.imag})
+    if hasattr(obj, "as_dict"):
+        return _render(obj.as_dict())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        # Shallow on purpose: dataclasses.asdict deep-copies every field.
+        return _render({f.name: getattr(obj, f.name) for f in fields(obj)})
     return json.dumps(obj)
 
 
@@ -252,10 +259,9 @@ def witnesses_csv(witnesses: Iterable[APWitness]) -> str:
 
 
 def write_report(obj, path) -> None:
-    """Canonical JSON of a report dict (or as_dict-bearing object), written
+    """Canonical JSON of a report (a dict or a dataclass instance), written
     atomically to ``path``, or to stdout when ``path`` is None."""
-    data = obj.as_dict() if hasattr(obj, "as_dict") else obj
-    text = canonical_json(data) + "\n"
+    text = canonical_json(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cantor import CantorStage, LevelPlan, build_stage
-from .core_sets import IntegerSet, SpectrumSample, decay_exponent_fit, dft_char
+from .core_sets import SpectrumSample, decay_exponent_fit
 
 # Largest |u| at which the transform is evaluated.  Rejecting larger |u|
 # also keeps infinities out of Fraction(u), which raises OverflowError.
@@ -85,19 +85,6 @@ def q_factor(plan: LevelPlan, k: int, u) -> complex:
     for a in level.digits:
         total += cmath.exp(-2j * math.pi * (q.numerator * a % D / D))
     return total / len(level.digits)
-
-
-def q_from_dft(A: IntegerSet, m: int) -> complex:
-    """(N/d) times the normalized spectrum of A at m.
-
-    Agrees with the level-k factor at integer arguments scaled by M_{k-1},
-    since u = m * M_{k-1} turns the per-digit phase u*a/M_k into m*a/N_k.
-    """
-    d = len(A)
-    if d == 0:
-        raise ValueError("empty digit set")
-    value = dft_char(A, [m])[0].value
-    return (A.horizon / d) * value
 
 
 def truncation_for(measure: StagewiseMeasure, u) -> tuple[int, bool]:
@@ -185,8 +172,10 @@ def decay_check(
 ) -> DecayReport:
     """Sample mu_hat on the sorted grid, fit the dyadic-block envelope of
     its modulus, and judge the fitted exponent against beta - tolerance.
-    The complex samples are kept on the report's ``spectrum``."""
-    grid = sorted(float(u) if not isinstance(u, int) else u for u in u_grid)
+    Each grid frequency is sampled as given (a ``Fraction`` exactly); the
+    report lists it as an int or a float.  The complex samples are kept on
+    the report's ``spectrum``."""
+    grid = sorted(u_grid)
     if not grid:
         raise ValueError("empty u grid")
     if grid[0] < 2:
@@ -202,10 +191,10 @@ def decay_check(
         depth_used = max(depth_used, factors)
         capped = capped or hit
         value = mu_hat(measure, u, depth=factors)
-        samples.append((u, abs(value)))
+        samples.append((u if isinstance(u, int) else float(u), abs(value)))
         spectrum.append(SpectrumSample(float(u), value))
     envelope = dyadic_block_envelope(samples)
-    alpha_hat = decay_exponent_fit(envelope, cap=1.0)
+    alpha_hat = decay_exponent_fit(envelope)
     return DecayReport(
         alpha_hat=alpha_hat,
         beta_target=float(beta),

@@ -92,15 +92,6 @@ class OrderStats:
     extinct: int
     trials: int
 
-    def as_dict(self) -> dict:
-        return {
-            "target_order": self.target_order,
-            "median_alpha": self.median_alpha,
-            "alphas": list(self.alphas),
-            "extinct": self.extinct,
-            "trials": self.trials,
-        }
-
 
 @dataclass(frozen=True)
 class LemmaCheckReport:
@@ -109,15 +100,6 @@ class LemmaCheckReport:
     u_grid: str
     satisfied_fraction: float
     trials: int
-
-    def as_dict(self) -> dict:
-        return {
-            "N1": self.N1,
-            "epsilon1": self.epsilon1,
-            "u_grid": self.u_grid,
-            "satisfied_fraction": self.satisfied_fraction,
-            "trials": self.trials,
-        }
 
 
 def trial_rng(config: RandomFractalConfig, trial_index: int) -> np.random.Generator:
@@ -210,38 +192,34 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     return OrderStats(1.0 - config.beta, median, tuple(alphas), extinct, config.trials)
 
 
-def mu1_hat(trial: TrialResult, u) -> complex:
-    """Transform of the reweighted stage-1 measure.
+def mu1_hat(trial: TrialResult, us: Sequence) -> np.ndarray:
+    """Transform of the reweighted stage-1 measure at every frequency in ``us``.
 
     The measure has density p**(-1) on the union of white stage-1 cells
     (p = N_1**(-beta)), so each cell contributes its exact interval
     integral of e^{-2 pi i u x}.  At u = 0 this is white/(p*N_1); with no
     white cells the zero measure's transform (identically 0) is returned.
-    The cell phases u*c/N_1 are reduced exactly by :func:`exp_sum`, with u
-    read as the rational ``Fraction(u)``.
+    Each u is read as the rational ``Fraction(u)``; the cell phases u*c/N_1
+    are reduced exactly by one :func:`exp_sum` call over the lcm of the
+    frequencies' denominators.
     """
-    if not trial.stages:
-        return 0j
-    cells = trial.stages[0]
+    out = np.zeros(len(us), dtype=complex)
+    cells = trial.stages[0] if trial.stages else ()
+    if not cells:
+        return out
     N1 = trial.level_sizes[0]
     p = N1 ** (-trial.beta)
-    if not cells:
-        return 0j
-    if u == 0:
-        return complex(len(cells) / (p * N1))
-    q = Fraction(u)
-    total = complex(exp_sum(cells, N1 * q.denominator, [q.numerator])[0])
-    factor = (1 - cmath.exp(-2j * math.pi * float(u) / N1)) / (2j * math.pi * float(u))
-    return total * factor / p
-
-
-def _mu1_values(cells: Sequence[int], N1: int, beta: float, us: np.ndarray) -> np.ndarray:
-    """Vectorized mu1_hat over integer frequencies."""
-    p = N1 ** (-beta)
-    comb = exp_sum(cells, N1, us)
-    uf = np.asarray(us, dtype=float)
-    factor = (1 - np.exp(-2j * np.pi * uf / N1)) / (2j * np.pi * uf)
-    return comb * factor / p
+    qs = [Fraction(u) for u in us]
+    D = math.lcm(*(q.denominator for q in qs))
+    combs = exp_sum(cells, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
+    for i, (q, comb) in enumerate(zip(qs, combs)):
+        if q == 0:
+            out[i] = len(cells) / (p * N1)
+        else:
+            # Scalar cmath per u: the spectrum files print this rounding.
+            factor = (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q))
+            out[i] = complex(comb) * factor / p
+    return out
 
 
 def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int) -> LemmaCheckReport:
@@ -258,12 +236,11 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
     N1 = config.level_sizes[0]
     if not 2 <= u_max <= N1:
         raise ValueError("u_max must lie in [2, N_1]")
-    us = np.arange(2, u_max + 1, dtype=np.int64)
-    bounds = epsilon1 * us.astype(float) ** ((config.beta - 1.0) / 2.0)
+    us = range(2, u_max + 1)
+    bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
     satisfied = 0
     for t in range(config.trials):
-        trial = generate_trial(config, t)
-        values = np.abs(_mu1_values(trial.stages[0], N1, config.beta, us))
+        values = np.abs(mu1_hat(generate_trial(config, t), us))
         if np.all(values < bounds):
             satisfied += 1
     return LemmaCheckReport(

@@ -15,13 +15,26 @@ from salemkit.cantor import (
     build_stage,
     default_eta,
     make_plan,
-    point_from_digits,
     ternary_plan,
 )
 from salemkit.core_sets import IntegerSet
 from salemkit.generators import power_law_set, squares_below
 
 LOG23 = math.log(2) / math.log(3)
+
+
+def point_from_digits(plan, digits):
+    """Oracle for stage endpoints: the exact truncated digit expansion
+    sum_j eta_1...eta_{j-1} * a_j / M_j of the point selected by digit
+    values (one member of each level's digit set, not indices)."""
+    if len(digits) > plan.depth:
+        raise ValueError("more digits than plan levels")
+    x = Fraction(0)
+    for j, a in enumerate(digits, 1):
+        if a not in plan.levels[j - 1].digits:
+            raise ValueError(f"digit {a} is not in the level-{j} digit set")
+        x += plan.eta_product(j - 1) * Fraction(a, plan.M(j))
+    return x
 
 
 @st.composite

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salemkit.cantor import Level
 from salemkit.core_sets import (
+    EXPONENT_CAP,
     IntegerSet,
     decay_exponent_fit,
     dft_char,
@@ -15,6 +17,7 @@ from salemkit.core_sets import (
     geometric_grid,
     weyl_sum,
 )
+from salemkit.equidist import NApproximation, characterize_salem, integers_from_approximations
 from salemkit.generators import power_law_set
 
 
@@ -66,6 +69,25 @@ class TestIntegerSet:
     def test_count_below(self):
         A = IntegerSet((0, 3, 7), 10)
         assert [A.count_below(n) for n in (0, 1, 4, 8, 10)] == [0, 1, 2, 3, 3]
+
+
+class TestOrderingChecks:
+    @pytest.mark.parametrize("values", [(-1, 2), (1, 1), (3, 2), (0, 2, 2, 5)])
+    def test_each_type_keeps_its_message(self, values):
+        cases = [
+            (lambda: IntegerSet(values, 8), "elements must be strictly increasing and non-negative"),
+            (lambda: NApproximation(8, values), "cells must be strictly increasing and non-negative"),
+            (lambda: Level(8, values, Fraction(1)), "digits must be strictly increasing and non-negative"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_approximation_sizes_strictly_increasing(self):
+        approxs = [NApproximation(N, (0,)) for N in (16, 32, 32)]
+        for check in (lambda: characterize_salem(approxs, 0.5), lambda: integers_from_approximations(approxs)):
+            with pytest.raises(ValueError, match="^approximation sizes must be strictly increasing$"):
+                check()
 
 
 class TestFractionalDensity:
@@ -263,7 +285,7 @@ class TestDecayExponentFit:
 
     def test_all_below_floor_returns_cap(self):
         samples = [(m, 1e-15) for m in (2, 4, 8, 16)]
-        assert decay_exponent_fit(samples, cap=0.7) == 0.7
+        assert decay_exponent_fit(samples) == EXPONENT_CAP
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ class TestEquidistOrder:
     def test_single_approximation_is_bound_fit_of_its_samples(self):
         approx = NApproximation(256, (0, 3, 17, 40, 41, 99, 130, 200, 255))
         est = equidist_order([approx])
-        assert est.alpha == decay_exponent_fit(est.per_m_bounds, cap=est.cap)
+        assert est.alpha == decay_exponent_fit(est.per_m_bounds)
 
     def test_sequence_keeps_finest_samples_and_never_raises_alpha(self):
         rng = np.random.default_rng(7)

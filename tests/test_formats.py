@@ -1,10 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from salemkit.aps import check_thm32_hypotheses, find_ap_integers
 from salemkit.cantor import build_stage, make_plan, ternary_plan
+from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
-from salemkit.equidist import NApproximation
+from salemkit.equidist import NApproximation, characterize_salem, n_approximation
+from salemkit.generators import squares_below
+from salemkit.measures import StagewiseMeasure, decay_check
+from salemkit.randfrac import (
+    RandomFractalConfig,
+    dimension_experiment,
+    generate_trial,
+    lemma63_experiment,
+    order_experiment,
+)
 from salemkit.formats import (
     FormatError,
     canonical_json,
@@ -19,6 +31,7 @@ from salemkit.formats import (
     save_points,
     spectrum_csv,
     stage_csv,
+    write_report,
 )
 
 
@@ -137,6 +150,88 @@ class TestCanonicalJson:
 
     def test_twelve_significant_digits(self):
         assert canonical_json({"v": 1 / 3}) == '{"v":0.333333333333}'
+
+
+def written(report, tmp_path):
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    return path.read_text()
+
+
+class TestReportBytes:
+    """A report renders as the dict of its dataclass fields; each test
+    spells that dict out by hand."""
+
+    def test_order_stats(self, tmp_path):
+        s = order_experiment(RandomFractalConfig(0.9, (4, 4), 2, 40, 5))
+        want = {"target_order": s.target_order, "median_alpha": s.median_alpha,
+                "alphas": list(s.alphas), "extinct": s.extinct, "trials": s.trials}
+        assert written(s, tmp_path) == canonical_json(want) + "\n"
+
+    def test_lemma_check_report(self, tmp_path):
+        r = lemma63_experiment(RandomFractalConfig(0.5, (64,), 1, 5, 5), 1.0, 16)
+        want = {"N1": r.N1, "epsilon1": r.epsilon1, "u_grid": r.u_grid,
+                "satisfied_fraction": r.satisfied_fraction, "trials": r.trials}
+        assert written(r, tmp_path) == canonical_json(want) + "\n"
+
+    def test_hypothesis_report(self, tmp_path):
+        r = check_thm32_hypotheses(squares_below(1024), 0.7, 1.0)
+        assert r.bound_violations and r.failed
+        want = {"alpha_hat": r.alpha_hat, "beta": r.beta, "constant": r.constant,
+                "density_ok": r.density_ok, "exponent_ok": r.exponent_ok,
+                "bound_violations": list(r.bound_violations), "ap_found": r.ap_found,
+                "failed": list(r.failed)}
+        assert written(r, tmp_path) == canonical_json(want) + "\n"
+
+    def test_characterization_report(self, tmp_path):
+        plan = ternary_plan(6)
+        approxs = [n_approximation(build_stage(plan, k), 3**k) for k in range(1, 7)]
+        r = characterize_salem(approxs, math.log(2) / math.log(3))
+        est = r.order_estimate
+        want = {
+            "density_exponents": [
+                {"N": s.N, "count": s.count, "c_value": s.c_value, "pointwise_exponent": s.pointwise_exponent}
+                for s in r.density_exponents
+            ],
+            "order_estimate": {"alpha": est.alpha, "cap": est.cap,
+                               "per_m_bounds": [[m, b] for m, b in est.per_m_bounds]},
+            "verdict": r.verdict,
+            "beta_hat": r.beta_hat,
+            "c_in_bounds": r.c_in_bounds,
+            "tolerance": r.tolerance,
+        }
+        assert written(r, tmp_path) == canonical_json(want) + "\n"
+
+    def test_trial_dump(self, tmp_path):
+        dump = tmp_path / "trial.json"
+        assert run_command(["random-salem", "--beta", "0.5", "--levels", "8,8,8", "--depth", "3",
+                            "--trials", "3", "--seed", "5", "--dump-trial", "2",
+                            "--trial-output", str(dump), "--output", str(tmp_path / "s.json")]) == 0
+        t = generate_trial(RandomFractalConfig(0.5, (8, 8, 8), 3, 3, 5), 2)
+        want = {"trial_index": 2, "master_seed": 5, "beta": 0.5, "level_sizes": [8, 8, 8],
+                "stages": [list(s) for s in t.stages], "white_counts": list(t.white_counts),
+                "extinct": t.extinct}
+        assert dump.read_text() == canonical_json(want) + "\n"
+
+    def test_ap_find_json(self, tmp_path):
+        A = squares_below(400)
+        (tmp_path / "sq.txt").write_text("\n".join(map(str, A.elements)) + "\n")
+        out = tmp_path / "w.json"
+        assert run_command(["ap-find", "--input", str(tmp_path / "sq.txt"), "--n", "3",
+                            "--format", "json", "--output", str(out)]) == 0
+        rows = [{"start": w.start, "difference": w.difference, "length": w.length}
+                for w in find_ap_integers(IntegerSet(A.elements, A.elements[-1] + 1), 3)]
+        assert rows
+        assert out.read_text() == canonical_json({"witnesses": rows}) + "\n"
+
+    def test_as_dict_takes_precedence(self, tmp_path):
+        stats = dimension_experiment(RandomFractalConfig(0.5, (8, 8, 8), 3, 4, 5))
+        assert canonical_json({"s": stats}) == canonical_json({"s": stats.as_dict()})
+        assert '"extinct":' in written(stats, tmp_path)
+        decay = decay_check(StagewiseMeasure(ternary_plan(4), 4), list(range(2, 40)), 0.5)
+        text = written(decay, tmp_path)
+        assert text == canonical_json(decay.as_dict()) + "\n"
+        assert '"pass":' in text and "spectrum" not in text
 
 
 class TestCsv:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from salemkit import measures
 from salemkit.cantor import build_stage, make_plan, ternary_plan
-from salemkit.core_sets import IntegerSet, geometric_grid
+from salemkit.core_sets import IntegerSet, dft_char, geometric_grid
 from salemkit.generators import power_law_set, quadratic_residues, squares_below
 from salemkit.measures import (
     StagewiseMeasure,
@@ -16,12 +16,21 @@ from salemkit.measures import (
     dyadic_block_envelope,
     mu_hat,
     q_factor,
-    q_from_dft,
     stage_cdf,
     truncation_for,
 )
 
 LOG23 = math.log(2) / math.log(3)
+
+
+def q_from_dft(A, m):
+    """Oracle for the level factors: (N/d) times the normalized spectrum of
+    A at m.  Agrees with the level-k factor at integer arguments scaled by
+    M_{k-1}, since u = m * M_{k-1} turns the per-digit phase u*a/M_k into
+    m*a/N_k."""
+    if len(A) == 0:
+        raise ValueError("empty digit set")
+    return (A.horizon / len(A)) * dft_char(A, [m])[0].value
 
 
 def stieltjes_quadrature(plan, depth, u):
@@ -283,6 +292,17 @@ class TestDecayCheck:
             for sample, u in zip(report.spectrum, sorted(grid)):
                 assert sample.value == mu_hat(m, u)
             assert "spectrum" not in report.as_dict()
+
+    def test_fraction_grid_sampled_exactly(self):
+        # rational frequencies are sampled at themselves, not at the
+        # nearest binary rationals; the report lists them as floats
+        m = StagewiseMeasure(ternary_plan(14, unit_eta=True), 14)
+        grid = [Fraction(3**k, 2) + Fraction(1, 3) for k in range(2, 13)]
+        report = decay_check(m, grid, LOG23)
+        for sample, u in zip(report.spectrum, grid):
+            assert sample.frequency == float(u)
+            assert sample.value == mu_hat(m, u)
+        assert all(type(u) is float for u, _ in report.envelope)
 
     def test_ternary_negative_control(self):
         # flat envelope along powers of 3 pins the fitted exponent far below

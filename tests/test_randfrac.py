@@ -16,11 +16,17 @@ from salemkit.randfrac import (
     lemma63_experiment,
     mu1_hat,
     order_experiment,
-    _mu1_values,
 )
 from salemkit.cli import run_command
+from salemkit.core_sets import exp_sum
+from salemkit.formats import canonical_json
 
 SEED = 20260810
+
+
+def mu1(trial, u):
+    """mu1_hat at a single frequency."""
+    return complex(mu1_hat(trial, [u])[0])
 
 
 def naive_mu1(cells, N1, beta, u):
@@ -119,15 +125,15 @@ class TestMu1Hat:
         cfg = RandomFractalConfig(0.0, (16,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
         for u in (1, 2, 7):
-            assert abs(mu1_hat(trial, u)) < 1e-12
-        assert mu1_hat(trial, 0) == 1.0
+            assert abs(mu1(trial, u)) < 1e-12
+        assert mu1(trial, 0) == 1.0
 
     def test_single_cell_closed_form(self):
         # p = 1/2 on two cells, only cell 0 white: density 2 on [0, 1/2)
         trial = TrialResult(1.0, (2,), ((0,),), (1,), False, 0, 0)
         expected = 2 * (1 - cmath.exp(-1j * math.pi)) / (2j * math.pi)
-        assert mu1_hat(trial, 1) == pytest.approx(expected, abs=1e-12)
-        assert abs(mu1_hat(trial, 1)) == pytest.approx(2 / math.pi, abs=1e-12)
+        assert mu1(trial, 1) == pytest.approx(expected, abs=1e-12)
+        assert abs(mu1(trial, 1)) == pytest.approx(2 / math.pi, abs=1e-12)
 
     def test_unbiasedness(self):
         # mean over trials approximates the Lebesgue transform (zero at
@@ -137,7 +143,7 @@ class TestMu1Hat:
         us = np.arange(1, 65, dtype=np.int64)
         acc = np.zeros(len(us), dtype=complex)
         for t in range(trials):
-            acc += _mu1_values(generate_trial(cfg, t).stages[0], N1, beta, us)
+            acc += mu1_hat(generate_trial(cfg, t), us)
         mean = acc / trials
         sigma = N1 ** ((beta - 1) / 2) / math.sqrt(trials)
         assert np.all(np.abs(mean) <= 3.5 * sigma)
@@ -146,7 +152,7 @@ class TestMu1Hat:
         cfg = RandomFractalConfig(0.5, (4096,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
         for u in (0.1, 2.5, 17.3, 1000.001, 123456.789, -3.7):
-            assert mu1_hat(trial, u) == mu1_hat(trial, Fraction(u))
+            assert mu1(trial, u) == mu1(trial, Fraction(u))
 
     def test_modulus_bounded_by_inverse_p(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 10, SEED)
@@ -154,29 +160,56 @@ class TestMu1Hat:
         for t in range(10):
             trial = generate_trial(cfg, t)
             for u in (0, 1, 5, 31.5):
-                assert abs(mu1_hat(trial, u)) <= 1 / p + 1e-9
+                assert abs(mu1(trial, u)) <= 1 / p + 1e-9
 
     def test_conjugate_symmetry(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
         for u in (1, 3, 17):
-            assert mu1_hat(trial, -u) == pytest.approx(mu1_hat(trial, u).conjugate(), abs=1e-12)
+            assert mu1(trial, -u) == pytest.approx(mu1(trial, u).conjugate(), abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
+        # an integer batch equals its singleton calls bit for bit, u = 0
+        # included, and the oracle to 1e-12; the closing factor is the
+        # scalar cmath one, whose rounding the spectrum files print
         cfg = RandomFractalConfig(0.5, (256,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
-        us = np.array([1, 2, 9, 100])
-        vec = _mu1_values(trial.stages[0], 256, 0.5, us)
+        cells, p = trial.stages[0], 256**-0.5
+        us = [1, 2, 0, 9, 100, -3, 255]
+        vec = mu1_hat(trial, us)
+        assert vec.shape == (len(us),)
         for u, v in zip(us, vec):
-            want = naive_mu1(trial.stages[0], 256, 0.5, Fraction(int(u)))
-            assert v == pytest.approx(want, abs=1e-12)
-            assert mu1_hat(trial, int(u)) == pytest.approx(want, abs=1e-12)
+            assert complex(v) == mu1(trial, u)
+            if u != 0:
+                want = naive_mu1(cells, 256, 0.5, Fraction(u))
+                assert v == pytest.approx(want, abs=1e-12)
+                factor = (1 - cmath.exp(-2j * math.pi * float(u) / 256)) / (2j * math.pi * float(u))
+                assert complex(v) == complex(exp_sum(cells, 256, [u])[0]) * factor / p
+        assert vec[2] == len(trial.stages[0]) / (256**-0.5 * 256)
+
+    def test_mixed_denominator_batch(self):
+        cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
+        trial = generate_trial(cfg, 0)
+        us = [Fraction(1, 3), 5, Fraction(-7, 2), 0, Fraction(129, 4), 2.5]
+        vec = mu1_hat(trial, us)
+        for u, v in zip(us, vec):
+            if u == 0:
+                assert v == len(trial.stages[0]) / (64**-0.5 * 64)
+            else:
+                assert v == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, Fraction(u)), abs=1e-12)
+
+    def test_empty_trial_and_empty_batch(self):
+        extinct = TrialResult(0.9, (16,), ((),), (0,), True, 0, 0)
+        assert np.array_equal(mu1_hat(extinct, [0, 1, Fraction(1, 2)]), np.zeros(3))
+        assert np.array_equal(mu1_hat(TrialResult(0.9, (16,), (), (), True, 0, 0), [3]), np.zeros(1))
+        trial = generate_trial(RandomFractalConfig(0.5, (64,), 1, 1, SEED), 0)
+        assert mu1_hat(trial, []).shape == (0,)
 
     def test_rational_frequency(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
         for u in (Fraction(1, 3), Fraction(-7, 2), Fraction(129, 4)):
-            assert mu1_hat(trial, u) == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, u), abs=1e-12)
+            assert mu1(trial, u) == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, u), abs=1e-12)
 
 
 class TestLemma63:
@@ -252,7 +285,7 @@ class TestOrderExperiment:
         assert run_command(["corollary64", "--beta", "0.9", "--levels", "4,4", "--depth", "2",
                             "--trials", "40", "--seed", str(SEED), "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(stats.as_dict()) == set(payload)
+        assert set(payload) == {"target_order", "median_alpha", "alphas", "extinct", "trials"}
         assert payload["extinct"] == extinct
 
     def test_all_extinct_has_no_median(self):
@@ -261,4 +294,4 @@ class TestOrderExperiment:
         assert stats.extinct == 3
         assert stats.alphas == ()
         assert stats.median_alpha is None
-        assert stats.as_dict()["median_alpha"] is None
+        assert json.loads(canonical_json(stats))["median_alpha"] is None
