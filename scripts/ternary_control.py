@@ -26,9 +26,8 @@ def main() -> int:
     args = ap.parse_args()
 
     plan = sk.ternary_plan(args.plan_depth, unit_eta=True)
-    measure = sk.StagewiseMeasure(plan, args.plan_depth)
     u_max = 3**args.depth
-    decay = sk.decay_check(measure, range(2, u_max + 1), math.log(2) / math.log(3))
+    decay = sk.decay_check(plan, range(2, u_max + 1), math.log(2) / math.log(3))
 
     stages = [sk.n_approximation(sk.build_stage(plan, k), 3**k) for k in range(1, args.depth + 1)]
     approx = stages[-1]

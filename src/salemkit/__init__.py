@@ -45,7 +45,7 @@ from .equidist import (
 )
 from .measures import (
     DecayReport,
-    StagewiseMeasure,
+    THETA,
     decay_check,
     mu_hat,
     q_factor,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .core_sets import IntegerSet, require_increasing
+from .core_sets import IntegerSet, as_integers, require_increasing
 
 # Denominators grow like M_k times the eta denominators; the cap keeps
 # endpoint numerators within a few machine words.
@@ -43,7 +43,7 @@ class Level:
     eta: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", as_integers(self.digits, "digits"))
         object.__setattr__(self, "eta", Fraction(self.eta))
         if self.size < 1:
             raise ValueError("level size must be positive")

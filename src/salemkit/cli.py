@@ -54,13 +54,7 @@ def _load_points(args) -> list[Fraction]:
 def cmd_density(args) -> int:
     A = formats.load_integer_set(args.input)
     grid = _int_list(args.grid) if args.grid else [2**j for j in range(2, A.horizon.bit_length())] + [A.horizon]
-    est = core_sets.fractional_density(A, sorted(set(grid)))
-    formats.write_report({
-        "exponent": est.exponent,
-        "residual": est.residual,
-        "samples": [[n, c] for n, c in est.sample_points],
-        "empty": est.empty,
-    }, args.output)
+    formats.write_report(core_sets.fractional_density(A, sorted(set(grid))), args.output)
     return 0
 
 
@@ -105,11 +99,9 @@ def cmd_construct(args) -> int:
 
 def cmd_measure_decay(args) -> int:
     plan = formats.load_plan(args.plan)
-    depth = args.truncation_depth if args.truncation_depth else plan.depth
-    measure = measures.StagewiseMeasure(plan, depth, theta=args.theta)
     grid = core_sets.geometric_grid(args.u_min, args.u_max, args.per_octave, integers=args.integer_grid)
     beta = args.beta if args.beta is not None else plan.beta
-    report = measures.decay_check(measure, grid, beta, args.tolerance)
+    report = measures.decay_check(plan, grid, beta, args.tolerance)
     if args.spectrum:
         formats.atomic_write_text(args.spectrum, formats.spectrum_csv(report.spectrum, freq_label="u"))
     formats.write_report(report, args.output)
@@ -183,9 +175,10 @@ def _random_config(args) -> randfrac.RandomFractalConfig:
 
 def cmd_random_salem(args) -> int:
     config = _random_config(args)
+    # The experiment runs first, so a refused config writes no trial file.
+    stats = randfrac.dimension_experiment(config)
     if args.dump_trial is not None:
         formats.write_report(randfrac.generate_trial(config, args.dump_trial), args.trial_output)
-    stats = randfrac.dimension_experiment(config)
     formats.write_report(stats, args.output)
     return 0
 
@@ -257,13 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("measure-decay", cmd_measure_decay, "fit the spectral decay exponent of the stagewise measure")
     p.add_argument("--plan", "--config", dest="plan", required=True)
-    p.add_argument("--truncation-depth", type=int)
     p.add_argument("--beta", type=float, help="target exponent (default: the plan's beta)")
     p.add_argument("--u-min", type=float, default=2.0)
     p.add_argument("--u-max", type=float, default=4096.0)
     p.add_argument("--per-octave", type=int, default=16)
     p.add_argument("--integer-grid", action="store_true")
-    p.add_argument("--theta", type=float, default=1e-3)
     p.add_argument("--tolerance", type=float, default=0.1)
     p.add_argument("--spectrum", help="also write the sampled spectrum as CSV")
     p.add_argument("--strict", action="store_true")

@@ -36,6 +36,15 @@ _CHUNK = 1 << 16
 _INT64_MAX = (1 << 63) - 1
 
 
+def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as Python ints; ``ValueError`` naming ``what`` unless each
+    is a Python or numpy integer, so 1.7 is refused rather than cut to 1."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers") from exc
+
+
 def require_increasing(values: Sequence[int], message: str) -> None:
     """Raise ``ValueError(message)`` unless the values are non-negative and
     strictly increasing."""
@@ -51,7 +60,7 @@ class IntegerSet:
     horizon: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(int(e) for e in self.elements))
+        object.__setattr__(self, "elements", as_integers(self.elements, "elements"))
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         require_increasing(self.elements, "elements must be strictly increasing and non-negative")
@@ -60,7 +69,7 @@ class IntegerSet:
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], horizon: int | None = None) -> "IntegerSet":
-        elems = tuple(sorted({int(e) for e in elements}))
+        elems = tuple(sorted(set(as_integers(elements, "elements"))))
         if horizon is None:
             horizon = elems[-1] + 1 if elems else 1
         return cls(elems, horizon)
@@ -82,7 +91,7 @@ class DensityEstimate:
     """Least-squares growth exponent of a counting function over a grid."""
 
     exponent: float
-    sample_points: tuple[tuple[int, int], ...]
+    samples: tuple[tuple[int, int], ...]
     residual: float
     empty: bool = False
 
@@ -94,14 +103,9 @@ class SpectrumSample:
 
 
 def fractional_density(A: IntegerSet, grid: Sequence[int]) -> DensityEstimate:
-    """Fit count(N) ~ C * N**exponent over the checkpoint grid.
-
-    The exponent is the slope of the least-squares fit of log count against
-    log N, clamped to [0, 1]; the residual is the RMS misfit.  Checkpoints
-    with zero count stay in ``sample_points`` but carry no weight.  A set
-    with fewer than two positive counts reports exponent 0 with the
-    ``empty`` flag raised.
-    """
+    """Fit count(N) ~ C * N**exponent over the checkpoint grid with
+    :func:`density_fit`.  Checkpoints with zero count stay in ``samples``
+    but carry no weight."""
     checkpoints = [int(n) for n in grid]
     if len(checkpoints) < 2:
         raise ValueError("need at least 2 grid checkpoints")
@@ -112,11 +116,23 @@ def fractional_density(A: IntegerSet, grid: Sequence[int]) -> DensityEstimate:
         raise ValueError("grid checkpoints must lie in [1, horizon]")
     counts = [A.count_below(n) for n in checkpoints]
     samples = tuple(zip(checkpoints, counts))
+    exponent, resid, empty = density_fit(samples)
+    return DensityEstimate(exponent, samples, resid, empty)
+
+
+def density_fit(samples: Sequence[tuple[int, int]]) -> tuple[float, float, bool]:
+    """Growth exponent of (N, count) samples, its RMS misfit, and whether
+    the fit was empty.
+
+    The exponent is the slope of the least-squares fit of log count against
+    log N over the positive counts, clamped to [0, 1].  Fewer than two
+    positive counts give exponent 0 with the empty flag raised.
+    """
     fit = [(n, c) for n, c in samples if c > 0]
     if len(fit) < 2:
-        return DensityEstimate(0.0, samples, 0.0, empty=True)
+        return 0.0, 0.0, True
     slope, resid = loglog_fit(fit)
-    return DensityEstimate(min(1.0, max(0.0, slope)), samples, resid)
+    return min(1.0, max(0.0, slope)), resid, False
 
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

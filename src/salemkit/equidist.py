@@ -24,7 +24,9 @@ from .core_sets import (
     EXPONENT_CAP,
     ZERO_FLOOR,
     IntegerSet,
+    as_integers,
     decay_exponent_fit,
+    density_fit,
     exp_sum,
     geometric_grid,
     loglog_fit,
@@ -44,7 +46,7 @@ class NApproximation:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
+        object.__setattr__(self, "cells", as_integers(self.cells, "cells"))
         if self.N < 1:
             raise ValueError("N must be positive")
         require_increasing(self.cells, "cells must be strictly increasing and non-negative")
@@ -227,8 +229,7 @@ def characterize_salem(
         pw = math.log(count) / math.log(approx.N) if count > 0 and approx.N > 1 else 0.0
         stages.append(StageDensity(approx.N, count, c_val, pw))
     c_in_bounds = all(C_BOUNDS[0] <= s.c_value <= C_BOUNDS[1] for s in stages)
-    fit = [(s.N, s.count) for s in stages if s.count > 0]
-    beta_hat = min(1.0, max(0.0, loglog_fit(fit)[0])) if len(fit) >= 2 else 0.0
+    beta_hat = density_fit([(s.N, s.count) for s in stages])[0]
     order = equidist_order(approximations)
     if abs(beta_hat - order.alpha) <= tolerance:
         verdict = "salem"

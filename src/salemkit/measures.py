@@ -8,10 +8,11 @@ per-level exponential sums
 
 and the transform of the limit measure is the product
 Q_1(u) * prod_k Q_{k+1}(eta_1...eta_k * u).  Factors whose phases have
-shrunk below the threshold theta differ from 1 by O(theta) and are
-dropped, so evaluation cost is logarithmic in |u|.  Every phase is reduced
-mod 1 exactly in rationals; a float frequency is the binary rational it
-holds.
+shrunk below the threshold THETA differ from 1 by O(THETA) and are
+dropped, so evaluation cost is logarithmic in |u|.  The measure is fixed
+by its plan alone: truncating the product at depth d is the measure of the
+plan's first d levels.  Every phase is reduced mod 1 exactly in rationals;
+a float frequency is the binary rational it holds.
 """
 
 from __future__ import annotations
@@ -30,19 +31,9 @@ from .core_sets import SpectrumSample, decay_exponent_fit
 # Largest |u| at which the transform is evaluated.  Rejecting larger |u|
 # also keeps infinities out of Fraction(u), which raises OverflowError.
 U_MAX = 1e6
-
-
-@dataclass(frozen=True)
-class StagewiseMeasure:
-    plan: LevelPlan
-    truncation_depth: int
-    theta: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.truncation_depth <= self.plan.depth:
-            raise ValueError("truncation_depth must lie within the plan depth")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+# Phase threshold of the truncation rule: factor k+1 is the last one
+# evaluated once eta_1...eta_k * |u| / M_{k+1} drops below it.
+THETA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -87,34 +78,32 @@ def q_factor(plan: LevelPlan, k: int, u) -> complex:
     return total / len(level.digits)
 
 
-def truncation_for(measure: StagewiseMeasure, u) -> tuple[int, bool]:
-    """Number of product factors to evaluate at u, and whether the depth cap
-    cut the tail while the next factor was still active."""
+def truncation_for(plan: LevelPlan, u) -> tuple[int, bool]:
+    """Number of product factors to evaluate at u, and whether the plan's
+    depth cut the tail while the next factor was still active."""
     au = abs(float(u))
-    plan = measure.plan
-    for p in range(measure.truncation_depth):
-        if float(plan.eta_product(p)) * au / plan.M(p + 1) < measure.theta:
+    for p in range(plan.depth):
+        if float(plan.eta_product(p)) * au / plan.M(p + 1) < THETA:
             return p + 1, False
-    return measure.truncation_depth, True
+    return plan.depth, True
 
 
-def mu_hat(measure: StagewiseMeasure, u, *, depth: int | None = None) -> complex:
-    """Transform of the stagewise measure at u via the factor product.
+def mu_hat(plan: LevelPlan, u, *, depth: int | None = None) -> complex:
+    """Transform of the plan's stagewise measure at u via the factor product.
 
     With ``depth=None`` the factor count follows the truncation rule (and is
-    silently capped at ``truncation_depth``; use :func:`truncation_for` to
+    silently capped at the plan depth; use :func:`truncation_for` to
     observe the cap).  An explicit ``depth`` forces exactly that many
     factors, i.e. the transform of the depth-``depth`` endpoint comb.
     """
     if abs(float(u)) > U_MAX:
         raise ValueError(f"|u| exceeds the largest supported frequency {U_MAX:g}")
     if depth is None:
-        factors, _ = truncation_for(measure, u)
+        factors, _ = truncation_for(plan, u)
     else:
-        if not 1 <= depth <= measure.truncation_depth:
-            raise ValueError("depth must lie within the truncation depth")
+        if not 1 <= depth <= plan.depth:
+            raise ValueError("depth must lie within the plan depth")
         factors = depth
-    plan = measure.plan
     q = Fraction(u)
     value = q_factor(plan, 1, q)
     for k in range(1, factors):
@@ -127,18 +116,18 @@ def _cached_stage(plan: LevelPlan, k: int) -> CantorStage:
     return build_stage(plan, k)
 
 
-def stage_cdf(measure: StagewiseMeasure, k: int, x) -> float:
+def stage_cdf(plan: LevelPlan, k: int, x) -> float:
     """F_k(x): piecewise-linear distribution function of the stage-k measure.
 
     Climbs by 1/(d_1*...*d_k) linearly across each stage interval, is
     constant on the gaps; F_k(0) = 0 and F_k(1) = 1.
     """
-    if not 0 <= k <= measure.truncation_depth:
-        raise ValueError("k must lie within the truncation depth")
+    if not 0 <= k <= plan.depth:
+        raise ValueError("k must lie within the plan depth")
     xq = Fraction(x)
     if not 0 <= xq <= 1:
         raise ValueError("x must lie in [0, 1]")
-    stage = _cached_stage(measure.plan, k)
+    stage = _cached_stage(plan, k)
     lefts = stage.left_endpoints
     L = stage.interval_length
     # Stage intervals are disjoint and sorted: those with left + L <= x are
@@ -165,7 +154,7 @@ def dyadic_block_envelope(samples: Sequence[tuple[float, float]]) -> list[tuple[
 
 
 def decay_check(
-    measure: StagewiseMeasure,
+    plan: LevelPlan,
     u_grid: Sequence[float],
     beta: float,
     tolerance: float = 0.1,
@@ -187,10 +176,10 @@ def decay_check(
     depth_used = 0
     capped = False
     for u in grid:
-        factors, hit = truncation_for(measure, u)
+        factors, hit = truncation_for(plan, u)
         depth_used = max(depth_used, factors)
         capped = capped or hit
-        value = mu_hat(measure, u, depth=factors)
+        value = mu_hat(plan, u, depth=factors)
         samples.append((u if isinstance(u, int) else float(u), abs(value)))
         spectrum.append(SpectrumSample(float(u), value))
     envelope = dyadic_block_envelope(samples)

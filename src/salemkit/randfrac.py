@@ -5,7 +5,8 @@ N_1**(-beta); stage i+1 splits every surviving cell into N_{i+1} children
 and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
-trial_index) and is independent of execution order.
+trial_index) and is independent of execution order.  Every experiment
+walks the same trial stream, trials 0..trials-1 one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,10 +120,9 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
     rng = trial_rng(config, trial_index)
     sizes = config.level_sizes[: config.depth]
     stages: list[tuple[int, ...]] = []
-    current = np.arange(sizes[0], dtype=np.int64)
-    current = current[rng.random(current.size) < sizes[0] ** (-config.beta)]
-    stages.append(tuple(int(c) for c in current))
-    for size in sizes[1:]:
+    # Stage 1 refines the single cell 0 of the unit interval.
+    current = np.zeros(1, dtype=np.int64)
+    for size in sizes:
         if current.size == 0:
             break
         children = (current[:, None] * size + np.arange(size, dtype=np.int64)).ravel()
@@ -142,22 +142,14 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
     )
 
 
-def _survivor_scores(config: RandomFractalConfig, score: Callable[[TrialResult], float]) -> tuple[list[float], int]:
-    """``score`` of every surviving trial in trial order, and the number of
-    extinct trials, which are never resampled.
+def _trials(config: RandomFractalConfig) -> Iterator[TrialResult]:
+    """Every configured trial in trial order, extinct ones included.
 
-    Trials are generated one at a time and dropped once scored: a single
-    64**4 trial already holds megabytes of Python integers.
+    Trials are generated one at a time and dropped once the caller moves
+    on: a single 64**4 trial already holds megabytes of Python integers.
     """
-    scores: list[float] = []
-    extinct = 0
     for t in range(config.trials):
-        trial = generate_trial(config, t)
-        if trial.extinct:
-            extinct += 1
-        else:
-            scores.append(score(trial))
-    return scores, extinct
+        yield generate_trial(config, t)
 
 
 def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
@@ -171,7 +163,7 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     M = config.resolution()
     if M < 2:
         raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
-    dims, extinct = _survivor_scores(config, lambda trial: math.log(trial.white_counts[-1]) / math.log(M))
+    dims = [math.log(trial.white_counts[-1]) / math.log(M) for trial in _trials(config) if not trial.extinct]
     if dims:
         arr = np.asarray(dims)
         mean = float(arr.mean())
@@ -179,6 +171,7 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     else:
         mean = float("nan")
         std = float("nan")
+    extinct = config.trials - len(dims)
     return DimensionStats(mean, std, extinct / config.trials, config.trials, tuple(dims))
 
 
@@ -187,9 +180,9 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     surviving trial's final-stage cells, their median (None when every
     trial went extinct) and the extinct count, against the target 1 - beta.
     """
-    alphas, extinct = _survivor_scores(config, lambda trial: corollary64_check(trial).alpha)
+    alphas = [corollary64_check(trial).alpha for trial in _trials(config) if not trial.extinct]
     median = statistics.median(alphas) if alphas else None
-    return OrderStats(1.0 - config.beta, median, tuple(alphas), extinct, config.trials)
+    return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 
 
 def mu1_hat(trial: TrialResult, us: Sequence) -> np.ndarray:
@@ -238,11 +231,7 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         raise ValueError("u_max must lie in [2, N_1]")
     us = range(2, u_max + 1)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
-    satisfied = 0
-    for t in range(config.trials):
-        values = np.abs(mu1_hat(generate_trial(config, t), us))
-        if np.all(values < bounds):
-            satisfied += 1
+    satisfied = sum(bool(np.all(np.abs(mu1_hat(trial, us)) < bounds)) for trial in _trials(config))
     return LemmaCheckReport(
         N1=N1,
         epsilon1=float(epsilon1),

@@ -113,7 +113,6 @@ def test_criterion_2_cantor_exactness():
 def test_criterion_3_measure_consistency():
     t0 = time.time()
     plan = sk.ternary_plan(8, unit_eta=True)
-    measure = sk.StagewiseMeasure(plan, 8)
     stage = sk.build_stage(plan, 8)
     L = float(stage.interval_length)
     weight = 1.0 / len(stage.left_endpoints)
@@ -121,9 +120,9 @@ def test_criterion_3_measure_consistency():
     worst_margin = -math.inf
     for u in np.arange(0.5, 100.5, 0.5):
         quad = weight * np.exp(-2j * np.pi * u * mids).sum()
-        diff = abs(sk.mu_hat(measure, float(u), depth=8) - quad)
+        diff = abs(sk.mu_hat(plan, float(u), depth=8) - quad)
         worst_margin = max(worst_margin, diff - 2 * math.pi * L * u)
-    deep = sk.StagewiseMeasure(sk.ternary_plan(14, unit_eta=True), 14)
+    deep = sk.ternary_plan(14, unit_eta=True)
     base = abs(sk.mu_hat(deep, 1))
     scale_defect = max(abs(abs(sk.mu_hat(deep, 3**k)) - base) for k in range(1, 7))
     elapsed = time.time() - t0

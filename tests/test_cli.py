@@ -50,6 +50,27 @@ class TestExitCodes:
         assert run("measure-decay", "--plan", str(plan_path), "--u-max", "inf") == 1
         assert capsys.readouterr().err.startswith("salemkit:")
 
+    def test_removed_measure_decay_flags_are_usage_errors(self, squares_file, tmp_path, capsys):
+        # the measure is its plan: a shallower truncation is a plan with
+        # fewer levels, and the phase threshold is measures.THETA
+        plan_path = tmp_path / "plan.txt"
+        assert run("plan", "--input", str(squares_file), "--horizons", "100,100",
+                   "--beta", "0.5", "--output", str(plan_path)) == 0
+        out = tmp_path / "decay.json"
+        assert run("measure-decay", "--plan", str(plan_path), "--theta", "1e-3", "--output", str(out)) == 2
+        assert run("measure-decay", "--plan", str(plan_path), "--truncation-depth", "2",
+                   "--output", str(out)) == 2
+        assert not out.exists()
+
+    def test_refused_random_salem_writes_no_trial_file(self, tmp_path, capsys):
+        dump = tmp_path / "trial.json"
+        out = tmp_path / "stats.json"
+        code = run("random-salem", "--beta", "0.5", "--levels", "8,8", "--depth", "2", "--trials", "2",
+                   "--seed", "1", "--dump-trial", "0", "--trial-output", str(dump), "--output", str(out))
+        assert code == 1
+        assert "need depth at least 3" in capsys.readouterr().err
+        assert not dump.exists() and not out.exists()
+
     def test_missing_operand_is_usage_error(self, capsys):
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2

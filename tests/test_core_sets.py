@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,27 @@ class TestOrderingChecks:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
 
+    @pytest.mark.parametrize("values", [(0.5, 1.7, 3.2), (1.9, 2.2), (0.3, 2.9), (1, 2.0), (Fraction(1), 3)])
+    def test_non_integral_entries_refused(self, values):
+        # int() would cut these silently, (0.5, 1.7, 3.2) to (0, 1, 3)
+        cases = [
+            (lambda: IntegerSet(values, 4), "elements must be integers"),
+            (lambda: IntegerSet.from_elements(values, 4), "elements must be integers"),
+            (lambda: NApproximation(8, values), "cells must be integers"),
+            (lambda: Level(4, values, Fraction(1)), "digits must be integers"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
+    def test_numpy_integers_accepted(self):
+        values = np.array([0, 1, 3], dtype=np.int64)
+        assert IntegerSet(values, 4).elements == (0, 1, 3)
+        assert IntegerSet.from_elements(values, 4).elements == (0, 1, 3)
+        assert NApproximation(8, values).cells == (0, 1, 3)
+        assert Level(4, values, Fraction(1)).digits == (0, 1, 3)
+        assert all(type(c) is int for c in NApproximation(8, values).cells)
+
     def test_approximation_sizes_strictly_increasing(self):
         approxs = [NApproximation(N, (0,)) for N in (16, 32, 32)]
         for check in (lambda: characterize_salem(approxs, 0.5), lambda: integers_from_approximations(approxs)):
@@ -123,7 +145,7 @@ class TestFractionalDensity:
     def test_counts_non_decreasing(self):
         A = power_law_set(4096, 0.5, seed=3)
         est = fractional_density(A, [16, 64, 256, 1024, 4096])
-        counts = [c for _, c in est.sample_points]
+        counts = [c for _, c in est.samples]
         assert counts == sorted(counts)
 
 

@@ -9,7 +9,7 @@ from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
 from salemkit.equidist import NApproximation, characterize_salem, n_approximation
 from salemkit.generators import squares_below
-from salemkit.measures import StagewiseMeasure, decay_check
+from salemkit.measures import decay_check
 from salemkit.randfrac import (
     RandomFractalConfig,
     dimension_experiment,
@@ -228,7 +228,7 @@ class TestReportBytes:
         stats = dimension_experiment(RandomFractalConfig(0.5, (8, 8, 8), 3, 4, 5))
         assert canonical_json({"s": stats}) == canonical_json({"s": stats.as_dict()})
         assert '"extinct":' in written(stats, tmp_path)
-        decay = decay_check(StagewiseMeasure(ternary_plan(4), 4), list(range(2, 40)), 0.5)
+        decay = decay_check(ternary_plan(4), list(range(2, 40)), 0.5)
         text = written(decay, tmp_path)
         assert text == canonical_json(decay.as_dict()) + "\n"
         assert '"pass":' in text and "spectrum" not in text

@@ -11,7 +11,6 @@ from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, dft_char, geometric_grid
 from salemkit.generators import power_law_set, quadratic_residues, squares_below
 from salemkit.measures import (
-    StagewiseMeasure,
     decay_check,
     dyadic_block_envelope,
     mu_hat,
@@ -65,10 +64,10 @@ def squares_plan():
     return make_plan(squares_below(10**4), [100, 100, 100, 100], 0.5)
 
 
-def linear_stage_cdf(measure, k, x):
+def linear_stage_cdf(plan, k, x):
     """Oracle: every stage interval contributes its covered share of 1/d,
     clamped to [0, 1], in exact rationals."""
-    stage = build_stage(measure.plan, k)
+    stage = build_stage(plan, k)
     L = stage.interval_length
     share = sum(min(max((Fraction(x) - left) / L, Fraction(0)), Fraction(1)) for left in stage.left_endpoints)
     return float(share / len(stage.left_endpoints))
@@ -124,18 +123,18 @@ class TestQFromDft:
 
 class TestMuHat:
     def test_at_zero(self):
-        m = StagewiseMeasure(ternary_plan(6), 6)
+        m = ternary_plan(6)
         assert mu_hat(m, 0) == 1.0
 
     def test_conjugate_symmetry(self):
-        m = StagewiseMeasure(ternary_plan(8), 8)
+        m = ternary_plan(8)
         u = 17.3
         assert mu_hat(m, -u) == pytest.approx(mu_hat(m, u).conjugate(), abs=1e-12)
 
     def test_ternary_scaling_identity(self):
         # |mu(3^k)| = |mu(1)| for the unit-eta ternary product: under the
         # truncation rule both sides evaluate the same factor sequence
-        m = StagewiseMeasure(ternary_plan(14, unit_eta=True), 14)
+        m = ternary_plan(14, unit_eta=True)
         base = abs(mu_hat(m, 1))
         for k in range(1, 7):
             assert abs(abs(mu_hat(m, 3**k)) - base) < 1e-9
@@ -144,26 +143,25 @@ class TestMuHat:
         for seed in (2, 7, 13):
             plan = make_plan(power_law_set(64, 0.5, seed=seed), [16, 32, 64], 0.5,
                              c_bounds=(Fraction(1, 8), Fraction(8)))
-            m = StagewiseMeasure(plan, 3)
             for u in (0.5, 3.7, 21.0, 100.0):
-                value = abs(mu_hat(m, u))
+                value = abs(mu_hat(plan, u))
                 assert value <= 1 + 1e-12
-                factors, _ = truncation_for(m, u)
+                factors, _ = truncation_for(plan, u)
                 bound = 1.0
                 for k in range(1, factors):
                     bound *= abs(q_factor(plan, k + 1, float(plan.eta_product(k)) * u))
                 assert value <= bound + 1e-12
 
     def test_truncation_cap_flagged(self):
-        m = StagewiseMeasure(ternary_plan(4, unit_eta=True), 4)
+        m = ternary_plan(4, unit_eta=True)
         factors, capped = truncation_for(m, 10**5)
         assert factors == 4 and capped
-        m = StagewiseMeasure(ternary_plan(8, unit_eta=True), 8)
+        m = ternary_plan(8, unit_eta=True)
         factors, capped = truncation_for(m, 1)
         assert factors == 7 and not capped
 
     def test_u_max_enforced(self):
-        m = StagewiseMeasure(ternary_plan(4), 4)
+        m = ternary_plan(4)
         with pytest.raises(ValueError):
             mu_hat(m, measures.U_MAX + 1)
 
@@ -171,11 +169,10 @@ class TestMuHat:
         # forced-depth product equals the endpoint comb; midpoint quadrature
         # of F_p differs by at most 2*pi*L_p*|u|
         plan = ternary_plan(8, unit_eta=True)
-        m = StagewiseMeasure(plan, 8)
         L = float(plan.interval_length(8))
         for u in (1.0, 4.5, 33.0, 100.0):
             direct = stieltjes_quadrature(plan, 8, u)
-            assert abs(mu_hat(m, u, depth=8) - direct) <= 2 * math.pi * L * u
+            assert abs(mu_hat(plan, u, depth=8) - direct) <= 2 * math.pi * L * u
 
     def test_quadrature_agreement_random_plans(self):
         for seed in (2, 5, 11):
@@ -183,11 +180,10 @@ class TestMuHat:
                 power_law_set(32, 0.5, seed=seed), [16, 24, 32], 0.5,
                 c_bounds=(Fraction(1, 8), Fraction(8)),
             )
-            m = StagewiseMeasure(plan, 3)
             L = float(plan.interval_length(3))
             for u in (1.0, 7.3, 40.0):
                 direct = stieltjes_quadrature(plan, 3, u)
-                assert abs(mu_hat(m, u, depth=3) - direct) <= 2 * math.pi * L * u
+                assert abs(mu_hat(plan, u, depth=3) - direct) <= 2 * math.pi * L * u
 
 
 class TestExactPhases:
@@ -195,44 +191,41 @@ class TestExactPhases:
 
     def test_float_frequency_is_its_binary_rational(self):
         plan = squares_plan()
-        m = StagewiseMeasure(plan, 4)
         for u in self.FLOATS + (-17.3,):
-            assert mu_hat(m, u) == mu_hat(m, Fraction(u))
+            assert mu_hat(plan, u) == mu_hat(plan, Fraction(u))
             for k in range(1, plan.depth + 1):
                 assert q_factor(plan, k, u) == q_factor(plan, k, Fraction(u))
 
     @pytest.mark.parametrize("u", FLOATS)
     def test_large_float_frequencies_match_exact_oracle(self, u):
         plan = squares_plan()
-        m = StagewiseMeasure(plan, 4)
-        factors, _ = truncation_for(m, u)
-        assert abs(mu_hat(m, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
+        factors, _ = truncation_for(plan, u)
+        assert abs(mu_hat(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
     def test_integer_frequencies_match_exact_oracle(self):
         plan = ternary_plan(10)
-        m = StagewiseMeasure(plan, 10)
         for u in (2, 3**7, 10**5 + 1, Fraction(7, 3)):
-            factors, _ = truncation_for(m, u)
-            assert abs(mu_hat(m, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
+            factors, _ = truncation_for(plan, u)
+            assert abs(mu_hat(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
 
 class TestStageCdf:
     def test_normalization(self):
-        m = StagewiseMeasure(ternary_plan(5), 5)
+        m = ternary_plan(5)
         for k in range(6):
             assert stage_cdf(m, k, 0) == 0.0
             assert stage_cdf(m, k, 1) == 1.0
 
     def test_first_interval_carries_half(self):
-        m = StagewiseMeasure(ternary_plan(3, unit_eta=True), 3)
+        m = ternary_plan(3, unit_eta=True)
         assert stage_cdf(m, 1, Fraction(1, 3)) == pytest.approx(0.5)
 
     def test_first_of_four(self):
-        m = StagewiseMeasure(ternary_plan(3, unit_eta=True), 3)
+        m = ternary_plan(3, unit_eta=True)
         assert stage_cdf(m, 2, Fraction(1, 9)) == pytest.approx(0.25)
 
     def test_outside_domain_rejected(self):
-        m = StagewiseMeasure(ternary_plan(2), 2)
+        m = ternary_plan(2)
         with pytest.raises(ValueError):
             stage_cdf(m, 1, Fraction(3, 2))
 
@@ -244,16 +237,15 @@ class TestStageCdf:
         ]
         xs = [Fraction(i, 97) for i in range(98)] + [Fraction(2, 3), Fraction(1, 9), Fraction(10**5 + 1, 10**6)]
         for plan in plans:
-            m = StagewiseMeasure(plan, plan.depth)
             for k in range(plan.depth + 1):
                 stage = build_stage(plan, k)
                 edges = [e for x in stage.left_endpoints for e in (x, x + stage.interval_length) if e <= 1]
                 for x in xs + edges[:40]:
-                    assert stage_cdf(m, k, x) == linear_stage_cdf(m, k, x)
+                    assert stage_cdf(plan, k, x) == linear_stage_cdf(plan, k, x)
 
     def test_monotone_and_cauchy(self):
         # F_k non-decreasing; sup |F_k - F_{k+1}| <= 1/(d_1...d_k)
-        m = StagewiseMeasure(ternary_plan(6), 6)
+        m = ternary_plan(6)
         xs = [Fraction(i, 81) for i in range(82)]
         for k in (2, 3, 4):
             vals = [stage_cdf(m, k, x) for x in xs]
@@ -269,8 +261,7 @@ class TestDecayCheck:
         # vanishes at nonzero integers, and the envelope is all zeros
         A = IntegerSet(tuple(range(8)), 8)
         plan = make_plan(A, [8, 8, 8], 1.0, etas=[Fraction(1)] * 3)
-        m = StagewiseMeasure(plan, 3)
-        report = decay_check(m, list(range(2, 64)), 1.0)
+        report = decay_check(plan, list(range(2, 64)), 1.0)
         assert report.alpha_hat == 1.0
         assert report.passed
 
@@ -278,14 +269,14 @@ class TestDecayCheck:
         calls = []
         original = measures.truncation_for
         monkeypatch.setattr(measures, "truncation_for", lambda m, u: calls.append(u) or original(m, u))
-        m = StagewiseMeasure(ternary_plan(6, unit_eta=True), 6)
+        m = ternary_plan(6, unit_eta=True)
         grid = list(range(2, 40))
         report = decay_check(m, grid, LOG23)
         assert calls == grid
         assert report.envelope == tuple(dyadic_block_envelope([(u, abs(mu_hat(m, u))) for u in grid]))
 
     def test_spectrum_samples_equal_mu_hat(self):
-        m = StagewiseMeasure(ternary_plan(8), 8)
+        m = ternary_plan(8)
         for grid in (list(range(40, 1, -1)), geometric_grid(2.0, 500.0, 8)):
             report = decay_check(m, grid, LOG23)
             assert [s.frequency for s in report.spectrum] == sorted(float(u) for u in grid)
@@ -296,7 +287,7 @@ class TestDecayCheck:
     def test_fraction_grid_sampled_exactly(self):
         # rational frequencies are sampled at themselves, not at the
         # nearest binary rationals; the report lists them as floats
-        m = StagewiseMeasure(ternary_plan(14, unit_eta=True), 14)
+        m = ternary_plan(14, unit_eta=True)
         grid = [Fraction(3**k, 2) + Fraction(1, 3) for k in range(2, 13)]
         report = decay_check(m, grid, LOG23)
         for sample, u in zip(report.spectrum, grid):
@@ -307,7 +298,7 @@ class TestDecayCheck:
     def test_ternary_negative_control(self):
         # flat envelope along powers of 3 pins the fitted exponent far below
         # the plan's dimension; the check must fail its target
-        m = StagewiseMeasure(ternary_plan(14, unit_eta=True), 14)
+        m = ternary_plan(14, unit_eta=True)
         grid = list(range(2, 3**8 + 1))
         report = decay_check(m, grid, LOG23)
         assert not report.passed
@@ -325,7 +316,7 @@ class TestDecayCheck:
                 plan = make_plan(power_law_set(64, 0.5, seed=seed), [64, 64, 64], 0.5)
             except ValueError:
                 continue
-            report = decay_check(StagewiseMeasure(plan, 3), grid, 0.5)
+            report = decay_check(plan, grid, 0.5)
             alphas.append(report.alpha_hat)
         assert len(alphas) >= 50
         alphas.sort()
@@ -339,14 +330,14 @@ class TestDecayCheck:
         assert env == [(3.0, 0.5), (7.9, 0.9)]
 
     def test_shallow_plan_flagged_capped(self):
-        m = StagewiseMeasure(ternary_plan(3, unit_eta=True), 3)
+        m = ternary_plan(3, unit_eta=True)
         report = decay_check(m, list(range(2, 200)), 0.5)
         assert report.capped
         assert report.truncation_depth_used == 3
 
     def test_gap_values_constant(self):
         # F is flat across the middle gap of the unit-eta plan
-        m = StagewiseMeasure(ternary_plan(4, unit_eta=True), 4)
+        m = ternary_plan(4, unit_eta=True)
         for x in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
             assert stage_cdf(m, 2, x) == 0.5
 

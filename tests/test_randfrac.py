@@ -44,6 +44,40 @@ class TestGenerateTrial:
         assert trial.white_counts == (4, 16, 64)
         assert not trial.extinct
 
+    # Cells recorded from the generator: any change to the order or number
+    # of RNG draws changes them.
+    PINNED = {
+        (0.5, (8, 8, 8), 7): [
+            ((3, 4, 6), (26, 27, 28, 36, 37, 39, 48, 55),
+             (208, 209, 211, 213, 215, 216, 222, 228, 230, 231, 295, 297, 299, 301, 303, 314, 319,
+              384, 387, 441, 442, 446)),
+            ((1, 2, 3, 7), (8, 10, 11, 15, 18, 22, 24, 25, 27, 28, 29, 56, 60, 61),
+             (69, 80, 82, 83, 85, 89, 91, 95, 121, 125, 126, 127, 148, 176, 178, 179, 182, 192, 199,
+              203, 206, 216, 220, 221, 227, 228, 232, 234, 453, 455, 480, 482, 483, 485, 488, 495)),
+        ],
+        (0.5, (8, 8, 8), 2026): [
+            ((0, 7), (1, 57, 58, 59, 63), (10, 13, 14, 458, 463, 465, 466, 468, 471, 506, 509, 511)),
+            ((),),
+        ],
+        (0.75, (4, 4, 4), 7): [
+            ((3,), (12, 14), (50, 51, 56)),
+            ((1, 2, 3), (7, 8, 10, 11, 15), (30, 34, 40, 41, 43, 44, 45, 60)),
+            ((0,), (0, 1, 2), (0, 2, 3, 6)),
+            ((2,), ()),
+        ],
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_cells(self, key):
+        beta, sizes, seed = key
+        expected = self.PINNED[key]
+        cfg = RandomFractalConfig(beta, sizes, len(sizes), len(expected), seed)
+        for t, stages in enumerate(expected):
+            trial = generate_trial(cfg, t)
+            assert trial.stages == stages
+            assert trial.white_counts == tuple(len(s) for s in stages)
+            assert trial.extinct == (len(stages) < len(sizes) or not stages[-1])
+
     def test_deterministic_replay(self):
         cfg = RandomFractalConfig(0.5, (16, 16, 16), 3, 2, SEED)
         assert generate_trial(cfg, 0) == generate_trial(cfg, 0)
