@@ -131,7 +131,7 @@ def make_plan(
     level with an empty prefix, or whose normalized count |A_k|/N_k**beta
     leaves ``c_bounds``, rejects the plan naming the offending level.
     """
-    horizons = [int(n) for n in level_horizons]
+    horizons = as_integers(level_horizons, "level_horizons")
     if not horizons:
         raise ValueError("need at least one level horizon")
     for a, b in zip(horizons, horizons[1:]):

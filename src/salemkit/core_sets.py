@@ -13,6 +13,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -33,6 +34,11 @@ ZERO_FLOOR = 1e-12
 # thousand members stay within tens of MB, and blocks stay large enough
 # that numpy, not the block loop, sets the time.
 _CHUNK = 1 << 16
+# Largest denominator whose unit roots exp_sum tabulates: 2**20 complex
+# doubles are 16 MB, and the cache below keeps at most two tables.  A table
+# is built only for at least D phases, so it never costs more exps than it
+# saves.
+_TABLE_MAX = 1 << 20
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -106,7 +112,7 @@ def fractional_density(A: IntegerSet, grid: Sequence[int]) -> DensityEstimate:
     """Fit count(N) ~ C * N**exponent over the checkpoint grid with
     :func:`density_fit`.  Checkpoints with zero count stay in ``samples``
     but carry no weight."""
-    checkpoints = [int(n) for n in grid]
+    checkpoints = as_integers(grid, "grid")
     if len(checkpoints) < 2:
         raise ValueError("need at least 2 grid checkpoints")
     for a, b in zip(checkpoints, checkpoints[1:]):
@@ -151,7 +157,11 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     sum is exact in its phases at every size: in int64 blocks when all the
     products fit, in Python integers otherwise.  A residue r becomes the
     angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D) on the
-    other, and each row is summed by numpy.  The empty set sums to 0.
+    other, and each row is summed by numpy.  On the int64 path, when
+    D <= 2**20 and there are at least D phases, the residues are gathered
+    from a cached table of the D unit roots e^{(-2 pi i / D) * r}, whose
+    entries are bit-identical to exponentiating each residue.  The empty
+    set sums to 0.
     """
     D = int(denominator)
     if D < 1:
@@ -161,15 +171,27 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
         return out
     a, k = _reduce(numerators, D), _reduce(freqs, D)
     if a.dtype == np.int64 and k.dtype == np.int64 and int(a.max()) * int(k.max()) <= _INT64_MAX:
+        table = _unit_roots(D) if D <= _TABLE_MAX and len(a) * len(k) >= D else None
         rows = max(1, _CHUNK // len(a))
         for lo in range(0, len(k), rows):
             block = k[lo : lo + rows, None] * a[None, :] % D
-            out[lo : lo + rows] = np.exp((-2j * np.pi / D) * block).sum(axis=1)
+            phases = np.exp((-2j * np.pi / D) * block) if table is None else table[block]
+            out[lo : lo + rows] = phases.sum(axis=1)
         return out
     members = a.tolist()
     for i, kk in enumerate(k.tolist()):
         out[i] = np.exp(-2j * np.pi * np.array([kk * x % D / D for x in members])).sum()
     return out
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_roots(D: int) -> np.ndarray:
+    """Read-only e^{(-2 pi i / D) * r} for r = 0..D-1, by the same complex
+    multiply and exp as exp_sum's untabulated blocks, so each entry is the
+    same double."""
+    table = np.exp((-2j * np.pi / D) * np.arange(D, dtype=np.int64))
+    table.flags.writeable = False
+    return table
 
 
 def _reduce(values: Sequence[int], D: int) -> np.ndarray:
@@ -189,7 +211,7 @@ def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
     horizon, so integral phases contribute exactly 1.
     """
     N = A.horizon
-    ks = [int(k) for k in freqs]
+    ks = as_integers(freqs, "freqs")
     for k in ks:
         if not 0 <= k < N:
             raise ValueError(f"frequency {k} outside [0, {N})")

@@ -55,6 +55,9 @@ def _render(obj) -> str:
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{" + ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
+        # Exactly-int entries (not bool, not numpy) render as str in one join.
+        if set(map(type, obj)) <= {int}:
+            return "[" + ",".join(map(str, obj)) + "]"
         return "[" + ",".join(_render(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_sets import exp_sum
+from .core_sets import as_integers, exp_sum
 from .equidist import NApproximation, OrderEstimate, equidist_order
 
 
@@ -33,7 +33,7 @@ class RandomFractalConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level_sizes", tuple(int(n) for n in self.level_sizes))
+        object.__setattr__(self, "level_sizes", as_integers(self.level_sizes, "level_sizes"))
         if not 0 <= self.beta < 1:
             raise ValueError("beta must lie in [0, 1)")
         if not 1 <= self.depth <= len(self.level_sizes):
@@ -128,7 +128,7 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
         children = (current[:, None] * size + np.arange(size, dtype=np.int64)).ravel()
         keep = rng.random(children.size) < size ** (-config.beta)
         current = children[keep]
-        stages.append(tuple(int(c) for c in current))
+        stages.append(tuple(current.tolist()))
     counts = tuple(len(s) for s in stages)
     extinct = len(stages) < config.depth or counts[-1] == 0
     return TrialResult(

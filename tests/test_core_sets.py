@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemkit.cantor import Level
+from salemkit import core_sets
+from salemkit.cantor import Level, make_plan
 from salemkit.core_sets import (
     EXPONENT_CAP,
     IntegerSet,
@@ -20,6 +21,7 @@ from salemkit.core_sets import (
 )
 from salemkit.equidist import NApproximation, characterize_salem, integers_from_approximations
 from salemkit.generators import power_law_set
+from salemkit.randfrac import RandomFractalConfig
 
 
 @st.composite
@@ -96,6 +98,22 @@ class TestOrderingChecks:
         for build, message in cases:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
+
+    # int() used to cut each of these: to (8, 8, 8), frequency 1, a level of
+    # size 4 and the sample (2, 2)
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: RandomFractalConfig(0.5, (8.7, 8, 8), 3, 2, 1), "level_sizes"),
+            (lambda: dft_char(IntegerSet((0, 1, 3), 8), [1.5]), "freqs"),
+            (lambda: make_plan(IntegerSet((0, 1, 3), 8), [4.9, 8], 0.5), "level_horizons"),
+            (lambda: fractional_density(IntegerSet((0, 1, 3), 8), [2.5, 8]), "grid"),
+        ],
+        ids=["level_sizes", "freqs", "level_horizons", "grid"],
+    )
+    def test_non_integral_arguments_refused(self, build, what):
+        with pytest.raises(ValueError, match=f"^{what} must be integers$"):
+            build()
 
     def test_numpy_integers_accepted(self):
         values = np.array([0, 1, 3], dtype=np.int64)
@@ -238,6 +256,27 @@ class TestExpSum:
         got = exp_sum(numerators, D, freqs)
         for v, k in zip(got, freqs):
             assert abs(v - exact_phase_sum(numerators, D, k)) <= 1e-14 * len(numerators)
+
+    @pytest.mark.parametrize(
+        "D, rows, cols",
+        [
+            (2**20, 25, 41943),  # tabulated, rows * cols = D - 1
+            (2**20, 16, 65536),  # tabulated, rows * cols = D
+            (10**6, 16, 62500),  # tabulated, and -2 pi / D is inexact
+            (2**20 + 1, 16, 65536),  # above the table cap, rows * cols = D - 1
+            (2**20 + 1, 17, 61681),  # above the table cap, rows * cols = D
+        ],
+    )
+    def test_bits_match_exponentiated_residues(self, D, rows, cols):
+        # the phase table must not move a single bit of the sums
+        rng = np.random.default_rng(D + rows)
+        a = rng.integers(0, D, cols)
+        k = rng.integers(0, D, rows)
+        ref = np.exp((-2j * np.pi / D) * (k[:, None] * a[None, :] % D)).sum(axis=1)
+        for _ in range(2):
+            assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref.view(np.int64))
+        if D <= 2**20:
+            assert not core_sets._unit_roots(D).flags.writeable
 
     def test_int64_boundary(self):
         # largest product 2**63 - 2**31 fits int64, 2**63 does not

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from salemkit.aps import check_thm32_hypotheses, find_ap_integers
@@ -150,6 +151,25 @@ class TestCanonicalJson:
 
     def test_twelve_significant_digits(self):
         assert canonical_json({"v": 1 / 3}) == '{"v":0.333333333333}'
+
+    @pytest.mark.parametrize(
+        "obj, text",
+        [
+            ([1, True], "[1,true]"),
+            ([1, 2.5], "[1,2.5]"),
+            ([1, Fraction(1, 2)], '[1,"1/2"]'),
+            ([], "[]"),
+            ((3, -1, 10**30), "[3,-1,1000000000000000000000000000000]"),
+        ],
+    )
+    def test_sequences_render_element_by_element(self, obj, text):
+        # plain-int lists take a single join; the bytes must not depend on it
+        assert canonical_json(obj) == text
+        assert canonical_json(obj) == "[" + ",".join(canonical_json(v) for v in obj) + "]"
+
+    def test_numpy_integer_entry_still_refused(self):
+        with pytest.raises(TypeError):
+            canonical_json((0, np.int64(3)))
 
 
 def written(report, tmp_path):

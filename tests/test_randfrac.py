@@ -75,6 +75,7 @@ class TestGenerateTrial:
         for t, stages in enumerate(expected):
             trial = generate_trial(cfg, t)
             assert trial.stages == stages
+            assert all(type(c) is int for stage in trial.stages for c in stage)
             assert trial.white_counts == tuple(len(s) for s in stages)
             assert trial.extinct == (len(stages) < len(sizes) or not stages[-1])
 
