@@ -157,11 +157,12 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     sum is exact in its phases at every size: in int64 blocks when all the
     products fit, in Python integers otherwise.  A residue r becomes the
     angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D) on the
-    other, and each row is summed by numpy.  On the int64 path, when
-    D <= 2**20 and there are at least D phases, the residues are gathered
-    from a cached table of the D unit roots e^{(-2 pi i / D) * r}, whose
-    entries are bit-identical to exponentiating each residue.  The empty
-    set sums to 0.
+    other, and each row is summed by numpy.  On the int64 path a power-of-two
+    D reduces the non-negative products with the mask D - 1, which gives the
+    same residues as % D, and when D <= 2**20 and there are at least D
+    phases, the residues are gathered from a cached table of the D unit
+    roots e^{(-2 pi i / D) * r}, whose entries are bit-identical to
+    exponentiating each residue.  The empty set sums to 0.
     """
     D = int(denominator)
     if D < 1:
@@ -172,9 +173,16 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     a, k = _reduce(numerators, D), _reduce(freqs, D)
     if a.dtype == np.int64 and k.dtype == np.int64 and int(a.max()) * int(k.max()) <= _INT64_MAX:
         table = _unit_roots(D) if D <= _TABLE_MAX and len(a) * len(k) >= D else None
+        # The products are non-negative, so for D a power of two the mask
+        # D - 1 gives the same residues as % D without a division.
+        power_of_two = D & (D - 1) == 0
         rows = max(1, _CHUNK // len(a))
         for lo in range(0, len(k), rows):
-            block = k[lo : lo + rows, None] * a[None, :] % D
+            block = k[lo : lo + rows, None] * a[None, :]
+            if power_of_two:
+                block &= D - 1
+            else:
+                block %= D
             phases = np.exp((-2j * np.pi / D) * block) if table is None else table[block]
             out[lo : lo + rows] = phases.sum(axis=1)
         return out

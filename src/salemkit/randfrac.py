@@ -6,12 +6,16 @@ and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
-walks the same trial stream, trials 0..trials-1 one at a time.
+walks the same trial stream, trials 0..trials-1 one at a time.  The order
+and lemma-6.3 experiments read each trial as a :class:`TrialResult`; the
+dimension experiment reads only the final-stage count, straight from the
+refinement's int64 arrays, and never builds the per-stage integer tuples.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -117,29 +121,35 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
     """
     if not 0 <= trial_index < config.trials:
         raise ValueError("trial_index outside the configured trial count")
+    stages = _refine(config, trial_index)
+    counts = tuple(stage.size for stage in stages)
+    return TrialResult(
+        beta=config.beta,
+        level_sizes=config.level_sizes[: config.depth],
+        stages=tuple(tuple(stage.tolist()) for stage in stages),
+        white_counts=counts,
+        extinct=counts[-1] == 0,
+        trial_index=trial_index,
+        master_seed=config.master_seed,
+    )
+
+
+def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:
+    """The int64 cells of every stage of one trial, ending at the configured
+    depth or at the first empty stage, whichever comes first: the last
+    stage is empty exactly when the trial went extinct."""
     rng = trial_rng(config, trial_index)
-    sizes = config.level_sizes[: config.depth]
-    stages: list[tuple[int, ...]] = []
+    stages: list[np.ndarray] = []
     # Stage 1 refines the single cell 0 of the unit interval.
     current = np.zeros(1, dtype=np.int64)
-    for size in sizes:
+    for size in config.level_sizes[: config.depth]:
         if current.size == 0:
             break
         children = (current[:, None] * size + np.arange(size, dtype=np.int64)).ravel()
         keep = rng.random(children.size) < size ** (-config.beta)
         current = children[keep]
-        stages.append(tuple(current.tolist()))
-    counts = tuple(len(s) for s in stages)
-    extinct = len(stages) < config.depth or counts[-1] == 0
-    return TrialResult(
-        beta=config.beta,
-        level_sizes=sizes,
-        stages=tuple(stages),
-        white_counts=counts,
-        extinct=extinct,
-        trial_index=trial_index,
-        master_seed=config.master_seed,
-    )
+        stages.append(current)
+    return stages
 
 
 def _trials(config: RandomFractalConfig) -> Iterator[TrialResult]:
@@ -163,7 +173,9 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     M = config.resolution()
     if M < 2:
         raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
-    dims = [math.log(trial.white_counts[-1]) / math.log(M) for trial in _trials(config) if not trial.extinct]
+    # Only the final count is read, so the trials stay int64 arrays.
+    finals = (_refine(config, t)[-1].size for t in range(config.trials))
+    dims = [math.log(count) / math.log(M) for count in finals if count]
     if dims:
         arr = np.asarray(dims)
         mean = float(arr.mean())
@@ -202,17 +214,30 @@ def mu1_hat(trial: TrialResult, us: Sequence) -> np.ndarray:
         return out
     N1 = trial.level_sizes[0]
     p = N1 ** (-trial.beta)
+    D, numerators, factors = _stage1_grid(N1, tuple(us))
+    combs = exp_sum(cells, N1 * D, numerators)
+    for i, (factor, comb) in enumerate(zip(factors, combs)):
+        out[i] = len(cells) / (p * N1) if factor is None else complex(comb) * factor / p
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _stage1_grid(N1: int, us: tuple) -> tuple[int, tuple[int, ...], tuple[complex | None, ...]]:
+    """What :func:`mu1_hat` needs of its frequencies, which no trial changes:
+    the lcm D of the denominators of ``Fraction(u)``, each u*D as an
+    integer, and each cell integral's closing factor (None at u = 0).
+
+    Cached, so the trials of one experiment reduce their grid once.  Equal
+    keys give equal results, since equal numbers have equal ``Fraction``s.
+    """
     qs = [Fraction(u) for u in us]
     D = math.lcm(*(q.denominator for q in qs))
-    combs = exp_sum(cells, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
-    for i, (q, comb) in enumerate(zip(qs, combs)):
-        if q == 0:
-            out[i] = len(cells) / (p * N1)
-        else:
-            # Scalar cmath per u: the spectrum files print this rounding.
-            factor = (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q))
-            out[i] = complex(comb) * factor / p
-    return out
+    numerators = tuple(q.numerator * (D // q.denominator) for q in qs)
+    # Scalar cmath per u: the spectrum files print this rounding.
+    factors = tuple(
+        None if q == 0 else (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q)) for q in qs
+    )
+    return D, numerators, factors
 
 
 def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int) -> LemmaCheckReport:

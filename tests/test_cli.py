@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from salemkit import cli
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
 from salemkit.formats import load_approximation, load_integer_set, save_integer_set
@@ -203,6 +204,34 @@ class TestDeterminism:
                    "--output", str(out2)) == 0
         payload = json.loads(out2.read_text())
         assert "median_alpha" in payload
+
+    def test_reused_parser_matches_fresh_parsers(self, squares_file, tmp_path, capsys):
+        # one parser serves every call in a process: a run of calls, a parse
+        # error among them, must exit and write as if each built its own
+        calls = [
+            ["density", "--input", str(squares_file), "--output", "{out}/density.json"],
+            ["dft", "--input", str(squares_file), "--freqs", "1,2,3", "--output", "{out}/dft.csv"],
+            ["weyl", "--points", "0,1/3,1/2", "--m", "3"],
+            ["dft", "--input", str(squares_file), "--freqs", "1", "--bogus"],
+            ["lemma63", "--beta", "0.5", "--n1", "64", "--trials", "3", "--u-max", "8", "--seed", "2",
+             "--spectrum", "{out}/mu1.csv", "--output", "{out}/lemma.json"],
+        ]
+
+        def session(out, fresh):
+            out.mkdir()
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = run_command([a.format(out=out) for a in argv])
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen, {f.name: f.read_bytes() for f in out.iterdir()}
+
+        reused = session(tmp_path / "reused", fresh=False)
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 2, 0]
+        assert "unrecognized arguments: --bogus" in reused[0][3][2]
+        assert reused == session(tmp_path / "fresh", fresh=True)
 
     def test_measure_decay_report_fields(self, squares_file, tmp_path):
         plan_path = tmp_path / "plan.txt"

@@ -265,10 +265,13 @@ class TestExpSum:
             (10**6, 16, 62500),  # tabulated, and -2 pi / D is inexact
             (2**20 + 1, 16, 65536),  # above the table cap, rows * cols = D - 1
             (2**20 + 1, 17, 61681),  # above the table cap, rows * cols = D
+            (2**18, 3, 1000),  # power of two, fewer phases than D: masked, untabulated
+            (2**31, 8, 1000),  # power of two above the table cap: masked int64 products
         ],
     )
     def test_bits_match_exponentiated_residues(self, D, rows, cols):
-        # the phase table must not move a single bit of the sums
+        # neither the phase table nor the power-of-two mask may move a
+        # single bit of the sums
         rng = np.random.default_rng(D + rows)
         a = rng.integers(0, D, cols)
         k = rng.integers(0, D, rows)

@@ -148,6 +148,22 @@ class TestDimensionExperiment:
         stats = dimension_experiment(cfg)
         assert 0.65 <= stats.mean_dim <= 0.85
 
+    @pytest.mark.parametrize("beta, sizes, trials", [(0.75, (4, 4, 4), 40), (0.25, (64, 64, 64), 12)])
+    def test_counts_match_trial_oracle(self, beta, sizes, trials):
+        # the experiment reads counts off the refinement arrays; the oracle
+        # reads them off generate_trial, extinct trials included
+        cfg = RandomFractalConfig(beta, sizes, 3, trials, SEED)
+        results = [generate_trial(cfg, t) for t in range(trials)]
+        M = math.prod(sizes)
+        dims = [math.log(r.white_counts[-1]) / math.log(M) for r in results if not r.extinct]
+        extinct = sum(r.extinct for r in results)
+        assert (extinct > 0) == (beta == 0.75)
+        stats = dimension_experiment(cfg)
+        assert stats.dims == tuple(dims)
+        assert stats.mean_dim == float(np.asarray(dims).mean())
+        assert stats.std_dim == float(np.asarray(dims).std())
+        assert stats.extinction_rate == extinct / trials
+
     def test_resolution_one_rejected(self):
         # log(M) = 0 at M = 1 would divide by zero
         cfg = RandomFractalConfig(0.5, (1, 1, 1), 3, 2, 1)
@@ -240,6 +256,34 @@ class TestMu1Hat:
         trial = generate_trial(RandomFractalConfig(0.5, (64,), 1, 1, SEED), 0)
         assert mu1_hat(trial, []).shape == (0,)
 
+    def test_grid_reduced_once_keeps_bits(self):
+        # the frequencies are reduced once per (N_1, us) and shared by every
+        # trial; a range, a list and a tuple of the same us, and a second
+        # trial, give the bits of reducing them afresh on every call
+        def fresh(trial, us):
+            cells, N1 = trial.stages[0], trial.level_sizes[0]
+            p = N1 ** (-trial.beta)
+            qs = [Fraction(u) for u in us]
+            D = math.lcm(*(q.denominator for q in qs))
+            combs = exp_sum(cells, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
+            out = np.zeros(len(qs), dtype=complex)
+            for i, (q, comb) in enumerate(zip(qs, combs)):
+                if q == 0:
+                    out[i] = len(cells) / (p * N1)
+                else:
+                    factor = (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q))
+                    out[i] = complex(comb) * factor / p
+            return out
+
+        cfg = RandomFractalConfig(0.5, (1024,), 1, 2, SEED)
+        for t in range(2):
+            trial = generate_trial(cfg, t)
+            want = fresh(trial, range(65)).view(np.int64)
+            for us in (range(65), list(range(65)), tuple(range(65))):
+                assert np.array_equal(mu1_hat(trial, us).view(np.int64), want)
+        halves = [Fraction(1, 2), 3, 2.5, 0]
+        assert np.array_equal(mu1_hat(trial, halves).view(np.int64), fresh(trial, halves).view(np.int64))
+
     def test_rational_frequency(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
         trial = generate_trial(cfg, 0)
@@ -259,6 +303,14 @@ class TestLemma63:
             cfg = RandomFractalConfig(0.5, (N1,), 1, 100, SEED)
             fractions.append(lemma63_experiment(cfg, 1.0, 64).satisfied_fraction)
         assert fractions[0] <= fractions[1] <= fractions[2]
+
+    def test_satisfied_fraction_matches_per_trial_loop(self):
+        cfg = RandomFractalConfig(0.5, (256,), 1, 60, SEED)
+        us = range(2, 65)
+        bounds = 1.0 * np.arange(2, 65, dtype=float) ** ((0.5 - 1.0) / 2.0)
+        hits = sum(bool(np.all(np.abs(mu1_hat(generate_trial(cfg, t), us)) < bounds)) for t in range(60))
+        assert 0 < hits < 60
+        assert lemma63_experiment(cfg, 1.0, 64).satisfied_fraction == hits / 60
 
     def test_u_max_validated(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 5, SEED)
