@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core_sets import IntegerSet, dft_char, fractional_density, geometric_grid
+from .core_sets import IntegerSet, as_integers, dft_char, fractional_density, geometric_grid
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def dyadic_embed(A: IntegerSet, exponents: Sequence[int], depth: int) -> list[Fr
     slope, and non-progressions stay non-progressions.  Requires
     2^{N_1} > max(A) so images stay in [0, 1) and distinct.
     """
-    exps = [int(e) for e in exponents]
+    exps = as_integers(exponents, "exponents")
     if depth < 1 or depth > len(exps):
         raise ValueError("depth must select a prefix of the exponents")
     exps = exps[:depth]

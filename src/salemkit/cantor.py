@@ -123,13 +123,15 @@ def make_plan(
     beta: float,
     *,
     c_bounds: tuple[Fraction, Fraction] = C_BOUNDS,
-    etas: Sequence[Fraction] | None = None,
+    unit_eta: bool = False,
 ) -> LevelPlan:
     """Plan whose level-k digits are the prefix A intersect [0, N_k).
 
     Horizons may repeat (the self-similar case) but may not decrease.  A
     level with an empty prefix, or whose normalized count |A_k|/N_k**beta
     leaves ``c_bounds``, rejects the plan naming the offending level.
+    Every level's eta is :func:`default_eta`, or 1 (no padding) under
+    ``unit_eta``.
     """
     horizons = as_integers(level_horizons, "level_horizons")
     if not horizons:
@@ -137,15 +139,12 @@ def make_plan(
     for a, b in zip(horizons, horizons[1:]):
         if b < a:
             raise ValueError("level horizons must not decrease")
-    if etas is not None and len(etas) < len(horizons):
-        raise ValueError("need one eta per level")
     levels = []
     for k, N in enumerate(horizons, 1):
         digits = A.elements[: A.count_below(N)]
         if not digits:
             raise ValueError(f"level {k}: empty digit set below {N}")
-        eta = default_eta(k) if etas is None else Fraction(etas[k - 1])
-        levels.append(Level(N, digits, eta))
+        levels.append(Level(N, digits, Fraction(1) if unit_eta else default_eta(k)))
     return LevelPlan(tuple(levels), float(beta), c_bounds)
 
 

@@ -4,7 +4,9 @@ Every subcommand is a pure function of its input files and flags: no
 clocks, no locale, no environment.  Stochastic experiment commands refuse
 to run without an explicit --seed.  Exit codes: 0 success, 1 domain
 failure (for example a hypothesis check failed under --strict), 2 usage
-error, 3 I/O error.
+error (an unknown or missing flag, a malformed flag value, or two
+conflicting inputs such as --points with --points-file), 3 I/O error or
+malformed input file.
 """
 
 from __future__ import annotations
@@ -18,35 +20,28 @@ from . import aps, cantor, core_sets, equidist, formats, measures, randfrac
 from .formats import FormatError
 
 
-class UsageError(Exception):
-    """Flag combination that argparse alone cannot reject."""
-
-
 def _int_list(text: str) -> list[int]:
+    """argparse type: a comma list of integers."""
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise FormatError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [formats.parse_rational(part) for part in text.split(",") if part.strip() != ""]
-
-
-def _write_csv(path, text: str) -> None:
-    """Write CSV text to ``path``, or to stdout when ``path`` is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        formats.atomic_write_text(path, text)
+    """argparse type: a nonempty comma list of rationals p/q."""
+    try:
+        points = [formats.parse_rational(part) for part in text.split(",") if part.strip() != ""]
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not points:
+        raise argparse.ArgumentTypeError("need at least one rational")
+    return points
 
 
 def _load_points(args) -> list[Fraction]:
-    if getattr(args, "points", None):
-        return _rational_list(args.points)
-    if getattr(args, "points_file", None):
-        return formats.load_points(args.points_file)
-    raise UsageError("need --points or --points-file")
+    """The --points list, else the --points-file contents; argparse requires exactly one."""
+    return args.points if args.points is not None else formats.load_points(args.points_file)
 
 
 # Subcommand handlers.  Each returns the process exit code.
@@ -54,7 +49,7 @@ def _load_points(args) -> list[Fraction]:
 
 def cmd_density(args) -> int:
     A = formats.load_integer_set(args.input)
-    grid = _int_list(args.grid) if args.grid else [2**j for j in range(2, A.horizon.bit_length())] + [A.horizon]
+    grid = args.grid if args.grid else [2**j for j in range(2, A.horizon.bit_length())] + [A.horizon]
     formats.write_report(core_sets.fractional_density(A, sorted(set(grid))), args.output)
     return 0
 
@@ -62,14 +57,14 @@ def cmd_density(args) -> int:
 def cmd_dft(args) -> int:
     A = formats.load_integer_set(args.input)
     if args.freqs:
-        freqs = _int_list(args.freqs)
+        freqs = args.freqs
     elif args.all_freqs:
         freqs = list(range(A.horizon))
     else:
         freqs = core_sets.geometric_grid(1, A.horizon - 1, args.per_octave, integers=True)
     samples = core_sets.dft_char(A, freqs)
     if args.format == "csv":
-        _write_csv(args.output, formats.spectrum_csv(samples, freq_label="m"))
+        formats.write_text(args.output, formats.spectrum_csv(samples, freq_label="m"))
     else:
         spectrum = [{"m": s.frequency, "re": s.value.real, "im": s.value.imag, "abs": abs(s.value)} for s in samples]
         formats.write_report({"spectrum": spectrum}, args.output)
@@ -85,8 +80,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_plan(args) -> int:
     A = formats.load_integer_set(args.input)
-    etas = [Fraction(1)] * len(_int_list(args.horizons)) if args.unit_eta else None
-    plan = cantor.make_plan(A, _int_list(args.horizons), args.beta, etas=etas)
+    plan = cantor.make_plan(A, args.horizons, args.beta, unit_eta=args.unit_eta)
     formats.save_plan(plan, args.output)
     return 0
 
@@ -94,7 +88,7 @@ def cmd_plan(args) -> int:
 def cmd_construct(args) -> int:
     plan = formats.load_plan(args.plan)
     stage = cantor.build_stage(plan, args.depth)
-    _write_csv(args.output, formats.stage_csv(stage))
+    formats.write_text(args.output, formats.stage_csv(stage))
     return 0
 
 
@@ -110,9 +104,8 @@ def cmd_measure_decay(args) -> int:
 
 
 def cmd_approximate(args) -> int:
-    if args.plan:
-        plan = formats.load_plan(args.plan)
-        target = cantor.build_stage(plan, args.depth)
+    if args.plan is not None:
+        target = cantor.build_stage(formats.load_plan(args.plan), args.depth)
     else:
         target = _load_points(args)
     approx = equidist.n_approximation(target, args.N)
@@ -138,7 +131,7 @@ def cmd_ap_find(args) -> int:
     A = formats.load_integer_set(args.input)
     witnesses = aps.find_ap_integers(A, args.n, first_only=args.first_only)
     if args.format == "csv":
-        _write_csv(args.output, formats.witnesses_csv(witnesses))
+        formats.write_text(args.output, formats.witnesses_csv(witnesses))
     else:
         formats.write_report({"witnesses": witnesses}, args.output)
     return 0
@@ -146,9 +139,8 @@ def cmd_ap_find(args) -> int:
 
 def cmd_ap_embed(args) -> int:
     A = formats.load_integer_set(args.input)
-    exponents = _int_list(args.exponents)
-    depth = args.depth if args.depth else len(exponents)
-    points = aps.dyadic_embed(A, exponents, depth)
+    depth = args.depth if args.depth else len(args.exponents)
+    points = aps.dyadic_embed(A, args.exponents, depth)
     formats.save_points(points, args.output)
     return 0
 
@@ -171,7 +163,7 @@ def cmd_thm32_check(args) -> int:
 
 
 def _random_config(args) -> randfrac.RandomFractalConfig:
-    return randfrac.RandomFractalConfig(args.beta, tuple(_int_list(args.levels)), args.depth, args.trials, args.seed)
+    return randfrac.RandomFractalConfig(args.beta, tuple(args.levels), args.depth, args.trials, args.seed)
 
 
 def cmd_random_salem(args) -> int:
@@ -216,33 +208,39 @@ def build_parser() -> argparse.ArgumentParser:
     def add_trial_flags(p):
         """The Bernoulli refinement flags read by :func:`_random_config`."""
         p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--levels", required=True, help="comma list of per-level sizes N_i")
+        p.add_argument("--levels", type=_int_list, required=True, help="comma list of per-level sizes N_i")
         p.add_argument("--depth", type=int, required=True)
         p.add_argument("--trials", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
 
+    def add_points_flags(group):
+        """The two point inputs read by :func:`_load_points`."""
+        group.add_argument("--points", type=_rational_list, help="comma list of rationals in [0,1)")
+        group.add_argument("--points-file")
+
     p = add("density", cmd_density, "fit the growth exponent of |A ∩ [0,N)| over a checkpoint grid")
     p.add_argument("--input", required=True)
-    p.add_argument("--grid", help="comma list of checkpoints N (default: powers of 2 up to the horizon)")
+    p.add_argument("--grid", type=_int_list,
+                   help="comma list of checkpoints N (default: powers of 2 up to the horizon)")
     p.add_argument("--output")
 
     p = add("dft", cmd_dft, "normalized sparse spectrum of an integer set's indicator")
     p.add_argument("--input", required=True)
-    p.add_argument("--freqs", help="comma list of frequencies")
-    p.add_argument("--all-freqs", action="store_true", help="every frequency in [0, N)")
+    freqs = p.add_mutually_exclusive_group()
+    freqs.add_argument("--freqs", type=_int_list, help="comma list of frequencies")
+    freqs.add_argument("--all-freqs", action="store_true", help="every frequency in [0, N)")
     p.add_argument("--per-octave", type=int, default=8)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--output")
 
     p = add("weyl", cmd_weyl, "normalized exponential sum of rational points at one frequency")
-    p.add_argument("--points", help="comma list of rationals in [0,1)")
-    p.add_argument("--points-file")
+    add_points_flags(p.add_mutually_exclusive_group(required=True))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--output")
 
     p = add("plan", cmd_plan, "build a nested-interval plan from an integer set's prefixes")
     p.add_argument("--input", required=True)
-    p.add_argument("--horizons", required=True, help="comma list of per-level sizes N_k")
+    p.add_argument("--horizons", type=_int_list, required=True, help="comma list of per-level sizes N_k")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--unit-eta", action="store_true", help="use eta = 1 (no padding) at every level")
     p.add_argument("--output", required=True)
@@ -265,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = add("approximate", cmd_approximate, "grid cells meeting a plan stage or a rational point list")
-    p.add_argument("--plan", "--config", dest="plan")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--plan", "--config", dest="plan")
+    add_points_flags(target)
     p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--points")
-    p.add_argument("--points-file")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--output", required=True)
 
@@ -292,13 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ap-embed", cmd_ap_embed, "map an integer set into [0,1) by the progression-preserving dyadic sum")
     p.add_argument("--input", required=True)
-    p.add_argument("--exponents", required=True, help="comma list of increasing dyadic exponents")
+    p.add_argument("--exponents", type=_int_list, required=True, help="comma list of increasing dyadic exponents")
     p.add_argument("--depth", type=int)
     p.add_argument("--output", required=True)
 
     p = add("ap-descent", cmd_ap_descent, "finest dyadic stage whose floor indices carry an integer progression")
-    p.add_argument("--points")
-    p.add_argument("--points-file")
+    add_points_flags(p.add_mutually_exclusive_group(required=True))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--output")
@@ -347,13 +344,7 @@ def run_command(argv) -> int:
         return int(code) if code is not None else 0
     try:
         return globals()[args.handler](args)
-    except UsageError as exc:
-        print(f"salemkit: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"salemkit: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"salemkit: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -234,6 +234,7 @@ def weyl_sum(points: Sequence[Fraction], m: int) -> complex:
     x_j * m is reduced modulo 1 exactly by :func:`exp_sum`, so points whose
     phases are all integral sum to exactly 1.
     """
+    (m,) = as_integers([m], "m")
     if m == 0:
         raise ValueError("m = 0 is excluded")
     pts = [Fraction(p) for p in points]

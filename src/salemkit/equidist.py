@@ -165,7 +165,7 @@ def equidist_order(
     if m_grid is None:
         ms = geometric_grid(2, finest.N - 1, 6, integers=True)
     else:
-        ms = sorted({int(m) for m in m_grid})
+        ms = sorted(set(as_integers(m_grid, "m_grid")))
         if not ms or ms[0] < 2 or ms[-1] >= finest.N:
             raise ValueError("m grid must lie within [2, N-1]")
     moduli = weyl_moduli(finest.cells, finest.N, ms)

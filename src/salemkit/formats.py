@@ -67,8 +67,6 @@ def _render(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, complex):
-        return _render({"re": obj.real, "im": obj.imag})
     if hasattr(obj, "as_dict"):
         return _render(obj.as_dict())
     if is_dataclass(obj) and not isinstance(obj, type):
@@ -261,11 +259,15 @@ def witnesses_csv(witnesses: Iterable[APWitness]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(obj, path) -> None:
-    """Canonical JSON of a report (a dict or a dataclass instance), written
-    atomically to ``path``, or to stdout when ``path`` is None."""
-    text = canonical_json(obj) + "\n"
+def write_text(path, text: str) -> None:
+    """Write ``text`` atomically to ``path``, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
     else:
         atomic_write_text(path, text)
+
+
+def write_report(obj, path) -> None:
+    """Canonical JSON of a report (a dict or a dataclass instance), written
+    by :func:`write_text`."""
+    write_text(path, canonical_json(obj) + "\n")

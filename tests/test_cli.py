@@ -5,7 +5,7 @@ import pytest
 from salemkit import cli
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
-from salemkit.formats import load_approximation, load_integer_set, save_integer_set
+from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set
 from salemkit.generators import squares_below
 
 
@@ -76,6 +76,45 @@ class TestExitCodes:
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--levels", ["random-salem", "--beta", "0.5", "--levels", "8,x", "--depth", "2",
+                          "--trials", "2", "--seed", "1"]),
+            ("--points", ["weyl", "--points", "1/0", "--m", "1"]),
+        ],
+        ids=["levels", "points"],
+    )
+    def test_malformed_flag_value_is_usage_error(self, flag, argv, capsys):
+        # exit 3 is kept for files: a bad flag value is a usage error
+        assert run(*argv) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl", "--points", "0,1/2", "--points-file", "{points}", "--m", "1"],
+            ["ap-descent", "--points", "0,1/2", "--points-file", "{points}", "--n", "3", "--k-max", "4"],
+            ["approximate", "--plan", "{plan}", "--points", "0", "--N", "8"],
+            ["approximate", "--plan", "{plan}", "--points-file", "{points}", "--N", "8"],
+            ["approximate", "--points", "0", "--points-file", "{points}", "--N", "8"],
+            ["dft", "--input", "{squares}", "--freqs", "1", "--all-freqs"],
+        ],
+        ids=["weyl", "ap-descent", "approximate-plan-points", "approximate-plan-file",
+             "approximate-points-file", "dft"],
+    )
+    def test_conflicting_inputs_are_usage_errors(self, argv, squares_file, tmp_path, capsys):
+        # each pair used to run on one input and silently drop the other
+        paths = {"points": tmp_path / "points.txt", "plan": tmp_path / "plan.txt", "squares": squares_file}
+        paths["points"].write_text("0\n1/2\n")
+        assert run("plan", "--input", str(squares_file), "--horizons", "100", "--beta", "0.5",
+                   "--output", str(paths["plan"])) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*[a.format(**paths) for a in argv], "--output", str(out)) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_on_missing_input(self, capsys):
         assert run("density", "--input", "/nonexistent/set.txt") == 3
 
@@ -124,6 +163,14 @@ class TestRoundTrips:
         assert run("extract-integers", "--inputs", str(approx_path),
                    "--output", str(out_set)) == 0
         assert load_integer_set(out_set).elements == approx.cells
+
+    def test_plan_unit_eta(self, squares_file, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        assert run("plan", "--input", str(squares_file), "--horizons", "100,100,100",
+                   "--beta", "0.5", "--unit-eta", "--output", str(plan_path)) == 0
+        levels = plan_path.read_text().splitlines()[1:]
+        assert len(levels) == 3 and all(line.endswith(" eta=1") for line in levels)
+        assert [level.eta for level in load_plan(plan_path).levels] == [1, 1, 1]
 
 
 class TestPipelines:

@@ -19,7 +19,8 @@ from salemkit.core_sets import (
     geometric_grid,
     weyl_sum,
 )
-from salemkit.equidist import NApproximation, characterize_salem, integers_from_approximations
+from salemkit.aps import dyadic_embed
+from salemkit.equidist import NApproximation, characterize_salem, equidist_order, integers_from_approximations
 from salemkit.generators import power_law_set
 from salemkit.randfrac import RandomFractalConfig
 
@@ -100,7 +101,8 @@ class TestOrderingChecks:
                 build()
 
     # int() used to cut each of these: to (8, 8, 8), frequency 1, a level of
-    # size 4 and the sample (2, 2)
+    # size 4, the sample (2, 2), the sweep m = 2, 3, the exponents (7, 11)
+    # and the frequency m = 2
     @pytest.mark.parametrize(
         "build, what",
         [
@@ -108,8 +110,11 @@ class TestOrderingChecks:
             (lambda: dft_char(IntegerSet((0, 1, 3), 8), [1.5]), "freqs"),
             (lambda: make_plan(IntegerSet((0, 1, 3), 8), [4.9, 8], 0.5), "level_horizons"),
             (lambda: fractional_density(IntegerSet((0, 1, 3), 8), [2.5, 8]), "grid"),
+            (lambda: equidist_order([NApproximation(64, (0, 1, 3))], m_grid=[2.7, 3.2]), "m_grid"),
+            (lambda: dyadic_embed(IntegerSet((0, 1, 3), 8), [7.9, 11.2], 2), "exponents"),
+            (lambda: weyl_sum([Fraction(0), Fraction(1, 2)], 2.5), "m"),
         ],
-        ids=["level_sizes", "freqs", "level_horizons", "grid"],
+        ids=["level_sizes", "freqs", "level_horizons", "grid", "m_grid", "exponents", "m"],
     )
     def test_non_integral_arguments_refused(self, build, what):
         with pytest.raises(ValueError, match=f"^{what} must be integers$"):

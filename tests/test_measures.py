@@ -260,7 +260,7 @@ class TestDecayCheck:
         # all digits kept: the endpoint comb is the full grid, every factor
         # vanishes at nonzero integers, and the envelope is all zeros
         A = IntegerSet(tuple(range(8)), 8)
-        plan = make_plan(A, [8, 8, 8], 1.0, etas=[Fraction(1)] * 3)
+        plan = make_plan(A, [8, 8, 8], 1.0, unit_eta=True)
         report = decay_check(plan, list(range(2, 64)), 1.0)
         assert report.alpha_hat == 1.0
         assert report.passed
