@@ -11,6 +11,7 @@ import argparse
 import sys
 
 import salemkit as sk
+from salemkit.cli import _int_list
 from salemkit.formats import write_report
 
 
@@ -18,7 +19,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--beta", type=float, default=0.5)
     ap.add_argument("--epsilon", type=float, default=1.0)
-    ap.add_argument("--n1s", default="256,1024,4096")
+    ap.add_argument("--n1s", type=_int_list, default="256,1024,4096")
     ap.add_argument("--u-max", type=int, default=64)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, required=True)
@@ -26,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    for n1 in (int(n) for n in args.n1s.split(",")):
+    for n1 in args.n1s:
         config = sk.RandomFractalConfig(args.beta, (n1,), 1, args.trials, args.seed)
         rep = sk.lemma63_experiment(config, args.epsilon, args.u_max)
         rows.append(rep)

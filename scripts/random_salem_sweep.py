@@ -11,21 +11,30 @@ import argparse
 import sys
 
 import salemkit as sk
+from salemkit.cli import _int_list
 from salemkit.formats import write_report
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type: a comma list of floats."""
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--betas", default="0.25,0.5,0.75")
-    ap.add_argument("--levels", default="64,64,64")
+    ap.add_argument("--betas", type=_float_list, default="0.25,0.5,0.75")
+    ap.add_argument("--levels", type=_int_list, default="64,64,64")
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--output")
     args = ap.parse_args()
 
-    levels = tuple(int(n) for n in args.levels.split(","))
+    levels = tuple(args.levels)
     rows = []
-    for beta in (float(b) for b in args.betas.split(",")):
+    for beta in args.betas:
         config = sk.RandomFractalConfig(beta, levels, len(levels), args.trials, args.seed)
         stats = sk.dimension_experiment(config)
         orders = sk.order_experiment(config)
@@ -34,7 +43,7 @@ def main() -> int:
             "target_dim": 1 - beta,
             "mean_dim": stats.mean_dim,
             "std_dim": stats.std_dim,
-            "extinct": stats.extinction_rate,
+            "extinct": stats.extinct,
             "median_alpha": orders.median_alpha,
         })
         print(f"beta={beta}: mean_dim={stats.mean_dim:.3f} "

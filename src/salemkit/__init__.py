@@ -49,7 +49,6 @@ from .measures import (
     decay_check,
     mu_hat,
     q_factor,
-    stage_cdf,
     truncation_for,
 )
 from .randfrac import (

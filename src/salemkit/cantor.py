@@ -9,8 +9,9 @@ M_k = N_1 * ... * N_k, the stage-k set keeps one interval per digit word
 
 and exact length L_k = (eta_1 ... eta_k) / M_k.  Children of a stage
 interval sit inside it because eta <= 1; siblings are disjoint with gaps
-whenever eta < 1.  Every endpoint is an exact rational, so nesting and
-disjointness are decidable comparisons rather than float checks.
+whenever eta < 1.  Every endpoint and the length are integers over one
+stage denominator D, so nesting and disjointness are integer comparisons
+rather than float checks.
 """
 
 from __future__ import annotations
@@ -109,12 +110,22 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class CantorStage:
-    depth: int
-    left_endpoints: tuple[Fraction, ...]
-    interval_length: Fraction
+    """Stage-``depth`` intervals [n/D, (n + length)/D), one per sorted
+    numerator n, all over the one denominator D."""
 
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return [(x, x + self.interval_length) for x in self.left_endpoints]
+    depth: int
+    numerators: tuple[int, ...]
+    length: int
+    denominator: int
+
+    @property
+    def left_endpoints(self) -> tuple[Fraction, ...]:
+        """The left endpoints n/D as exact rationals (a read-only view)."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    @property
+    def interval_length(self) -> Fraction:
+        return Fraction(self.length, self.denominator)
 
 
 def make_plan(
@@ -161,19 +172,26 @@ def build_stage(plan: LevelPlan, depth: int) -> CantorStage:
     """All stage-``depth`` left endpoints, sorted, with the exact length.
 
     Depth 0 is the single interval [0, 1).  The endpoint count is the
-    product of the digit-set sizes through ``depth``.
+    product of the digit-set sizes through ``depth``.  D is the lcm of the
+    reduced denominators of the level coefficients eta_1...eta_{j-1} / M_j
+    and of the length, so every endpoint is a sum of integer terms c_j * a
+    over D, exact in Python integers.
     """
     if not 0 <= depth <= plan.depth:
         raise ValueError(f"depth {depth} exceeds plan depth {plan.depth}")
     if depth > DEPTH_CAP:
         raise ValueError(f"depth {depth} exceeds the cap {DEPTH_CAP}")
-    endpoints = [Fraction(0)]
-    for j in range(1, depth + 1):
-        coeff = plan.eta_product(j - 1) / plan.M(j)
-        terms = [coeff * a for a in plan.levels[j - 1].digits]
-        endpoints = [x + t for x in endpoints for t in terms]
-    endpoints.sort()
-    return CantorStage(depth, tuple(endpoints), plan.interval_length(depth))
+    # Level j adds eta_1...eta_{j-1} * a / M_j; the length is eta_1...eta_depth / M_depth.
+    ratios = [(plan.eta_product(j - 1), plan.M(j)) for j in range(1, depth + 1)]
+    ratios.append((plan.eta_product(depth), plan.M(depth)))
+    D = math.lcm(*(eta.denominator * M // math.gcd(eta.numerator, M) for eta, M in ratios))
+    *coeffs, length = (eta.numerator * D // (eta.denominator * M) for eta, M in ratios)
+    numerators = [0]
+    for c, level in zip(coeffs, plan.levels):
+        terms = [c * a for a in level.digits]
+        numerators = [n + t for n in numerators for t in terms]
+    numerators.sort()
+    return CantorStage(depth, tuple(numerators), length, D)
 
 
 def box_dimension(plan: LevelPlan, max_depth: int) -> float:

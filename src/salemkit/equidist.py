@@ -53,9 +53,6 @@ class NApproximation:
         if self.cells and self.cells[-1] >= self.N:
             raise ValueError("cells must lie below N")
 
-    def fractions(self) -> list[Fraction]:
-        return [Fraction(c, self.N) for c in self.cells]
-
 
 @dataclass(frozen=True)
 class OrderEstimate:
@@ -83,9 +80,7 @@ class CharacterizationReport:
 
 
 def _coerce_target(target) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Split a target into exact points and half-open intervals [lo, hi)."""
-    if isinstance(target, CantorStage):
-        return [], [(lo, hi) for lo, hi in target.intervals()]
+    """Split a list target into exact points and half-open intervals [lo, hi)."""
     points: list[Fraction] = []
     intervals: list[tuple[Fraction, Fraction]] = []
     for item in target:
@@ -113,14 +108,18 @@ def n_approximation(target, N: int) -> NApproximation:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    points, intervals = _coerce_target(target)
     cells: set[int] = set()
-    for p in points:
-        if p < 1:
-            cells.add(int(p * N))
-    for lo, hi in intervals:
-        # Cell c meets [lo, hi) iff c/N < hi and (c+1)/N > lo.
-        cells.update(range(int(lo * N), min(math.ceil(hi * N), N)))
+    if isinstance(target, CantorStage):
+        D, length = target.denominator, target.length
+        spans = ((n * N // D, -(-(n + length) * N // D)) for n in target.numerators)
+    else:
+        points, intervals = _coerce_target(target)
+        cells.update(int(p * N) for p in points if p < 1)
+        spans = ((int(lo * N), math.ceil(hi * N)) for lo, hi in intervals)
+    # Cell c meets [lo, hi) iff c/N < hi and (c+1)/N > lo, that is iff
+    # floor(lo*N) <= c < ceil(hi*N): each span is that pair of bounds.
+    for first, stop in spans:
+        cells.update(range(first, min(stop, N)))
     return NApproximation(N, tuple(sorted(cells)))
 
 
@@ -245,20 +244,21 @@ def integers_from_approximations(approximations: Sequence[NApproximation]) -> In
 
     With N_0 = 0, stage i contributes N_{i-1} + a for every cell numerator
     a whose fraction a/N_i was not already a cell fraction of stage i-1.
-    Overlapping blocks are merged by set union.
+    Fractions are compared as integers c * (L / N_i) over the lcm L of the
+    N_i.  Overlapping blocks are merged by set union.
     """
     if not approximations:
         raise ValueError("need at least one approximation")
     require_increasing([a.N for a in approximations], "approximation sizes must be strictly increasing")
+    L = math.lcm(*(a.N for a in approximations))
     out: set[int] = set()
-    prev_fractions: set[Fraction] = set()
+    prev_keys: set[int] = set()
     prev_N = 0
     horizon = 1
     for approx in approximations:
-        fractions = {Fraction(c, approx.N): c for c in approx.cells}
-        new = {num for frac, num in fractions.items() if frac not in prev_fractions}
-        out.update(prev_N + num for num in new)
+        scale = L // approx.N
+        out.update(prev_N + c for c in approx.cells if c * scale not in prev_keys)
         horizon = max(horizon, prev_N + approx.N)
-        prev_fractions = set(fractions)
+        prev_keys = {c * scale for c in approx.cells}
         prev_N = approx.N
     return IntegerSet(tuple(sorted(out)), horizon)

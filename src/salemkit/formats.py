@@ -246,9 +246,12 @@ def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") ->
 
 
 def stage_csv(stage: CantorStage) -> str:
+    # Each endpoint n/D in lowest terms; n / D rounds like float(Fraction(n, D)).
+    D = stage.denominator
     lines = ["numerator,denominator,value"]
-    for x in stage.left_endpoints:
-        lines.append(f"{x.numerator},{x.denominator},{fmt_float(float(x))}")
+    for n in stage.numerators:
+        g = math.gcd(n, D)
+        lines.append(f"{n // g},{D // g},{fmt_float(n / D)}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,14 +18,14 @@ a float frequency is the binary rational it holds.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .cantor import CantorStage, LevelPlan, build_stage
+from .cantor import LevelPlan
 from .core_sets import SpectrumSample, decay_exponent_fit
 
 # Largest |u| at which the transform is evaluated.  Rejecting larger |u|
@@ -64,18 +64,22 @@ def q_factor(plan: LevelPlan, k: int, u) -> complex:
     Each phase u*a/M_k is reduced mod 1 exactly, with u read as the
     rational ``Fraction(u)``.
     """
+    if not 1 <= k <= plan.depth:
+        raise ValueError(f"level {k} outside the plan")
+    q = Fraction(u)
+    return _level_sum(plan.levels[k - 1].digits, q.numerator, q.denominator * plan.M(k))
+
+
+def _level_sum(digits: Sequence[int], p: int, D: int) -> complex:
+    """(1/d) * sum_a e^{-2 pi i p a / D} over the d digits, each phase read
+    as the integer residue p*a mod D over D (one correctly rounded float)."""
     # Not routed through core_sets.exp_sum: at exact zeros of the transform
     # the reports print this sum's rounding noise, which the kernel's
     # angles and pairwise summation round differently.
-    if not 1 <= k <= plan.depth:
-        raise ValueError(f"level {k} outside the plan")
-    level = plan.levels[k - 1]
-    q = Fraction(u)
-    D = q.denominator * plan.M(k)
     total = 0j
-    for a in level.digits:
-        total += cmath.exp(-2j * math.pi * (q.numerator * a % D / D))
-    return total / len(level.digits)
+    for a in digits:
+        total += cmath.exp(-2j * math.pi * (p * a % D / D))
+    return total / len(digits)
 
 
 def truncation_for(plan: LevelPlan, u) -> tuple[int, bool]:
@@ -104,39 +108,18 @@ def mu_hat(plan: LevelPlan, u, *, depth: int | None = None) -> complex:
         if not 1 <= depth <= plan.depth:
             raise ValueError("depth must lie within the plan depth")
         factors = depth
+    # Factor k+1 takes eta_1...eta_k * u / M_{k+1} as an unreduced integer
+    # pair: its residues over D are the same rationals, so the same floats.
+    # reduce, not math.prod, whose start 1 could flip the sign of a zero.
     q = Fraction(u)
-    value = q_factor(plan, 1, q)
-    for k in range(1, factors):
-        value *= q_factor(plan, k + 1, plan.eta_product(k) * q)
-    return value
-
-
-@lru_cache(maxsize=64)
-def _cached_stage(plan: LevelPlan, k: int) -> CantorStage:
-    return build_stage(plan, k)
-
-
-def stage_cdf(plan: LevelPlan, k: int, x) -> float:
-    """F_k(x): piecewise-linear distribution function of the stage-k measure.
-
-    Climbs by 1/(d_1*...*d_k) linearly across each stage interval, is
-    constant on the gaps; F_k(0) = 0 and F_k(1) = 1.
-    """
-    if not 0 <= k <= plan.depth:
-        raise ValueError("k must lie within the plan depth")
-    xq = Fraction(x)
-    if not 0 <= xq <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    stage = _cached_stage(plan, k)
-    lefts = stage.left_endpoints
-    L = stage.interval_length
-    # Stage intervals are disjoint and sorted: those with left + L <= x are
-    # passed in full, and only the next one can contain x.
-    full = bisect_right(lefts, xq - L)
-    total = Fraction(full, len(lefts))
-    if full < len(lefts) and xq > lefts[full]:
-        total += Fraction(1, len(lefts)) * (xq - lefts[full]) / L
-    return float(total)
+    return functools.reduce(operator.mul, (
+        _level_sum(
+            plan.levels[k].digits,
+            q.numerator * plan.eta_product(k).numerator,
+            q.denominator * plan.eta_product(k).denominator * plan.M(k + 1),
+        )
+        for k in range(factors)
+    ))
 
 
 def dyadic_block_envelope(samples: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

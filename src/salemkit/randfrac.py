@@ -6,10 +6,11 @@ and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
-walks the same trial stream, trials 0..trials-1 one at a time.  The order
-and lemma-6.3 experiments read each trial as a :class:`TrialResult`; the
-dimension experiment reads only the final-stage count, straight from the
-refinement's int64 arrays, and never builds the per-stage integer tuples.
+walks the same trial stream, trials 0..trials-1 one at a time.  The
+lemma-6.3 experiment reads each trial as a :class:`TrialResult`; the
+dimension and order experiments read only the final stage, straight from
+the refinement's int64 arrays, and never build the per-stage integer
+tuples.
 """
 
 from __future__ import annotations
@@ -75,18 +76,10 @@ class TrialResult:
 class DimensionStats:
     mean_dim: float
     std_dim: float
-    extinction_rate: float
+    # Share of trials that went extinct.
+    extinct: float
     trials: int
     dims: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "mean_dim": self.mean_dim,
-            "std_dim": self.std_dim,
-            "extinct": self.extinction_rate,
-            "trials": self.trials,
-            "dims": list(self.dims),
-        }
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,10 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     surviving trial's final-stage cells, their median (None when every
     trial went extinct) and the extinct count, against the target 1 - beta.
     """
-    alphas = [corollary64_check(trial).alpha for trial in _trials(config) if not trial.extinct]
+    # Only the final stage is scored, read straight from the int64 arrays.
+    M = config.resolution()
+    finals = (_refine(config, t)[-1] for t in range(config.trials))
+    alphas = [equidist_order([NApproximation(M, final.tolist())]).alpha for final in finals if final.size]
     median = statistics.median(alphas) if alphas else None
     return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 

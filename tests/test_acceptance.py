@@ -173,17 +173,17 @@ def test_criterion_5_random_fractal_dimension():
         results[beta] = stats
     elapsed = time.time() - t0
     ok = all(
-        abs(results[b].mean_dim - (1 - b)) <= 0.1 and results[b].extinction_rate < 0.1
+        abs(results[b].mean_dim - (1 - b)) <= 0.1 and results[b].extinct < 0.1
         for b in results
     ) and elapsed < 120
     detail = ", ".join(
         f"beta={b}: mean {results[b].mean_dim:.3f} (target {1-b}), extinct "
-        f"{results[b].extinction_rate:.0%}" for b in results
+        f"{results[b].extinct:.0%}" for b in results
     )
     report(5, ok, f"{detail}, {elapsed:.1f}s")
     for b, stats in results.items():
         assert abs(stats.mean_dim - (1 - b)) <= 0.1
-        assert stats.extinction_rate < 0.1
+        assert stats.extinct < 0.1
     assert elapsed < 120
 
 

@@ -51,19 +51,27 @@ def small_plans(draw, max_depth=6):
     return LevelPlan(tuple(levels), beta, (Fraction(1, 100), Fraction(100)))
 
 
+def stage_fractions(stage):
+    """The stage's left endpoints n/D and its length as exact rationals."""
+    D = stage.denominator
+    return [Fraction(n, D) for n in stage.numerators], Fraction(stage.length, D)
+
+
 def check_stage_invariants(plan, depth):
-    """Exact disjointness of siblings and exact nesting in the parent stage."""
+    """Exact disjointness of siblings and exact nesting in the parent stage,
+    on the integers over D read as rationals."""
     stage = build_stage(plan, depth)
-    L = stage.interval_length
-    for x, y in zip(stage.left_endpoints, stage.left_endpoints[1:]):
+    lefts, L = stage_fractions(stage)
+    assert L == plan.interval_length(depth)
+    assert tuple(lefts) == stage.left_endpoints and L == stage.interval_length
+    for x, y in zip(lefts, lefts[1:]):
         assert x + L <= y
     if depth >= 1:
-        parent = build_stage(plan, depth - 1)
-        Lp = parent.interval_length
-        for x in stage.left_endpoints:
-            i = bisect_right(parent.left_endpoints, x) - 1
+        parent_lefts, Lp = stage_fractions(build_stage(plan, depth - 1))
+        for x in lefts:
+            i = bisect_right(parent_lefts, x) - 1
             assert i >= 0
-            xp = parent.left_endpoints[i]
+            xp = parent_lefts[i]
             assert xp <= x and x + L <= xp + Lp
 
 
@@ -180,7 +188,9 @@ class TestPointFromDigits:
             point_from_digits(plan, word)
             for word in product(*(lvl.digits for lvl in plan.levels[:depth]))
         }
-        assert endpoints == set(stage.left_endpoints)
+        lefts, L = stage_fractions(stage)
+        assert endpoints == set(lefts)
+        assert L == plan.interval_length(depth)
 
 
 class TestBoxDimension:

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemkit.cantor import build_stage, make_plan, ternary_plan
-from salemkit.core_sets import decay_exponent_fit, fractional_density
+from salemkit.core_sets import IntegerSet, decay_exponent_fit, fractional_density
 from salemkit.generators import squares_below
 from salemkit.equidist import (
     NApproximation,
@@ -35,6 +35,33 @@ def linear_cells(intervals, N):
     )
 
 
+def stage_intervals(stage):
+    return [(x, x + stage.interval_length) for x in stage.left_endpoints]
+
+
+def fraction_integers_from_approximations(approximations):
+    """Reference: the extraction with cells compared as reduced Fractions,
+    stage by stage against the previous stage's cell fractions."""
+    out = set()
+    prev_fractions = set()
+    prev_N = 0
+    horizon = 1
+    for approx in approximations:
+        fractions = {Fraction(c, approx.N): c for c in approx.cells}
+        new = {num for frac, num in fractions.items() if frac not in prev_fractions}
+        out.update(prev_N + num for num in new)
+        horizon = max(horizon, prev_N + approx.N)
+        prev_fractions = set(fractions)
+        prev_N = approx.N
+    return IntegerSet(tuple(sorted(out)), horizon)
+
+
+@st.composite
+def approximation_sequences(draw):
+    sizes = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=4)))
+    return [NApproximation(N, tuple(sorted(draw(st.sets(st.integers(0, N - 1)))))) for N in sizes]
+
+
 def interval_strategy():
     lo = st.fractions(min_value=0, max_value=1, max_denominator=32)
     return st.tuples(lo, lo).map(sorted).filter(lambda p: p[0] < p[1])
@@ -50,7 +77,8 @@ class TestNApproximation:
 
     def test_ternary_stage_with_default_eta(self):
         stage = build_stage(ternary_plan(2), 1)
-        assert stage.intervals() == [
+        assert (stage.numerators, stage.length, stage.denominator) == ((0, 8), 3, 12)
+        assert stage_intervals(stage) == [
             (Fraction(0), Fraction(1, 4)),
             (Fraction(2, 3), Fraction(11, 12)),
         ]
@@ -72,7 +100,7 @@ class TestNApproximation:
         for plan, depth, N in ((ternary_plan(5), 5, 3**6), (ternary_plan(5, unit_eta=True), 5, 3**5),
                                (squares, 2, 997)):
             stage = build_stage(plan, depth)
-            assert n_approximation(stage, N).cells == linear_cells(stage.intervals(), N)
+            assert n_approximation(stage, N).cells == linear_cells(stage_intervals(stage), N)
 
     @given(st.lists(interval_strategy(), min_size=1, max_size=4), st.integers(1, 24))
     @settings(max_examples=80, deadline=None)
@@ -127,7 +155,7 @@ class TestEquidistOrder:
         ms = [2, 3, 5, 17, 31]
         mods = weyl_moduli(approx.cells, approx.N, ms)
         for m, mod in zip(ms, mods):
-            assert mod == pytest.approx(naive_weyl_modulus(approx.fractions(), m), abs=1e-12)
+            assert mod == pytest.approx(naive_weyl_modulus([Fraction(c, 32) for c in approx.cells], m), abs=1e-12)
 
     @pytest.mark.parametrize("N", [2**31 + 1, 2**62 + 3])
     def test_moduli_beyond_int32(self, N):
@@ -252,6 +280,13 @@ class TestIntegersFromApproximations:
             B = integers_from_approximations([NApproximation(N, cells)])
             back = n_approximation([Fraction(b, N) for b in B.elements], N)
             assert back.cells == cells
+
+    @given(approximation_sequences())
+    @example([NApproximation(6, (0, 2, 3, 5)), NApproximation(10, (0, 4, 5, 9)), NApproximation(15, (0, 5, 6, 10))])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, approximations):
+        # non-nested sizes such as 6, 10, 15 share only some cell fractions
+        assert integers_from_approximations(approximations) == fraction_integers_from_approximations(approximations)
 
     def test_density_tracks_construction(self):
         # four stages of one beta = 0.5 refinement; counting at the block

@@ -244,11 +244,15 @@ class TestReportBytes:
         assert rows
         assert out.read_text() == canonical_json({"witnesses": rows}) + "\n"
 
+    def test_dimension_stats(self, tmp_path):
+        s = dimension_experiment(RandomFractalConfig(0.5, (8, 8, 8), 3, 4, 5))
+        want = {"mean_dim": s.mean_dim, "std_dim": s.std_dim, "extinct": s.extinct,
+                "trials": s.trials, "dims": list(s.dims)}
+        assert written(s, tmp_path) == canonical_json(want) + "\n"
+
     def test_as_dict_takes_precedence(self, tmp_path):
-        stats = dimension_experiment(RandomFractalConfig(0.5, (8, 8, 8), 3, 4, 5))
-        assert canonical_json({"s": stats}) == canonical_json({"s": stats.as_dict()})
-        assert '"extinct":' in written(stats, tmp_path)
         decay = decay_check(ternary_plan(4), list(range(2, 40)), 0.5)
+        assert canonical_json({"d": decay}) == canonical_json({"d": decay.as_dict()})
         text = written(decay, tmp_path)
         assert text == canonical_json(decay.as_dict()) + "\n"
         assert '"pass":' in text and "spectrum" not in text

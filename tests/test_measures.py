@@ -15,7 +15,6 @@ from salemkit.measures import (
     dyadic_block_envelope,
     mu_hat,
     q_factor,
-    stage_cdf,
     truncation_for,
 )
 
@@ -60,13 +59,35 @@ def exact_phase_mu_hat(plan, factors, u):
     return value
 
 
+def fraction_q_factor(plan, k, u):
+    """Reference: the level factor as written with Fraction arguments, each
+    phase the residue of the reduced numerator of u times a mod s*M_k."""
+    level = plan.levels[k - 1]
+    q = Fraction(u)
+    D = q.denominator * plan.M(k)
+    total = 0j
+    for a in level.digits:
+        total += cmath.exp(-2j * math.pi * (q.numerator * a % D / D))
+    return total / len(level.digits)
+
+
+def fraction_mu_hat(plan, u, factors):
+    """Reference: the factor product with each argument eta_1...eta_k * u
+    built as a reduced Fraction and passed to :func:`fraction_q_factor`."""
+    q = Fraction(u)
+    value = fraction_q_factor(plan, 1, q)
+    for k in range(1, factors):
+        value *= fraction_q_factor(plan, k + 1, plan.eta_product(k) * q)
+    return value
+
+
 def squares_plan():
     return make_plan(squares_below(10**4), [100, 100, 100, 100], 0.5)
 
 
 def linear_stage_cdf(plan, k, x):
-    """Oracle: every stage interval contributes its covered share of 1/d,
-    clamped to [0, 1], in exact rationals."""
+    """F_k(x) by its definition: every stage interval contributes its
+    covered share of 1/d, clamped to [0, 1], in exact rationals."""
     stage = build_stage(plan, k)
     L = stage.interval_length
     share = sum(min(max((Fraction(x) - left) / L, Fraction(0)), Fraction(1)) for left in stage.left_endpoints)
@@ -202,6 +223,22 @@ class TestExactPhases:
         factors, _ = truncation_for(plan, u)
         assert abs(mu_hat(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
+    @given(st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(-10**6, 10**6, max_denominator=10**4),
+        st.floats(-1e6, 1e6),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_fraction_reference(self, u):
+        # The integer-pair phases of mu_hat and q_factor give the bits of
+        # the reduced-Fraction reference, signed zeros included (repr).
+        for plan in (squares_plan(), ternary_plan(14, unit_eta=True), ternary_plan(12)):
+            factors, _ = truncation_for(plan, u)
+            assert repr(mu_hat(plan, u)) == repr(fraction_mu_hat(plan, u, factors))
+            assert repr(mu_hat(plan, u, depth=plan.depth)) == repr(fraction_mu_hat(plan, u, plan.depth))
+            for k in range(1, plan.depth + 1):
+                assert repr(q_factor(plan, k, u)) == repr(fraction_q_factor(plan, k, u))
+
     def test_integer_frequencies_match_exact_oracle(self):
         plan = ternary_plan(10)
         for u in (2, 3**7, 10**5 + 1, Fraction(7, 3)):
@@ -210,47 +247,30 @@ class TestExactPhases:
 
 
 class TestStageCdf:
+    """Properties of F_k, checked on the exact oracle ``linear_stage_cdf``."""
+
     def test_normalization(self):
         m = ternary_plan(5)
         for k in range(6):
-            assert stage_cdf(m, k, 0) == 0.0
-            assert stage_cdf(m, k, 1) == 1.0
+            assert linear_stage_cdf(m, k, 0) == 0.0
+            assert linear_stage_cdf(m, k, 1) == 1.0
 
     def test_first_interval_carries_half(self):
         m = ternary_plan(3, unit_eta=True)
-        assert stage_cdf(m, 1, Fraction(1, 3)) == pytest.approx(0.5)
+        assert linear_stage_cdf(m, 1, Fraction(1, 3)) == pytest.approx(0.5)
 
     def test_first_of_four(self):
         m = ternary_plan(3, unit_eta=True)
-        assert stage_cdf(m, 2, Fraction(1, 9)) == pytest.approx(0.25)
-
-    def test_outside_domain_rejected(self):
-        m = ternary_plan(2)
-        with pytest.raises(ValueError):
-            stage_cdf(m, 1, Fraction(3, 2))
-
-    def test_bisect_matches_linear_oracle(self):
-        plans = [
-            ternary_plan(5),
-            ternary_plan(5, unit_eta=True),
-            make_plan(squares_below(100), [100, 100], 0.5),
-        ]
-        xs = [Fraction(i, 97) for i in range(98)] + [Fraction(2, 3), Fraction(1, 9), Fraction(10**5 + 1, 10**6)]
-        for plan in plans:
-            for k in range(plan.depth + 1):
-                stage = build_stage(plan, k)
-                edges = [e for x in stage.left_endpoints for e in (x, x + stage.interval_length) if e <= 1]
-                for x in xs + edges[:40]:
-                    assert stage_cdf(plan, k, x) == linear_stage_cdf(plan, k, x)
+        assert linear_stage_cdf(m, 2, Fraction(1, 9)) == pytest.approx(0.25)
 
     def test_monotone_and_cauchy(self):
         # F_k non-decreasing; sup |F_k - F_{k+1}| <= 1/(d_1...d_k)
         m = ternary_plan(6)
         xs = [Fraction(i, 81) for i in range(82)]
         for k in (2, 3, 4):
-            vals = [stage_cdf(m, k, x) for x in xs]
+            vals = [linear_stage_cdf(m, k, x) for x in xs]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-            nxt = [stage_cdf(m, k + 1, x) for x in xs]
+            nxt = [linear_stage_cdf(m, k + 1, x) for x in xs]
             bound = 1.0 / 2**k
             assert max(abs(a - b) for a, b in zip(vals, nxt)) <= bound + 1e-12
 
@@ -339,7 +359,7 @@ class TestDecayCheck:
         # F is flat across the middle gap of the unit-eta plan
         m = ternary_plan(4, unit_eta=True)
         for x in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
-            assert stage_cdf(m, 2, x) == 0.5
+            assert linear_stage_cdf(m, 2, x) == 0.5
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError):

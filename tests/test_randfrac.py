@@ -136,7 +136,7 @@ class TestDimensionExperiment:
         stats = dimension_experiment(cfg)
         assert stats.dims == (1.0,) * 5
         assert stats.mean_dim == 1.0
-        assert stats.extinction_rate == 0.0
+        assert stats.extinct == 0.0
 
     def test_beta_half(self):
         cfg = RandomFractalConfig(0.5, (64, 64, 64), 3, 50, SEED)
@@ -162,7 +162,7 @@ class TestDimensionExperiment:
         assert stats.dims == tuple(dims)
         assert stats.mean_dim == float(np.asarray(dims).mean())
         assert stats.std_dim == float(np.asarray(dims).std())
-        assert stats.extinction_rate == extinct / trials
+        assert stats.extinct == extinct / trials
 
     def test_resolution_one_rejected(self):
         # log(M) = 0 at M = 1 would divide by zero

@@ -7,21 +7,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import salemkit as sk
 from salemkit.formats import fmt_float
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *argv, output):
+def start_script(name, *argv, output):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv, "--output", str(output)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *argv, output):
+    proc = start_script(name, *argv, output=output)
     assert proc.returncode == 0, proc.stderr
     return json.loads(output.read_text())
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("random_salem_sweep.py", "--levels", "8,x"),
+    ("random_salem_sweep.py", "--betas", "0.25,y"),
+    ("lemma_trend.py", "--n1s", "64.5"),
+])
+def test_malformed_list_flag_is_usage_error(tmp_path, name, flag, value):
+    output = tmp_path / "out.json"
+    proc = start_script(name, flag, value, "--seed", "1", output=output)
+    assert proc.returncode == 2
+    assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not output.exists()
 
 
 def test_lemma_trend(tmp_path):
