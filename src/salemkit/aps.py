@@ -9,24 +9,21 @@ exact rational arithmetic; no float enters a membership decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core_sets import IntegerSet, as_integers, dft_char, fractional_density, geometric_grid
 
 
-@dataclass(frozen=True)
-class APWitness:
+class APWitness(NamedTuple):
+    """``length`` terms from ``start`` by ``difference``; :func:`_maximal_runs`
+    builds each one with difference >= 1 and length >= 3."""
+
     start: int | Fraction
     difference: int | Fraction
     length: int
-
-    def __post_init__(self) -> None:
-        if self.difference <= 0:
-            raise ValueError("difference must be positive")
-        if self.length < 3:
-            raise ValueError("length must be at least 3")
 
     def terms(self) -> list:
         return [self.start + j * self.difference for j in range(self.length)]
@@ -151,7 +148,7 @@ def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int) -> GridAP | 
         raise ValueError("k_max must be non-negative")
     separated = False
     for k in range(k_max, -1, -1):
-        indices = sorted(int(p * 2**k) for p in pts)
+        indices = sorted(math.floor(p * 2**k) for p in pts)
         if len(set(indices)) != len(indices):
             break
         separated = True

@@ -21,11 +21,14 @@ from .formats import FormatError
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type: a comma list of integers."""
+    """argparse type: a nonempty comma list of integers."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one integer")
+    return values
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -133,13 +136,13 @@ def cmd_ap_find(args) -> int:
     if args.format == "csv":
         formats.write_text(args.output, formats.witnesses_csv(witnesses))
     else:
-        formats.write_report({"witnesses": witnesses}, args.output)
+        formats.write_report({"witnesses": [w._asdict() for w in witnesses]}, args.output)
     return 0
 
 
 def cmd_ap_embed(args) -> int:
     A = formats.load_integer_set(args.input)
-    depth = args.depth if args.depth else len(args.exponents)
+    depth = args.depth if args.depth is not None else len(args.exponents)
     points = aps.dyadic_embed(A, args.exponents, depth)
     formats.save_points(points, args.output)
     return 0

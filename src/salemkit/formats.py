@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .aps import APWitness
 from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
 from .core_sets import IntegerSet, SpectrumSample
 from .equidist import NApproximation
@@ -255,11 +254,9 @@ def stage_csv(stage: CantorStage) -> str:
     return "\n".join(lines) + "\n"
 
 
-def witnesses_csv(witnesses: Iterable[APWitness]) -> str:
-    lines = ["start,difference,length"]
-    for w in witnesses:
-        lines.append(f"{fmt_rational(w.start)},{fmt_rational(w.difference)},{w.length}")
-    return "\n".join(lines) + "\n"
+def witnesses_csv(witnesses: Iterable[tuple]) -> str:
+    # Rows (start, difference, length); str prints an int or Fraction as fmt_rational does.
+    return "start,difference,length\n" + "".join("%s,%s,%s\n" % w for w in witnesses)
 
 
 def write_text(path, text: str) -> None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from salemkit.aps import (
     APWitness,
+    GridAP,
     SeparationError,
     check_thm32_hypotheses,
     dyadic_embed,
@@ -50,7 +51,7 @@ class TestFindApIntegers:
     def test_maximal_length_reported_once(self):
         A = IntegerSet((0, 2, 4, 6), 7)
         hits = find_ap_integers(A, 4)
-        assert hits == [APWitness(0, 2, 4)]
+        assert hits == [APWitness(0, 2, 4)] == [(0, 2, 4)]
         # the same run is not re-reported from its second term
         hits3 = find_ap_integers(A, 3)
         assert APWitness(0, 2, 4) in hits3
@@ -66,6 +67,14 @@ class TestFindApIntegers:
         A = IntegerSet.from_elements(elems, 512)
         witnesses = find_ap_integers(A, 3)
         assert expand_witnesses(witnesses, 3) == brute_force_3aps(A)
+        # rows are distinct, in (start, difference) order, and maximal runs in A
+        keys = [(w.start, w.difference) for w in witnesses]
+        assert keys == sorted(set(keys))
+        members = set(A.elements)
+        for start, d, length in witnesses:
+            assert d >= 1 and length >= 3
+            assert all(start + j * d in members for j in range(length))
+            assert start - d not in members and start + length * d not in members
 
 
 class TestFindApPoints:
@@ -164,6 +173,11 @@ class TestGridApDescent:
                 break
         hit = grid_ap_descent([Fraction(v) for v in values], n, 0)
         assert (hit.indices if hit else None) == expected
+
+    def test_negative_points_use_floor(self):
+        # truncation toward zero would put -1/4 and 1/4 both at stage-1 index 0
+        hit = grid_ap_descent([Fraction(-3, 4), Fraction(-1, 4), Fraction(1, 4)], 3, 1)
+        assert hit == GridAP(1, (-2, -1, 0))
 
     def test_none_at_any_stage(self):
         pts = [Fraction(0), Fraction(3, 8), Fraction(7, 8)]

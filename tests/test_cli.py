@@ -72,6 +72,16 @@ class TestExitCodes:
         assert "need depth at least 3" in capsys.readouterr().err
         assert not dump.exists() and not out.exists()
 
+    def test_embed_depth_zero_refused(self, tmp_path, capsys):
+        # depth 0 used to read as "absent" and embed at full depth
+        ap_path = tmp_path / "ap.txt"
+        save_integer_set(IntegerSet((3, 7, 11), 12), ap_path)
+        out = tmp_path / "pts.txt"
+        assert run("ap-embed", "--input", str(ap_path), "--exponents", "4,7", "--depth", "0",
+                   "--output", str(out)) == 1
+        assert "depth must select a prefix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_operand_is_usage_error(self, capsys):
         assert run("weyl", "--m", "1") == 2
         assert run("ap-descent", "--n", "3", "--k-max", "4") == 2
@@ -82,8 +92,10 @@ class TestExitCodes:
             ("--levels", ["random-salem", "--beta", "0.5", "--levels", "8,x", "--depth", "2",
                           "--trials", "2", "--seed", "1"]),
             ("--points", ["weyl", "--points", "1/0", "--m", "1"]),
+            ("--freqs", ["dft", "--input", "sq.txt", "--freqs", ""]),
+            ("--grid", ["density", "--input", "sq.txt", "--grid", ","]),
         ],
-        ids=["levels", "points"],
+        ids=["levels", "points", "empty-freqs", "empty-grid"],
     )
     def test_malformed_flag_value_is_usage_error(self, flag, argv, capsys):
         # exit 3 is kept for files: a bad flag value is a usage error

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from salemkit.aps import check_thm32_hypotheses, find_ap_integers
+from salemkit.aps import check_thm32_hypotheses, find_ap_integers, find_ap_points
 from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
@@ -32,6 +32,7 @@ from salemkit.formats import (
     save_points,
     spectrum_csv,
     stage_csv,
+    witnesses_csv,
     write_report,
 )
 
@@ -271,6 +272,15 @@ class TestCsv:
         assert lines[0] == "numerator,denominator,value"
         assert lines[1] == "0,1,0"
         assert lines[2].startswith("2,3,0.66666666")
+
+    def test_rational_witnesses(self):
+        points = [Fraction(p) for p in ("-1/3", "0", "1/3", "1/2", "1", "3/2", "2", "3", "5")]
+        witnesses = find_ap_points(points, 3)
+        want = "start,difference,length\n" + "".join(
+            f"{fmt_rational(s)},{fmt_rational(d)},{n}\n" for s, d, n in witnesses)
+        assert witnesses_csv(witnesses) == want
+        # negative, integral and fractional values in both rational columns
+        assert "-1/3,1/3,3\n" in want and "0,1,4\n" in want and "1,2,3\n" in want
 
     def test_rational_formatting(self):
         assert fmt_rational(Fraction(4, 8)) == "1/2"
