@@ -16,11 +16,14 @@ from salemkit.formats import write_report
 
 
 def _float_list(text: str) -> list[float]:
-    """argparse type: a comma list of floats."""
+    """argparse type: a nonempty comma list of floats."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one float")
+    return values
 
 
 def main() -> int:

@@ -30,9 +30,10 @@ EXPONENT_CAP = 1.0
 # rounding noise of summing up to 1e6 unit-modulus terms in doubles.
 ZERO_FLOOR = 1e-12
 
-# Entries per int64 phase block in exp_sum: full-range spectra of a few
-# thousand members stay within tens of MB, and blocks stay large enough
-# that numpy, not the block loop, sets the time.
+# Entries per block of exp_sum's int64 phases and of the random
+# refinement's keep draws: full-range spectra of a few thousand members
+# stay within tens of MB, and blocks stay large enough that numpy, not the
+# block loop, sets the time.
 _CHUNK = 1 << 16
 # Largest denominator whose unit roots exp_sum tabulates: 2**20 complex
 # doubles are 16 MB, and the cache below keeps at most two tables.  A table
@@ -183,7 +184,7 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
                 block &= D - 1
             else:
                 block %= D
-            phases = np.exp((-2j * np.pi / D) * block) if table is None else table[block]
+            phases = np.exp((-2j * np.pi / D) * block) if table is None else np.take(table, block)
             out[lo : lo + rows] = phases.sum(axis=1)
         return out
     members = a.tolist()

@@ -54,9 +54,10 @@ def _render(obj) -> str:
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{" + ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        # Exactly-int entries (not bool, not numpy) render as str in one join.
+        # Exactly-int entries (not bool, not numpy) render as str, joined in
+        # blocks of 4096 so a long cell list never exists as one list of str.
         if set(map(type, obj)) <= {int}:
-            return "[" + ",".join(map(str, obj)) + "]"
+            return "[" + ",".join(",".join(map(str, obj[i : i + 4096])) for i in range(0, len(obj), 4096)) + "]"
         return "[" + ",".join(_render(v) for v in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)

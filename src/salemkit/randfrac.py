@@ -6,11 +6,12 @@ and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
-walks the same trial stream, trials 0..trials-1 one at a time.  The
-lemma-6.3 experiment reads each trial as a :class:`TrialResult`; the
-dimension and order experiments read only the final stage, straight from
-the refinement's int64 arrays, and never build the per-stage integer
-tuples.
+walks the same trial stream, trials 0..trials-1 one at a time.  Each
+stage draws its keep-mask first, in blocks, from the trial's one stream,
+and builds only the surviving cells.  The lemma-6.3 experiment reads each
+trial as a :class:`TrialResult`; the dimension and order experiments read
+only the final stage, straight from the refinement's int64 arrays, and
+never build the per-stage integer tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_sets import as_integers, exp_sum
+from .core_sets import _CHUNK, as_integers, exp_sum
 from .equidist import NApproximation, OrderEstimate, equidist_order
 
 
@@ -130,7 +131,16 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
 def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:
     """The int64 cells of every stage of one trial, ending at the configured
     depth or at the first empty stage, whichever comes first: the last
-    stage is empty exactly when the trial went extinct."""
+    stage is empty exactly when the trial went extinct.
+
+    Child j of parent c is the cell c*size + j, kept when its uniform draw
+    is below size**(-beta); draws run parent-major, one per child.  Each
+    stage draws its keep-mask first and builds only the survivors, over
+    blocks of at most ``_CHUNK`` draws (and at least one parent).  The
+    blocks take consecutive draws of the one stream, and a generator gives
+    the same doubles in pieces as in one call, so the cells do not depend
+    on the block size.
+    """
     rng = trial_rng(config, trial_index)
     stages: list[np.ndarray] = []
     # Stage 1 refines the single cell 0 of the unit interval.
@@ -138,9 +148,14 @@ def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:
     for size in config.level_sizes[: config.depth]:
         if current.size == 0:
             break
-        children = (current[:, None] * size + np.arange(size, dtype=np.int64)).ravel()
-        keep = rng.random(children.size) < size ** (-config.beta)
-        current = children[keep]
+        p = size ** (-config.beta)
+        rows = max(1, _CHUNK // size)
+        blocks = []
+        for lo in range(0, current.size, rows):
+            parents = current[lo : lo + rows]
+            idx = np.flatnonzero(rng.random(parents.size * size) < p)
+            blocks.append(parents[idx // size] * size + idx % size)
+        current = np.concatenate(blocks)
         stages.append(current)
     return stages
 
@@ -149,7 +164,8 @@ def _trials(config: RandomFractalConfig) -> Iterator[TrialResult]:
     """Every configured trial in trial order, extinct ones included.
 
     Trials are generated one at a time and dropped once the caller moves
-    on: a single 64**4 trial already holds megabytes of Python integers.
+    on: the refinement itself holds only the survivors of each stage, but a
+    64**4 trial's cells as tuples of Python integers still take megabytes.
     """
     for t in range(config.trials):
         yield generate_trial(config, t)

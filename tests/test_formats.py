@@ -172,6 +172,21 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             canonical_json((0, np.int64(3)))
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1])
+    def test_int_lists_join_across_blocks(self, n):
+        # plain-int lists join in blocks of 4096; the bytes are one join's
+        xs = [(-1) ** i * (i * 2**57 + i) for i in range(n)]
+        if n:
+            xs[-1] = 2**63 + 5
+        for obj in (xs, tuple(xs)):
+            assert canonical_json(obj) == "[" + ",".join(map(str, xs)) + "]"
+
+    def test_long_list_with_bool_or_numpy_entry_renders_per_item(self):
+        xs = list(range(5000))
+        assert canonical_json(xs[:4097] + [True] + xs[4097:]).split(",")[4097] == "true"
+        with pytest.raises(TypeError):
+            canonical_json(xs[:4097] + [np.int64(3)] + xs[4097:])
+
 
 def written(report, tmp_path):
     path = tmp_path / "report.json"

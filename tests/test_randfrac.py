@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from salemkit import randfrac
 from salemkit.randfrac import (
     RandomFractalConfig,
     TrialResult,
@@ -18,7 +21,7 @@ from salemkit.randfrac import (
     order_experiment,
 )
 from salemkit.cli import run_command
-from salemkit.core_sets import exp_sum
+from salemkit.core_sets import _CHUNK, exp_sum
 from salemkit.formats import canonical_json
 
 SEED = 20260810
@@ -35,6 +38,76 @@ def naive_mu1(cells, N1, beta, u):
     p = N1 ** (-beta)
     comb = sum(cmath.exp(-2j * math.pi * float(u * c / N1 % 1)) for c in cells)
     return comb * (1 - cmath.exp(-2j * math.pi * float(u) / N1)) / (2j * math.pi * float(u)) / p
+
+
+def reference_refine(config, trial_index):
+    """Oracle for the refinement: build every child cell of a stage, then
+    draw one uniform per child from the trial stream and keep the children
+    whose draw is below size**(-beta)."""
+    rng = randfrac.trial_rng(config, trial_index)
+    stages = []
+    current = np.zeros(1, dtype=np.int64)
+    for size in config.level_sizes[: config.depth]:
+        if current.size == 0:
+            break
+        children = (current[:, None] * size + np.arange(size, dtype=np.int64)).ravel()
+        keep = rng.random(children.size) < size ** (-config.beta)
+        current = children[keep]
+        stages.append(current)
+    return stages
+
+
+def assert_same_stages(stages, expected):
+    assert len(stages) == len(expected)
+    for stage, want in zip(stages, expected):
+        assert stage.dtype == np.int64
+        np.testing.assert_array_equal(stage, want)
+
+
+# Level sizes for the refinement oracle: 1, sizes that do not divide 2**16,
+# a power of two, and one above 2**16, which fills a block by itself.
+ORACLE_SIZES = (1, 2, 3, 7, 64, 100, 1000, 70001)
+
+
+@st.composite
+def refinement_configs(draw):
+    """Configs whose full refinement has at most 2**20 cells, so the oracle
+    stays cheap even at beta = 0."""
+    sizes = []
+    budget = 1 << 20
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([n for n in ORACLE_SIZES if n <= budget]))
+        sizes.append(size)
+        budget //= size
+    beta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    depth = draw(st.integers(1, len(sizes)))
+    trial_index = draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return RandomFractalConfig(beta, tuple(sizes), depth, trial_index + 1, seed), trial_index
+
+
+class TestRefine:
+    @given(refinement_configs())
+    # beta = 0 keeps every child.
+    @example((RandomFractalConfig(0.0, (3, 70001), 2, 1, SEED), 0))
+    # Trial 3 dies at stage 2 of 3 (pinned in TestGenerateTrial).
+    @example((RandomFractalConfig(0.75, (4, 4, 4), 3, 4, 7), 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_build_all_children_oracle(self, case):
+        config, t = case
+        assert_same_stages(randfrac._refine(config, t), reference_refine(config, t))
+
+    @pytest.mark.parametrize("chunk", [_CHUNK, 1000, 1])
+    def test_last_stage_over_several_blocks(self, chunk):
+        # 64**4 at beta = 1/4 is the benchmark's trial size: here the last
+        # stage draws 522,304 uniforms, 8 blocks of 2**16.  Smaller blocks
+        # take the same draws from the stream, so the cells do not change.
+        config = RandomFractalConfig(0.25, (64, 64, 64, 64), 4, 1, SEED)
+        expected = reference_refine(config, 0)
+        assert expected[-2].size * 64 > 4 * _CHUNK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randfrac, "_CHUNK", chunk)
+            assert_same_stages(randfrac._refine(config, 0), expected)
 
 
 class TestGenerateTrial:

@@ -33,6 +33,8 @@ def run_script(name, *argv, output):
 @pytest.mark.parametrize("name, flag, value", [
     ("random_salem_sweep.py", "--levels", "8,x"),
     ("random_salem_sweep.py", "--betas", "0.25,y"),
+    ("random_salem_sweep.py", "--betas", ","),
+    ("random_salem_sweep.py", "--betas", ""),
     ("lemma_trend.py", "--n1s", "64.5"),
 ])
 def test_malformed_list_flag_is_usage_error(tmp_path, name, flag, value):
