@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemkit import measures
@@ -59,16 +61,45 @@ def exact_phase_mu_hat(plan, factors, u):
     return value
 
 
+def loop_level_sum(digits, p, D):
+    """Oracle: the per-digit loop of the scalar transform.  Each phase is
+    the residue p*a mod D over D, one correctly rounded float, and the
+    terms are added in digit order as Python complexes."""
+    total = 0j
+    for a in digits:
+        total += cmath.exp(-2j * math.pi * (p * a % D / D))
+    return total / len(digits)
+
+
+def loop_truncation(plan, u):
+    """Oracle: the scalar truncation rule, one level at a time for one u."""
+    au = abs(float(u))
+    for p in range(plan.depth):
+        if float(plan.eta_product(p)) * au / plan.M(p + 1) < measures.THETA:
+            return p + 1, False
+    return plan.depth, True
+
+
+def loop_mu_hat(plan, u, factors):
+    """Oracle: the scalar factor product at one u.  Factor k+1 takes
+    eta_1...eta_k * u / M_{k+1} as an unreduced integer pair, and the
+    product starts from the first factor (reduce, no start value 1)."""
+    q = Fraction(u)
+    return functools.reduce(operator.mul, (
+        loop_level_sum(
+            plan.levels[k].digits,
+            q.numerator * plan.eta_product(k).numerator,
+            q.denominator * plan.eta_product(k).denominator * plan.M(k + 1),
+        )
+        for k in range(factors)
+    ))
+
+
 def fraction_q_factor(plan, k, u):
     """Reference: the level factor as written with Fraction arguments, each
     phase the residue of the reduced numerator of u times a mod s*M_k."""
-    level = plan.levels[k - 1]
     q = Fraction(u)
-    D = q.denominator * plan.M(k)
-    total = 0j
-    for a in level.digits:
-        total += cmath.exp(-2j * math.pi * (q.numerator * a % D / D))
-    return total / len(level.digits)
+    return loop_level_sum(plan.levels[k - 1].digits, q.numerator, q.denominator * plan.M(k))
 
 
 def fraction_mu_hat(plan, u, factors):
@@ -83,6 +114,11 @@ def fraction_mu_hat(plan, u, factors):
 
 def squares_plan():
     return make_plan(squares_below(10**4), [100, 100, 100, 100], 0.5)
+
+
+def random_plan():
+    """A power-law plan whose padding factors eta_k are not 1."""
+    return make_plan(power_law_set(64, 0.5, seed=5), [16, 32, 64], 0.5, c_bounds=(Fraction(1, 8), Fraction(8)))
 
 
 def linear_stage_cdf(plan, k, x):
@@ -233,7 +269,8 @@ class TestExactPhases:
         # The integer-pair phases of mu_hat and q_factor give the bits of
         # the reduced-Fraction reference, signed zeros included (repr).
         for plan in (squares_plan(), ternary_plan(14, unit_eta=True), ternary_plan(12)):
-            factors, _ = truncation_for(plan, u)
+            factors, capped = truncation_for(plan, u)
+            assert (factors, capped) == loop_truncation(plan, u)
             assert repr(mu_hat(plan, u)) == repr(fraction_mu_hat(plan, u, factors))
             assert repr(mu_hat(plan, u, depth=plan.depth)) == repr(fraction_mu_hat(plan, u, plan.depth))
             for k in range(1, plan.depth + 1):
@@ -285,15 +322,56 @@ class TestDecayCheck:
         assert report.alpha_hat == 1.0
         assert report.passed
 
-    def test_truncation_computed_once_per_frequency(self, monkeypatch):
-        calls = []
-        original = measures.truncation_for
-        monkeypatch.setattr(measures, "truncation_for", lambda m, u: calls.append(u) or original(m, u))
-        m = ternary_plan(6, unit_eta=True)
-        grid = list(range(2, 40))
+    def test_factor_counts_fold_the_scalar_rule(self, monkeypatch):
+        # The grid is evaluated with one array of factor counts: it, the
+        # deepest count and the cap flag are the scalar rule folded over
+        # the grid.  The plan caps the grid's upper part only.
+        seen = []
+        original = measures._transform
+        monkeypatch.setattr(measures, "_transform", lambda m, us, counts: seen.append(counts.tolist()) or original(m, us, counts))
+        m = ternary_plan(10, unit_eta=True)
+        grid = list(range(2, 200))
         report = decay_check(m, grid, LOG23)
-        assert calls == grid
+        rule = [loop_truncation(m, u) for u in grid]
+        assert 0 < sum(capped for _, capped in rule) < len(grid)
+        assert seen == [[factors for factors, _ in rule]]
+        assert report.truncation_depth_used == max(factors for factors, _ in rule)
+        assert report.capped == any(capped for _, capped in rule)
         assert report.envelope == tuple(dyadic_block_envelope([(u, abs(mu_hat(m, u))) for u in grid]))
+
+    # Both residue paths on the unit ternary plan (digits 0 and 2): at
+    # s = 2**48, D = s * M_{k+1} passes 2**53 from level 4 on, after three
+    # int64 levels; p * a passes 2**63 at level 1 with p = 2**62 + 1, and
+    # p itself with p = 2**70 + 1.
+    CROSSING = (Fraction(2**61 + 1, 2**48), Fraction(2**62 + 1, 2**43), Fraction(2**70 + 1, 2**51))
+
+    @given(st.lists(st.one_of(
+        st.integers(2, 10**6),
+        st.fractions(2, 10**6, max_denominator=2**60),
+        st.floats(2, 1e6),
+    ), min_size=1, max_size=16))
+    @example([CROSSING[0]])
+    @example(list(CROSSING[1:]))
+    @example([10**6])
+    @example([123456.789, 2.0**19 + 0.1, 999999.5, 17.3])
+    @settings(max_examples=100, deadline=None)
+    def test_spectrum_bits_match_loop_oracle(self, grid):
+        # repr, so the sign of every zero counts; the fit needs four blocks
+        grid = grid + [2, 5, 9, 17]
+        for plan in (squares_plan(), ternary_plan(14, unit_eta=True), random_plan()):
+            report = decay_check(plan, grid, 0.5)
+            for sample, u in zip(report.spectrum, sorted(grid)):
+                factors, _ = loop_truncation(plan, u)
+                assert repr(sample.value) == repr(loop_mu_hat(plan, u, factors))
+
+    def test_crossing_examples_cross(self):
+        plan = ternary_plan(14, unit_eta=True)
+        first, product, numerator = self.CROSSING
+        assert first.denominator * plan.M(3) <= 2**53 < first.denominator * plan.M(4)
+        assert first.numerator * 2 < 2**63 and truncation_for(plan, first) == (plan.depth, True)
+        assert product.denominator * plan.M(1) <= 2**53 and product.numerator < 2**63 <= product.numerator * 2
+        assert numerator.denominator * plan.M(1) <= 2**53 and numerator.numerator >= 2**63
+        assert all(2 <= u <= measures.U_MAX for u in self.CROSSING)
 
     def test_spectrum_samples_equal_mu_hat(self):
         m = ternary_plan(8)
@@ -348,6 +426,13 @@ class TestDecayCheck:
         samples = [(2.0, 0.1), (3.0, 0.5), (4.0, 0.2), (7.9, 0.9)]
         env = dyadic_block_envelope(samples)
         assert env == [(3.0, 0.5), (7.9, 0.9)]
+
+    def test_envelope_block_of_float_below_power_of_two(self):
+        # floor(log2(u)) rounds the largest float below 2^t up to t
+        for t in range(3, 21):
+            below = math.nextafter(2.0**t, 0)
+            assert dyadic_block_envelope([(below, 0.5), (2.0**t, 0.1)]) == [(below, 0.5), (2.0**t, 0.1)]
+            assert dyadic_block_envelope([(2**t - 1, 0.5), (2**t, 0.1)]) == [(2**t - 1, 0.5), (2**t, 0.1)]
 
     def test_shallow_plan_flagged_capped(self):
         m = ternary_plan(3, unit_eta=True)
