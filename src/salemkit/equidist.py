@@ -159,20 +159,42 @@ def equidist_order(
     if not approximations:
         raise ValueError("need at least one approximation")
     finest = max(approximations, key=lambda a: a.N)
-    if finest.N < 16:
-        raise ValueError("the largest N must be at least 16")
-    if m_grid is None:
-        ms = geometric_grid(2, finest.N - 1, 6, integers=True)
-    else:
-        ms = sorted(set(as_integers(m_grid, "m_grid")))
-        if not ms or ms[0] < 2 or ms[-1] >= finest.N:
-            raise ValueError("m grid must lie within [2, N-1]")
-    moduli = weyl_moduli(finest.cells, finest.N, ms)
-    per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
-    alpha = decay_exponent_fit(per_m)
+    ms = _sweep(finest.N, m_grid)
+    alpha, per_m, moduli = _finest_fit(finest.cells, finest.N, ms)
     if len(approximations) >= 2:
         alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli))
     return OrderEstimate(alpha, per_m, ORDER_CAP)
+
+
+def _sweep(N: int, m_grid: Sequence[int] | None = None) -> list[int]:
+    """The frequencies at which a finest member with N cells is swept:
+    ``m_grid`` sorted and deduplicated, or by default the integers 2..N-1
+    geometric at 6 per octave."""
+    if N < 16:
+        raise ValueError("the largest N must be at least 16")
+    if m_grid is None:
+        return geometric_grid(2, N - 1, 6, integers=True)
+    ms = sorted(set(as_integers(m_grid, "m_grid")))
+    if not ms or ms[0] < 2 or ms[-1] >= N:
+        raise ValueError("m grid must lie within [2, N-1]")
+    return ms
+
+
+def _finest_fit(
+    cells: Sequence[int], N: int, ms: Sequence[int]
+) -> tuple[float, tuple[tuple[float, float], ...], np.ndarray]:
+    """The bound-fitting order of the cells c/N over the sweep ``ms``, with
+    the per-frequency (m, |W(m)|) pairs it was fitted from and the moduli.
+
+    ``cells`` may be an int64 array: :func:`exp_sum` reduces it to the same
+    int64 phases as the tuple of the same integers, so the fit is the same
+    to the bit.  The cells are not checked here; they must be strictly
+    increasing, non-negative and below N, as :class:`NApproximation`
+    requires.
+    """
+    moduli = weyl_moduli(cells, N, ms)
+    per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
+    return decay_exponent_fit(per_m), per_m, moduli
 
 
 def _sequence_order(

@@ -8,10 +8,13 @@ are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
 walks the same trial stream, trials 0..trials-1 one at a time.  Each
 stage draws its keep-mask first, in blocks, from the trial's one stream,
-and builds only the surviving cells.  The lemma-6.3 experiment reads each
-trial as a :class:`TrialResult`; the dimension and order experiments read
-only the final stage, straight from the refinement's int64 arrays, and
-never build the per-stage integer tuples.
+and builds only the surviving cells.  Each experiment builds only what it
+reads.  The lemma-6.3 experiment reads each trial as a
+:class:`TrialResult`.  The dimension walk reads only the size of the last
+stage, so it takes that stage's draws and counts them without building
+it.  Order trials are scored from the int64 array of the final stage,
+with one frequency sweep per experiment; neither builds the per-stage
+integer tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core_sets import _CHUNK, as_integers, exp_sum
-from .equidist import NApproximation, OrderEstimate, equidist_order
+from .equidist import NApproximation, OrderEstimate, _finest_fit, _sweep, equidist_order
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,12 @@ class RandomFractalConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "level_sizes", as_integers(self.level_sizes, "level_sizes"))
+        for name in ("depth", "trials", "master_seed"):
+            value = getattr(self, name)
+            # A bool passes as_integers (it is an int), but is no count.
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not a bool")
+            object.__setattr__(self, name, as_integers([value], name)[0])
         if not 0 <= self.beta < 1:
             raise ValueError("beta must lie in [0, 1)")
         if not 1 <= self.depth <= len(self.level_sizes):
@@ -132,14 +141,6 @@ def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:
     """The int64 cells of every stage of one trial, ending at the configured
     depth or at the first empty stage, whichever comes first: the last
     stage is empty exactly when the trial went extinct.
-
-    Child j of parent c is the cell c*size + j, kept when its uniform draw
-    is below size**(-beta); draws run parent-major, one per child.  Each
-    stage draws its keep-mask first and builds only the survivors, over
-    blocks of at most ``_CHUNK`` draws (and at least one parent).  The
-    blocks take consecutive draws of the one stream, and a generator gives
-    the same doubles in pieces as in one call, so the cells do not depend
-    on the block size.
     """
     rng = trial_rng(config, trial_index)
     stages: list[np.ndarray] = []
@@ -148,24 +149,63 @@ def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:
     for size in config.level_sizes[: config.depth]:
         if current.size == 0:
             break
-        p = size ** (-config.beta)
-        rows = max(1, _CHUNK // size)
-        blocks = []
-        for lo in range(0, current.size, rows):
-            parents = current[lo : lo + rows]
-            idx = np.flatnonzero(rng.random(parents.size * size) < p)
-            blocks.append(parents[idx // size] * size + idx % size)
-        current = np.concatenate(blocks)
+        current = _next_stage(rng, current, size, config.beta)
         stages.append(current)
     return stages
+
+
+def _final_count(config: RandomFractalConfig, trial_index: int) -> int:
+    """The number of cells in the last stage of one trial, 0 when it went
+    extinct: the stages above are built as by :func:`_refine`, and the last
+    one takes the same draws and only counts its survivors."""
+    rng = trial_rng(config, trial_index)
+    current = np.zeros(1, dtype=np.int64)
+    *upper, last = config.level_sizes[: config.depth]
+    for size in upper:
+        current = _next_stage(rng, current, size, config.beta)
+        if current.size == 0:
+            return 0
+    return _next_stage(rng, current, last, config.beta, count=True)
+
+
+def _next_stage(
+    rng: np.random.Generator, parents: np.ndarray, size: int, beta: float, *, count: bool = False
+) -> np.ndarray | int:
+    """The surviving children of the non-empty int64 ``parents``, or with
+    ``count`` only how many there are.
+
+    Child j of parent c is the cell c*size + j, kept when its uniform draw
+    is below size**(-beta); draws run parent-major, one per child.  The
+    keep-mask is drawn first and only the survivors are built, over blocks
+    of at most ``_CHUNK`` draws (and at least one parent).  The blocks take
+    consecutive draws of the one stream, and a generator gives the same
+    doubles in pieces as in one call, so the cells do not depend on the
+    block size, and a count is the size of the stage it stands for.
+    """
+    p = size ** (-beta)
+    rows = max(1, _CHUNK // size)
+    blocks = []
+    survivors = 0
+    for lo in range(0, parents.size, rows):
+        block = parents[lo : lo + rows]
+        keep = rng.random(block.size * size) < p
+        if count:
+            survivors += int(np.count_nonzero(keep))
+        else:
+            idx = np.flatnonzero(keep)
+            blocks.append(block[idx // size] * size + idx % size)
+    return survivors if count else np.concatenate(blocks)
 
 
 def _trials(config: RandomFractalConfig) -> Iterator[TrialResult]:
     """Every configured trial in trial order, extinct ones included.
 
-    Trials are generated one at a time and dropped once the caller moves
-    on: the refinement itself holds only the survivors of each stage, but a
-    64**4 trial's cells as tuples of Python integers still take megabytes.
+    Only the lemma-6.3 experiment reads trials this way.  Trials are
+    generated one at a time and dropped once the caller moves on: a 64**4
+    trial's cells as tuples of Python integers take megabytes.  The
+    dimension walk never builds its last stage but counts it
+    (:func:`_final_count`), and order trials are scored from the int64
+    arrays of :func:`_refine`.
     """
     for t in range(config.trials):
         yield generate_trial(config, t)
@@ -182,8 +222,8 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     M = config.resolution()
     if M < 2:
         raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
-    # Only the final count is read, so the trials stay int64 arrays.
-    finals = (_refine(config, t)[-1].size for t in range(config.trials))
+    # Only the final count is read, so the last stage is counted, not built.
+    finals = (_final_count(config, t) for t in range(config.trials))
     dims = [math.log(count) / math.log(M) for count in finals if count]
     if dims:
         arr = np.asarray(dims)
@@ -201,10 +241,19 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     surviving trial's final-stage cells, their median (None when every
     trial went extinct) and the extinct count, against the target 1 - beta.
     """
-    # Only the final stage is scored, read straight from the int64 arrays.
+    # Each final stage is scored as the int64 array _refine returns: its
+    # cells are sorted, distinct and below M by construction.  The sweep is
+    # built at the first survivor, so an experiment whose trials all went
+    # extinct needs none and is not refused at M < 16.
     M = config.resolution()
-    finals = (_refine(config, t)[-1] for t in range(config.trials))
-    alphas = [equidist_order([NApproximation(M, final.tolist())]).alpha for final in finals if final.size]
+    ms = None
+    alphas = []
+    for t in range(config.trials):
+        final = _refine(config, t)[-1]
+        if final.size:
+            if ms is None:
+                ms = _sweep(M)
+            alphas.append(_finest_fit(final, M, ms)[0])
     median = statistics.median(alphas) if alphas else None
     return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 

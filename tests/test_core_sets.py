@@ -107,6 +107,10 @@ class TestOrderingChecks:
         "build, what",
         [
             (lambda: RandomFractalConfig(0.5, (8.7, 8, 8), 3, 2, 1), "level_sizes"),
+            # these three used to pass the checks and fail later with a TypeError
+            (lambda: RandomFractalConfig(0.5, (8, 8, 8), 1.5, 2, 1), "depth"),
+            (lambda: RandomFractalConfig(0.5, (8, 8, 8), 3, 2.5, 1), "trials"),
+            (lambda: RandomFractalConfig(0.5, (8, 8, 8), 3, 2, 1.5), "master_seed"),
             (lambda: dft_char(IntegerSet((0, 1, 3), 8), [1.5]), "freqs"),
             (lambda: make_plan(IntegerSet((0, 1, 3), 8), [4.9, 8], 0.5), "level_horizons"),
             (lambda: fractional_density(IntegerSet((0, 1, 3), 8), [2.5, 8]), "grid"),
@@ -114,11 +118,25 @@ class TestOrderingChecks:
             (lambda: dyadic_embed(IntegerSet((0, 1, 3), 8), [7.9, 11.2], 2), "exponents"),
             (lambda: weyl_sum([Fraction(0), Fraction(1, 2)], 2.5), "m"),
         ],
-        ids=["level_sizes", "freqs", "level_horizons", "grid", "m_grid", "exponents", "m"],
+        ids=["level_sizes", "depth", "trials", "master_seed", "freqs", "level_horizons", "grid", "m_grid",
+             "exponents", "m"],
     )
     def test_non_integral_arguments_refused(self, build, what):
         with pytest.raises(ValueError, match=f"^{what} must be integers$"):
             build()
+
+    @pytest.mark.parametrize("what", ["depth", "trials", "master_seed"])
+    def test_bool_counts_refused(self, what):
+        # a bool is an int to operator.index: trials=True used to run one
+        # trial and print "trials":true in the report
+        args = {"beta": 0.5, "level_sizes": (8, 8, 8), "depth": 3, "trials": 2, "master_seed": 1, what: True}
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, not a bool$"):
+            RandomFractalConfig(**args)
+
+    def test_numpy_integer_counts_stored_as_ints(self):
+        config = RandomFractalConfig(0.5, (8, 8, 8), np.int64(3), np.int64(2), np.uint64(2**64 - 1))
+        assert (config.depth, config.trials, config.master_seed) == (3, 2, 2**64 - 1)
+        assert all(type(v) is int for v in (config.depth, config.trials, config.master_seed))
 
     def test_numpy_integers_accepted(self):
         values = np.array([0, 1, 3], dtype=np.int64)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from salemkit import randfrac
 from salemkit.randfrac import (
+    OrderStats,
     RandomFractalConfig,
     TrialResult,
     corollary64_check,
@@ -57,6 +58,27 @@ def reference_refine(config, trial_index):
     return stages
 
 
+class LadderRng:
+    """Stands in for a trial's generator: its draws run 0, 1/4, 1/2, 3/4,
+    0, ... across calls, so at p = 4**-0.5 = 1/2 a quarter of them equal
+    the keep probability."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def random(self, n):
+        draws = (np.arange(self.drawn, self.drawn + n) % 4) / 4
+        self.drawn += n
+        return draws
+
+
+def survivor_alphas(config):
+    """Oracle for order_experiment: corollary64_check on every surviving
+    trial of generate_trial, and the extinct count."""
+    trials = [generate_trial(config, t) for t in range(config.trials)]
+    return [corollary64_check(t).alpha for t in trials if not t.extinct], sum(t.extinct for t in trials)
+
+
 def assert_same_stages(stages, expected):
     assert len(stages) == len(expected)
     for stage, want in zip(stages, expected):
@@ -101,13 +123,45 @@ class TestRefine:
     def test_last_stage_over_several_blocks(self, chunk):
         # 64**4 at beta = 1/4 is the benchmark's trial size: here the last
         # stage draws 522,304 uniforms, 8 blocks of 2**16.  Smaller blocks
-        # take the same draws from the stream, so the cells do not change.
+        # take the same draws from the stream, so the cells, and the count
+        # of the last stage, do not change.
         config = RandomFractalConfig(0.25, (64, 64, 64, 64), 4, 1, SEED)
         expected = reference_refine(config, 0)
         assert expected[-2].size * 64 > 4 * _CHUNK
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(randfrac, "_CHUNK", chunk)
             assert_same_stages(randfrac._refine(config, 0), expected)
+            assert randfrac._final_count(config, 0) == expected[-1].size
+
+    @given(refinement_configs(), st.sampled_from([_CHUNK, 1000]))
+    # Trial 3 dies at stage 2 of 3, so nothing is left to count.
+    @example((RandomFractalConfig(0.75, (4, 4, 4), 3, 4, 7), 3), 1)
+    # Size-1 levels keep their one child (p = 1) and draw for it all the same.
+    @example((RandomFractalConfig(0.5, (7, 1, 1), 3, 2, SEED), 1), 1)
+    @example((RandomFractalConfig(0.5, (1, 1, 1), 3, 1, SEED), 0), 1000)
+    @settings(max_examples=60, deadline=None)
+    def test_counted_last_stage_matches_oracle(self, case, chunk):
+        config, t = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randfrac, "_CHUNK", chunk)
+            assert randfrac._final_count(config, t) == reference_refine(config, t)[-1].size
+            M = config.resolution()
+            if config.depth >= 3 and M >= 2:
+                counts = [reference_refine(config, s)[-1].size for s in range(config.trials)]
+                dims = tuple(math.log(c) / math.log(M) for c in counts if c)
+                assert dimension_experiment(config).dims == dims
+
+    def test_draw_equal_to_p_drops_the_child(self, monkeypatch):
+        # A child is kept when its draw is below p, so a uniform draw on
+        # [0, 1) keeps it with probability p exactly: with p = 1/2 and the
+        # draws 0, 1/4, 1/2, 3/4 two of every four children survive, when
+        # the stage is built and when it is only counted.
+        monkeypatch.setattr(randfrac, "trial_rng", lambda config, trial_index: LadderRng())
+        config = RandomFractalConfig(0.5, (4, 4, 4), 3, 1, SEED)
+        expected = reference_refine(config, 0)
+        assert [stage.size for stage in expected] == [2, 4, 8]
+        assert_same_stages(randfrac._refine(config, 0), expected)
+        assert randfrac._final_count(config, 0) == 8
 
 
 class TestGenerateTrial:
@@ -455,3 +509,37 @@ class TestOrderExperiment:
         assert stats.alphas == ()
         assert stats.median_alpha is None
         assert json.loads(canonical_json(stats))["median_alpha"] is None
+
+    # The trials are scored from the int64 arrays of the refinement, the
+    # oracle from the tuples of generate_trial through NApproximation.  The
+    # cases take each phase path of exp_sum.  At M = 210,000 (not a power
+    # of two, reduced with % M) the dense trials of beta = 1/4 gather from
+    # the table of unit roots, and the sparse ones of beta = 3/4, some of
+    # them extinct, call np.exp.  M = 2,100,000 > 2**20 is above the table.
+    # M = 64 reduces with the mask.
+    @pytest.mark.parametrize(
+        "beta, sizes, trials, extinct",
+        [(0.25, (10, 30, 700), 4, 0), (0.75, (10, 30, 700), 12, 3), (0.75, (10, 300, 700), 6, 1),
+         (0.9, (4, 4, 4), 30, 11)],
+        ids=["table", "exp", "above-table", "mask"],
+    )
+    def test_alphas_match_corollary64_check(self, beta, sizes, trials, extinct):
+        cfg = RandomFractalConfig(beta, sizes, 3, trials, SEED)
+        alphas, oracle_extinct = survivor_alphas(cfg)
+        assert oracle_extinct == extinct
+        stats = order_experiment(cfg)
+        assert stats.alphas == tuple(alphas)
+        assert stats.extinct == extinct
+
+    def test_survivor_below_16_refused(self):
+        # M = 8 is too coarse to sweep; trial 0 keeps 2 of its 8 cells
+        cfg = RandomFractalConfig(0.5, (2, 2, 2), 3, 4, 0)
+        assert not generate_trial(cfg, 0).extinct
+        for run in (lambda: order_experiment(cfg), lambda: corollary64_check(generate_trial(cfg, 0))):
+            with pytest.raises(ValueError, match="^the largest N must be at least 16$"):
+                run()
+
+    def test_all_extinct_below_16_not_refused(self):
+        # no trial survives, so no sweep is needed and M = 8 is not refused
+        cfg = RandomFractalConfig(0.95, (2, 2, 2), 3, 3, 18)
+        assert order_experiment(cfg) == OrderStats(1.0 - 0.95, None, (), 3, 3)
