@@ -2,24 +2,31 @@
 sets, the dyadic embedding that preserves progressions, grid-descent
 recovery, and the density/decay hypothesis checker for 3-term progressions.
 
-Searches enumerate (first term, difference) pairs against a hash index, so
-membership tests are constant time and every comparison on point sets is
-exact rational arithmetic; no float enters a membership decision.
+One search serves every caller: the (first term, difference) pairs of the
+sorted values are scanned in numpy blocks.  Membership is an exact integer
+test, a bool-table gather or a ``searchsorted`` and ``==``, on int64 where
+no term can overflow and on Python ints otherwise.  Point sets are
+searched as integers over the lcm of their denominators, so no float
+enters a membership decision.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
-from .core_sets import IntegerSet, as_integers, dft_char, fractional_density, geometric_grid
+import numpy as np
+
+from .core_sets import _CHUNK, _INT64_MAX, IntegerSet, as_integers, dft_char, fractional_density, geometric_grid
 
 
 class APWitness(NamedTuple):
-    """``length`` terms from ``start`` by ``difference``; :func:`_maximal_runs`
-    builds each one with difference >= 1 and length >= 3."""
+    """``length`` terms from ``start`` by ``difference``; the search yields
+    each one with difference >= 1 and length >= 3."""
 
     start: int | Fraction
     difference: int | Fraction
@@ -60,51 +67,125 @@ def find_ap_integers(A: IntegerSet, n: int, *, first_only: bool = False) -> list
     not re-reported; the length is the full run length.  ``first_only``
     stops at the first witness in (start, difference) order.
     """
-    return _maximal_runs(A.elements, n, first_only)
+    return list(map(tuple.__new__, repeat(APWitness), _run_rows(A.elements, n, first_only)))
 
 
 def find_ap_points(points: Sequence[Fraction], n: int, *, first_only: bool = False) -> list[APWitness]:
     """Maximal-run witnesses among exact rational points.
 
-    Pairwise (first, second) enumeration with a membership index on
-    canonical reduced fractions; all comparisons are exact.
+    The sorted points are scaled by the lcm L of their denominators and
+    searched as integers; each witness starts at its own input point and
+    its difference is the exact ``Fraction(d, L)``.  Every scaled value
+    has about log2(L) bits, so the time per pair and the memory of the
+    scaled values grow with the bit length of L, which with pairwise
+    coprime denominators grows with the number of points.
     """
     pts = sorted(Fraction(p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    return _maximal_runs(pts, n, first_only)
+    L = math.lcm(*(p.denominator for p in pts))
+    scaled = [p.numerator * (L // p.denominator) for p in pts]
+    return [
+        APWitness(pts[i], Fraction(d, L), k)
+        for starts, diffs, lengths in _run_blocks(scaled, n, first_only)
+        for i, d, k in zip(starts.tolist(), diffs.tolist(), lengths.tolist())
+    ]
 
 
-def _maximal_runs(values: Sequence, n: int, first_only: bool) -> list[APWitness]:
+def _run_rows(values: Sequence[int], n: int, first_only: bool) -> Iterator[tuple[int, int, int]]:
     """Maximal-run witnesses of length at least n among sorted distinct
-    values, in (start, difference) order.
+    integers as plain (start, difference, length) rows, in (start,
+    difference) order; each start is the input's own int object.  See
+    :func:`_run_blocks`."""
+    for starts, diffs, lengths in _run_blocks(values, n, first_only):
+        yield from zip(map(values.__getitem__, starts.tolist()), diffs.tolist(), lengths.tolist())
 
-    Each pair (x, y) proposes the difference d = y - x; it is skipped when
-    x - d is a member (x is not a run start), and the scan over y stops
-    once n terms from x would pass the largest value.
+
+def _run_blocks(values: Sequence[int], n: int, first_only: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Witness columns (start indices into ``values``, differences,
+    lengths) of the maximal runs of length at least n among sorted
+    distinct integers, block by block in (start, difference) order.
+
+    Each pair x < y proposes d = y - x.  Its partners y are those with
+    y*(n-1) <= top + x*(n-2), that is n terms from x stay within the
+    largest value.  A pair is skipped when x - d is a member (x is not a
+    run start); the surviving runs are extended together, each dropped
+    once its next term is absent.  Starts are taken in consecutive runs so
+    that a block holds at most ``_CHUNK // 8`` pairs (and at least one
+    start); with ``first_only`` blocks grow from 64 pairs and the scan
+    stops at the first witness.  Values are searched as int64 only while
+    no term or bound computed from them can pass int64; otherwise the same
+    code runs on Python ints in object arrays, in blocks cut to about the
+    bytes of an int64 block by the size of the largest term.
     """
     if n < 3:
         raise ValueError("progression length must be at least 3")
-    index = set(values)
-    out: list[APWitness] = []
-    for i, x in enumerate(values):
-        span = values[-1] - x
-        for y in values[i + 1 :]:
-            d = y - x
-            if d * (n - 1) > span:
-                break
-            if x - d in index:
-                continue
-            length = 2
-            term = y + d
-            while term in index:
-                length += 1
-                term += d
-            if length >= n:
-                out.append(APWitness(x, d, length))
-                if first_only:
-                    return out
-    return out
+    size = len(values)
+    if size < 3:
+        return
+    exact = max(-values[0], values[-1]) <= _INT64_MAX // (2 * n)
+    v = np.array(values, dtype=np.int64 if exact else object)
+    span = values[-1] - values[0]
+    if exact and span <= 8 * size:
+        # Every query lies in [v[0] - span, v[-1] + span]: each d <= span,
+        # so x - d >= v[0] - span, and a run grows only from a member, by d.
+        # A bool table over that reach, at most three times the bytes of v,
+        # answers each query with one gather.
+        low = values[0] - span
+        table = np.zeros(3 * span + 1, dtype=bool)
+        table[v - low] = True
+
+        def member(q: np.ndarray) -> np.ndarray:
+            return table[q - low]
+
+    else:
+
+        def member(q: np.ndarray) -> np.ndarray:
+            i = np.minimum(np.searchsorted(v, q), size - 1)
+            return v[i] == q
+
+    pairs = np.searchsorted(v * (n - 1), v[-1] + v * (n - 2), side="right") - np.arange(1, size + 1)
+    ends = np.cumsum(pairs)
+    # The partner of a start's k-th pair (k counted over all pairs) is k + shift.
+    shift = np.arange(1, size + 1) - (ends - pairs)
+    # About eight pair-length arrays are live at once, so a block of at
+    # most cap pairs holds some _CHUNK int64 entries in all.  An object
+    # entry is a pointer and an int as large as the terms (up to twice the
+    # largest magnitude), so object blocks hold as many bytes, not pairs.
+    cap = _CHUNK // 8 if exact else max(1, _CHUNK // (8 + sys.getsizeof(2 * max(-values[0], values[-1]))))
+    limit = min(64, cap) if first_only else cap
+    lo = 0
+    while lo < size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        counts = pairs[lo:hi]
+        xi = np.repeat(np.arange(lo, hi), counts)
+        yi = np.repeat(shift[lo:hi], counts)
+        yi += np.arange(done, done + xi.size)
+        x = v[xi]
+        d = v[yi] - x
+        x -= d
+        keep = ~member(x)
+        xi, d = xi[keep], d[keep]
+        terms = v[yi[keep]]
+        terms += d
+        lengths = np.full(xi.size, 2)
+        alive = np.arange(xi.size)
+        while alive.size:
+            hit = member(terms)
+            alive = alive[hit]
+            lengths[alive] += 1
+            terms = terms[hit]
+            terms += d[alive]
+        found = np.flatnonzero(lengths >= n)
+        if first_only:
+            found = found[:1]
+        if found.size:
+            yield xi[found], d[found], lengths[found]
+            if first_only:
+                return
+        lo = hi
+        limit = min(2 * limit, cap)
 
 
 def dyadic_embed(A: IntegerSet, exponents: Sequence[int], depth: int) -> list[Fraction]:
@@ -154,9 +235,10 @@ def grid_ap_descent(points: Sequence[Fraction], n: int, k_max: int) -> GridAP | 
         separated = True
         # The smallest start of any n-term progression is a run start, so
         # the first maximal-run witness is the first n-term progression.
-        hit = _maximal_runs(indices, n, first_only=True)
+        hit = next(_run_rows(indices, n, True), None)
         if hit:
-            return GridAP(k, tuple(hit[0].terms()[:n]))
+            start, d, _ = hit
+            return GridAP(k, tuple(start + j * d for j in range(n)))
     if not separated:
         raise SeparationError(f"points are not separated at any stage <= {k_max}")
     return None

@@ -132,10 +132,12 @@ def cmd_extract_integers(args) -> int:
 
 def cmd_ap_find(args) -> int:
     A = formats.load_integer_set(args.input)
-    witnesses = aps.find_ap_integers(A, args.n, first_only=args.first_only)
     if args.format == "csv":
-        formats.write_text(args.output, formats.witnesses_csv(witnesses))
+        # Plain rows straight from the search: no APWitness for each row.
+        rows = aps._run_rows(A.elements, args.n, args.first_only)
+        formats.write_text(args.output, formats.witnesses_csv(rows))
     else:
+        witnesses = aps.find_ap_integers(A, args.n, first_only=args.first_only)
         formats.write_report({"witnesses": [w._asdict() for w in witnesses]}, args.output)
     return 0
 
@@ -174,7 +176,7 @@ def cmd_random_salem(args) -> int:
     # The experiment runs first, so a refused config writes no trial file.
     stats = randfrac.dimension_experiment(config)
     if args.dump_trial is not None:
-        formats.write_report(randfrac.generate_trial(config, args.dump_trial), args.trial_output)
+        formats.write_report(randfrac._trial_fields(config, args.dump_trial), args.trial_output)
     formats.write_report(stats, args.output)
     return 0
 

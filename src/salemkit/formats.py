@@ -18,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
 from .core_sets import IntegerSet, SpectrumSample
 from .equidist import NApproximation
@@ -45,7 +47,8 @@ def parse_rational(text: str) -> Fraction:
 def canonical_json(obj) -> str:
     """Render with sorted keys and fixed float formatting; non-finite
     floats become null.  A dataclass instance renders as the dict of its
-    own fields, or of its ``as_dict()`` where it defines one."""
+    own fields, or of its ``as_dict()`` where it defines one; a 1-D int64
+    array renders as the list of its ints."""
     return _render(obj)
 
 
@@ -54,11 +57,12 @@ def _render(obj) -> str:
         items = sorted(obj.items(), key=lambda kv: kv[0])
         return "{" + ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        # Exactly-int entries (not bool, not numpy) render as str, joined in
-        # blocks of 4096 so a long cell list never exists as one list of str.
+        # Exactly-int entries (not bool, not numpy) render as str.
         if set(map(type, obj)) <= {int}:
-            return "[" + ",".join(",".join(map(str, obj[i : i + 4096])) for i in range(0, len(obj), 4096)) + "]"
+            return _int_list(obj)
         return "[" + ",".join(_render(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.int64:
+        return _int_list(obj)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, Fraction):
@@ -73,6 +77,15 @@ def _render(obj) -> str:
         # Shallow on purpose: dataclasses.asdict deep-copies every field.
         return _render({f.name: getattr(obj, f.name) for f in fields(obj)})
     return json.dumps(obj)
+
+
+def _int_list(ints) -> str:
+    """A sequence of ints, or a 1-D int64 array, as a JSON list: joined in
+    blocks of 4096, so a long cell list never exists as one list of str."""
+    blocks = (ints[i : i + 4096] for i in range(0, len(ints), 4096))
+    if isinstance(ints, np.ndarray):
+        blocks = (block.tolist() for block in blocks)
+    return "[" + ",".join(",".join(map(str, block)) for block in blocks) + "]"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -257,7 +270,7 @@ def stage_csv(stage: CantorStage) -> str:
 
 def witnesses_csv(witnesses: Iterable[tuple]) -> str:
     # Rows (start, difference, length); str prints an int or Fraction as fmt_rational does.
-    return "start,difference,length\n" + "".join("%s,%s,%s\n" % w for w in witnesses)
+    return "start,difference,length\n" + "".join(map("%s,%s,%s\n".__mod__, witnesses))
 
 
 def write_text(path, text: str) -> None:

@@ -10,11 +10,12 @@ walks the same trial stream, trials 0..trials-1 one at a time.  Each
 stage draws its keep-mask first, in blocks, from the trial's one stream,
 and builds only the surviving cells.  Each experiment builds only what it
 reads.  The lemma-6.3 experiment reads each trial as a
-:class:`TrialResult`.  The dimension walk reads only the size of the last
-stage, so it takes that stage's draws and counts them without building
-it.  Order trials are scored from the int64 array of the final stage,
-with one frequency sweep per experiment; neither builds the per-stage
-integer tuples.
+:class:`TrialResult`, and a dumped trial is rendered from its int64
+stage arrays.  The dimension walk reads only the size of the last stage,
+so it takes that stage's draws and counts them without building it.
+Order trials are scored from the int64 array of the final stage, with
+one frequency sweep per experiment; neither builds the per-stage integer
+tuples.
 """
 
 from __future__ import annotations
@@ -122,19 +123,28 @@ def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult
     at the first empty stage (which is recorded) and flagged extinct.
     Identical (master_seed, trial_index) gives identical output.
     """
+    fields = _trial_fields(config, trial_index)
+    fields["stages"] = tuple(tuple(stage.tolist()) for stage in fields["stages"])
+    return TrialResult(**fields)
+
+
+def _trial_fields(config: RandomFractalConfig, trial_index: int) -> dict:
+    """The fields of :func:`generate_trial`'s :class:`TrialResult`, each
+    stage still the int64 array of :func:`_refine`: a dumped trial renders
+    from these arrays without a tuple of Python ints per stage."""
     if not 0 <= trial_index < config.trials:
         raise ValueError("trial_index outside the configured trial count")
     stages = _refine(config, trial_index)
     counts = tuple(stage.size for stage in stages)
-    return TrialResult(
-        beta=config.beta,
-        level_sizes=config.level_sizes[: config.depth],
-        stages=tuple(tuple(stage.tolist()) for stage in stages),
-        white_counts=counts,
-        extinct=counts[-1] == 0,
-        trial_index=trial_index,
-        master_seed=config.master_seed,
-    )
+    return {
+        "beta": config.beta,
+        "level_sizes": config.level_sizes[: config.depth],
+        "stages": tuple(stages),
+        "white_counts": counts,
+        "extinct": counts[-1] == 0,
+        "trial_index": trial_index,
+        "master_seed": config.master_seed,
+    }
 
 
 def _refine(config: RandomFractalConfig, trial_index: int) -> list[np.ndarray]:

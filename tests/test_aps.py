@@ -1,10 +1,14 @@
+import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from salemkit import aps
 from salemkit.aps import (
     APWitness,
     GridAP,
@@ -28,6 +32,68 @@ def brute_force_3aps(A):
             if 2 * b - a in members:
                 out.add((a, b - a))
     return out
+
+
+def loop_runs(values, n, first_only):
+    """Oracle: the (start, difference) pair loop the search replaced, over
+    sorted distinct values with a hash index."""
+    if n < 3:
+        raise ValueError("progression length must be at least 3")
+    index = set(values)
+    out = []
+    for i, x in enumerate(values):
+        span = values[-1] - x
+        for y in values[i + 1 :]:
+            d = y - x
+            if d * (n - 1) > span:
+                break
+            if x - d in index:
+                continue
+            length = 2
+            term = y + d
+            while term in index:
+                length += 1
+                term += d
+            if length >= n:
+                out.append(APWitness(x, d, length))
+                if first_only:
+                    return out
+    return out
+
+
+def typed(witnesses):
+    """Rows with the type of every entry, so int and Fraction rows differ."""
+    return [tuple((type(v), v) for v in w) for w in witnesses]
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def run_values(draw):
+    """(sorted distinct ints, n): up to 40 values within 400 of an anchor,
+    above or below it.  The anchors put the extreme value at the int64
+    guard INT64_MAX // (2n) and one past it, at 2**63 - 1 and 2**63, near
+    0 and among negatives."""
+    n = draw(st.integers(3, 6))
+    guard = INT64_MAX // (2 * n)
+    anchor = draw(st.sampled_from([0, -200, guard, guard + 1, -guard, -guard - 1, INT64_MAX, 2**63, -(2**63), 2**70]))
+    sign = draw(st.sampled_from([1, -1]))
+    offsets = draw(st.sets(st.integers(0, 400), max_size=40))
+    if draw(st.booleans()):
+        offsets.add(0)
+    return sorted({anchor + sign * o for o in offsets}), n
+
+
+@st.composite
+def point_sets(draw):
+    """(sorted distinct Fractions, n): integers near an anchor plus p/q with
+    pairwise coprime denominators q, so the lcm is their product."""
+    n = draw(st.integers(3, 6))
+    anchor = draw(st.sampled_from([0, -5, 2**63, -(2**64)]))
+    q = draw(st.lists(st.sampled_from([1, 2, 3, 5, 7, 11, 13]), min_size=1, max_size=3, unique=True))
+    numerators = draw(st.sets(st.integers(-120, 120), max_size=30))
+    return sorted({anchor + Fraction(a, q[a % len(q)]) for a in numerators}), n
 
 
 def expand_witnesses(witnesses, n):
@@ -77,7 +143,87 @@ class TestFindApIntegers:
             assert start - d not in members and start + length * d not in members
 
 
+class TestLoopOracle:
+    """Every search agrees with the pair loop row for row: values, order
+    and the type of each entry."""
+
+    @given(run_values(), st.booleans())
+    @example(([], 3), False)
+    @example(([7], 4), False)
+    @example(([5, 9], 3), True)
+    @example(([0, 1, 2, 3, 5], 3), False)
+    @settings(max_examples=300, deadline=None)
+    def test_run_rows(self, case, first_only):
+        values, n = case
+        got = list(aps._run_rows(values, n, first_only))
+        assert typed(got) == typed(loop_runs(values, n, first_only))
+        # each start is the input's own int object
+        ids = set(map(id, values))
+        assert all(id(start) in ids for start, _, _ in got)
+        if values and values[0] >= 0:
+            A = IntegerSet.from_elements(values)
+            assert typed(find_ap_integers(A, n, first_only=first_only)) == typed(got)
+
+    @given(point_sets(), st.booleans())
+    @example(([], 3), False)
+    @example(([Fraction(1, 3)], 5), True)
+    @settings(max_examples=200, deadline=None)
+    def test_find_ap_points(self, case, first_only):
+        points, n = case
+        got = find_ap_points(points, n, first_only=first_only)
+        assert typed(got) == typed(loop_runs(points, n, first_only))
+
+    @given(point_sets(), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_ap_descent(self, case, k_max):
+        points, n = case
+        try:
+            got = grid_ap_descent(points, n, k_max)
+        except SeparationError:
+            got = SeparationError
+        with mock.patch.object(aps, "_run_rows", lambda values, n, first_only: iter(loop_runs(values, n, first_only))):
+            try:
+                want = grid_ap_descent(points, n, k_max)
+            except SeparationError:
+                want = SeparationError
+        assert got == want
+        if isinstance(got, GridAP):
+            assert set(map(type, got.indices)) == {int}
+            assert set(got.indices) <= {math.floor(p * 2**got.stage) for p in points}
+
+    def test_short_length_rejected_before_any_search(self):
+        for values in ([], [1], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                next(aps._run_rows(values, 2, False))
+        with pytest.raises(ValueError):
+            find_ap_points([], 2)
+
+    def test_blocks_split_the_pair_scan(self):
+        # 600 evenly spaced members hold about 90,000 pairs, several blocks;
+        # the witnesses run on across the block seams
+        values = list(range(0, 1200, 2))
+        got = list(aps._run_rows(values, 3, False))
+        assert typed(got) == typed(loop_runs(values, 3, False))
+        blocks = list(aps._run_blocks(values, 3, False))
+        assert len(blocks) > 1
+
+
 class TestFindApPoints:
+    def test_coprime_denominators_keep_blocks_small(self):
+        # 150 unit fractions 1/p take the lcm past 2**1200, so every scaled
+        # value is an int of some 150 bytes: the object blocks are cut by
+        # bytes, not pairs, and the search holds well under 1 MB
+        primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))][:150]
+        points = sorted({Fraction(1, p) for p in primes} | {Fraction(j, 1000) for j in range(600, 1000, 3)})
+        tracemalloc.start()
+        try:
+            got = find_ap_points(points, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert typed(got) == typed(loop_runs(points, 3, False))
+        assert peak < 2**20
+
     def test_rational_witness(self):
         hits = find_ap_points([Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)], 3)
         assert hits == [APWitness(Fraction(1, 6), Fraction(1, 3), 3)]

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from salemkit import cli
+from salemkit.aps import find_ap_integers
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
-from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set
+from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set, witnesses_csv
 from salemkit.generators import squares_below
 
 
@@ -152,6 +154,20 @@ class TestApFind:
         assert lines[0] == "start,difference,length"
         # 1, 25, 49 is a square progression: 25-1 = 49-25 = 24
         assert "1,24,3" in lines[1:]
+
+    @pytest.mark.parametrize("offset", [0, 2**63])
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_csv_bytes_are_the_witness_rows(self, tmp_path, capsys, offset, first_only):
+        # 600 of 2048 integers hold about 90,000 pairs, several search
+        # blocks; the offset takes every value past int64
+        rng = np.random.default_rng(3)
+        A = IntegerSet.from_elements([offset + int(v) for v in rng.choice(2048, 600, replace=False)])
+        path, out = tmp_path / "set.txt", tmp_path / "w.csv"
+        save_integer_set(A, path)
+        for n in (3, 4, 5):
+            flags = ["--first-only"] if first_only else []
+            assert run("ap-find", "--input", str(path), "--n", str(n), *flags, "--output", str(out)) == 0
+            assert out.read_text() == witnesses_csv(find_ap_integers(A, n, first_only=first_only))
 
 
 class TestRoundTrips:

@@ -181,6 +181,19 @@ class TestCanonicalJson:
         for obj in (xs, tuple(xs)):
             assert canonical_json(obj) == "[" + ",".join(map(str, xs)) + "]"
 
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 3 * 4096 + 1])
+    def test_int64_arrays_render_as_their_int_lists(self, n):
+        xs = [(-1) ** i * (i * 2**49 + i) for i in range(n)]
+        if n:
+            xs[-1] = 2**63 - 1
+        assert canonical_json(np.array(xs, dtype=np.int64)) == canonical_json(tuple(xs))
+        assert canonical_json({"s": (np.array(xs, dtype=np.int64),)}) == canonical_json({"s": [xs]})
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=np.int64), np.zeros(3), np.zeros(3, dtype=np.int32)])
+    def test_other_arrays_still_refused(self, array):
+        with pytest.raises(TypeError):
+            canonical_json(array)
+
     def test_long_list_with_bool_or_numpy_entry_renders_per_item(self):
         xs = list(range(5000))
         assert canonical_json(xs[:4097] + [True] + xs[4097:]).split(",")[4097] == "true"
