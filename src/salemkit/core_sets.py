@@ -8,7 +8,8 @@ Spectral decay is summarized by the largest alpha such that
 
 Everything here is a pure function of immutable inputs; per-frequency
 evaluations can run concurrently and results never depend on evaluation
-order.
+order.  The one piece of module state, exp_sum's count of its current run
+of calls, only picks how phases are exponentiated, never a value.
 """
 
 from __future__ import annotations
@@ -37,9 +38,15 @@ ZERO_FLOOR = 1e-12
 _CHUNK = 1 << 16
 # Largest denominator whose unit roots exp_sum tabulates: 2**20 complex
 # doubles are 16 MB, and the cache below keeps at most two tables.  A table
-# is built only for at least D phases, so it never costs more exps than it
-# saves.
+# is built only once a run of calls with one denominator D has asked for at
+# least D phases, so fewer than D are exponentiated before it, and it never
+# costs much more exps than it saves.
 _TABLE_MAX = 1 << 20
+# The current run of int64-path exp_sum calls: their shared denominator and
+# the phases they have asked for.  A call with another denominator starts a
+# new run.  A race between threads over these can only cost speed.
+_run_denominator = 0
+_run_phases = 0
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -160,11 +167,14 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D) on the
     other, and each row is summed by numpy.  On the int64 path a power-of-two
     D reduces the non-negative products with the mask D - 1, which gives the
-    same residues as % D, and when D <= 2**20 and there are at least D
-    phases, the residues are gathered from a cached table of the D unit
-    roots e^{(-2 pi i / D) * r}, whose entries are bit-identical to
-    exponentiating each residue.  The empty set sums to 0.
+    same residues as % D.  When D <= 2**20, the residues are gathered from
+    a cached table of the D unit roots e^{(-2 pi i / D) * r} once the run of
+    consecutive int64-path calls with this D, this call included, has asked
+    for at least D phases, so trial loops that make many small calls share
+    one table.  Its entries are bit-identical to exponentiating each
+    residue, so the path never moves a bit.  The empty set sums to 0.
     """
+    global _run_denominator, _run_phases
     D = int(denominator)
     if D < 1:
         raise ValueError("denominator must be positive")
@@ -173,7 +183,10 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
         return out
     a, k = _reduce(numerators, D), _reduce(freqs, D)
     if a.dtype == np.int64 and k.dtype == np.int64 and int(a.max()) * int(k.max()) <= _INT64_MAX:
-        table = _unit_roots(D) if D <= _TABLE_MAX and len(a) * len(k) >= D else None
+        if D != _run_denominator:
+            _run_denominator, _run_phases = D, 0
+        _run_phases += len(a) * len(k)
+        table = _unit_roots(D) if D <= _TABLE_MAX and _run_phases >= D else None
         # The products are non-negative, so for D a power of two the mask
         # D - 1 gives the same residues as % D without a division.
         power_of_two = D & (D - 1) == 0
@@ -197,8 +210,10 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
 def _unit_roots(D: int) -> np.ndarray:
     """Read-only e^{(-2 pi i / D) * r} for r = 0..D-1, by the same complex
     multiply and exp as exp_sum's untabulated blocks, so each entry is the
-    same double."""
-    table = np.exp((-2j * np.pi / D) * np.arange(D, dtype=np.int64))
+    same double.  Built in place, so the table is the only D-sized buffer."""
+    table = np.arange(D, dtype=complex)
+    table *= -2j * np.pi / D
+    np.exp(table, out=table)
     table.flags.writeable = False
     return table
 

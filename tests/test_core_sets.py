@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,11 @@ def naive_dft(A, k):
 def exact_phase_sum(numerators, D, k):
     # oracle: each phase k*a/D reduced mod 1 as a Fraction, one cmath.exp per term
     return sum(cmath.exp(-2j * math.pi * float(Fraction(k * a, D) % 1)) for a in numerators)
+
+
+def exponentiated(a, D, k):
+    # reference: every residue k*a mod D exponentiated by np.exp
+    return np.exp((-2j * np.pi / D) * (k[:, None] * a[None, :] % D)).sum(axis=1)
 
 
 def first_primes(count):
@@ -283,7 +289,7 @@ class TestExpSum:
     @pytest.mark.parametrize(
         "D, rows, cols",
         [
-            (2**20, 25, 41943),  # tabulated, rows * cols = D - 1
+            (2**20, 25, 41943),  # rows * cols = D - 1: exponentiated, then tabulated as the run crosses D
             (2**20, 16, 65536),  # tabulated, rows * cols = D
             (10**6, 16, 62500),  # tabulated, and -2 pi / D is inexact
             (2**20 + 1, 16, 65536),  # above the table cap, rows * cols = D - 1
@@ -292,17 +298,67 @@ class TestExpSum:
             (2**31, 8, 1000),  # power of two above the table cap: masked int64 products
         ],
     )
-    def test_bits_match_exponentiated_residues(self, D, rows, cols):
+    def test_bits_match_exponentiated_residues(self, D, rows, cols, tabulated_calls):
         # neither the phase table nor the power-of-two mask may move a
-        # single bit of the sums
+        # single bit of the sums; the run of two calls tabulates from the
+        # call at which it has asked for D phases, if D is under the cap
         rng = np.random.default_rng(D + rows)
         a = rng.integers(0, D, cols)
         k = rng.integers(0, D, rows)
-        ref = np.exp((-2j * np.pi / D) * (k[:, None] * a[None, :] % D)).sum(axis=1)
-        for _ in range(2):
+        ref = exponentiated(a, D, k)
+        expected = 0
+        for call in (1, 2):
             assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref.view(np.int64))
+            expected += D <= 2**20 and call * rows * cols >= D
+            assert tabulated_calls() == expected
         if D <= 2**20:
             assert not core_sets._unit_roots(D).flags.writeable
+
+    @pytest.mark.parametrize("D, cols, rows", [(1000, 100, (3, 3, 3, 1)), (1024, 128, (3, 3, 1, 1))])
+    def test_run_switches_to_table_at_crossing_call(self, D, cols, rows, tabulated_calls):
+        # a run of small calls, none of D phases by itself, exponentiates
+        # until the call that brings its phases to exactly D, then gathers
+        rng = np.random.default_rng(D)
+        a = rng.integers(0, D, cols)
+        for n, tabulated in zip(rows + (3, 1), (0, 0, 0, 1, 2, 3)):
+            k = rng.integers(0, D, n)
+            assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
+            assert tabulated_calls() == tabulated
+
+    def test_new_denominator_restarts_count(self, tabulated_calls):
+        # 900 phases at each call: a run neither carries its count into
+        # another denominator's run nor takes it back up on returning
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 10**6, 300)
+        for D, rows, tabulated in [(1000, 3, 0), (999, 3, 0), (1000, 3, 0), (1000, 1, 1)]:
+            k = rng.integers(0, D, rows)
+            assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
+            assert tabulated_calls() == tabulated
+
+    def test_interleaved_denominators_build_no_table(self, tabulated_calls):
+        # characterize's pattern: one call per denominator in turn, each
+        # under its D; however long it goes on, no table is built
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, 10**6, 300)
+        for _ in range(20):
+            for D in (10**4, 2**12, 10**3):
+                k = rng.integers(0, D, 3)
+                assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
+        assert tabulated_calls() == 0
+
+    @pytest.mark.parametrize("D", [5, 4097, 2**18, 10**6, 2**20])
+    def test_table_built_in_place(self, D, tabulated_calls):
+        # built from an empty cache, the table is the only D-sized buffer
+        # its build allocates, and each entry is the exponentiated residue
+        tracemalloc.start()
+        try:
+            table = core_sets._unit_roots(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + (1 << 16)
+        ref = np.exp((-2j * np.pi / D) * np.arange(D, dtype=np.int64))
+        assert np.array_equal(table.view(np.int64), ref.view(np.int64))
 
     def test_int64_boundary(self):
         # largest product 2**63 - 2**31 fits int64, 2**63 does not

@@ -512,24 +512,28 @@ class TestOrderExperiment:
 
     # The trials are scored from the int64 arrays of the refinement, the
     # oracle from the tuples of generate_trial through NApproximation.  The
-    # cases take each phase path of exp_sum.  At M = 210,000 (not a power
-    # of two, reduced with % M) the dense trials of beta = 1/4 gather from
-    # the table of unit roots, and the sparse ones of beta = 3/4, some of
-    # them extinct, call np.exp.  M = 2,100,000 > 2**20 is above the table.
-    # M = 64 reduces with the mask.
+    # cases take each phase path of exp_sum, starting from no run and no
+    # table.  At M = 210,000 (not a power of two, reduced with % M) the
+    # dense trials of beta = 1/4 gather from the table of unit roots.  The
+    # sparse ones of beta = 3/4, some of them extinct, ask for fewer than M
+    # phases in all, oracle and experiment together, so they call np.exp.
+    # M = 2,100,000 > 2**20 is above the table.  M = 64 reduces with the
+    # mask and gathers from its table.
     @pytest.mark.parametrize(
-        "beta, sizes, trials, extinct",
-        [(0.25, (10, 30, 700), 4, 0), (0.75, (10, 30, 700), 12, 3), (0.75, (10, 300, 700), 6, 1),
-         (0.9, (4, 4, 4), 30, 11)],
+        "beta, sizes, trials, extinct, tabulated",
+        [(0.25, (10, 30, 700), 4, 0, True), (0.75, (10, 30, 700), 12, 3, False),
+         (0.75, (10, 300, 700), 6, 1, False), (0.9, (4, 4, 4), 30, 11, True)],
         ids=["table", "exp", "above-table", "mask"],
     )
-    def test_alphas_match_corollary64_check(self, beta, sizes, trials, extinct):
+    def test_alphas_match_corollary64_check(self, beta, sizes, trials, extinct, tabulated, tabulated_calls):
         cfg = RandomFractalConfig(beta, sizes, 3, trials, SEED)
         alphas, oracle_extinct = survivor_alphas(cfg)
         assert oracle_extinct == extinct
         stats = order_experiment(cfg)
         assert stats.alphas == tuple(alphas)
         assert stats.extinct == extinct
+        # one exp_sum call per survivor, in the oracle and in the experiment
+        assert tabulated_calls() == (2 * len(alphas) if tabulated else 0)
 
     def test_survivor_below_16_refused(self):
         # M = 8 is too coarse to sweep; trial 0 keeps 2 of its 8 cells
