@@ -133,9 +133,9 @@ def cmd_extract_integers(args) -> int:
 def cmd_ap_find(args) -> int:
     A = formats.load_integer_set(args.input)
     if args.format == "csv":
-        # Plain rows straight from the search: no APWitness for each row.
-        rows = aps._run_rows(A.elements, args.n, args.first_only)
-        formats.write_text(args.output, formats.witnesses_csv(rows))
+        # Column blocks straight from the search: no Python row per witness.
+        blocks = aps._run_blocks(A.elements, args.n, args.first_only)
+        formats.write_text(args.output, formats.witnesses_csv(blocks, A.elements))
     else:
         witnesses = aps.find_ap_integers(A, args.n, first_only=args.first_only)
         formats.write_report({"witnesses": [w._asdict() for w in witnesses]}, args.output)

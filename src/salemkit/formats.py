@@ -3,7 +3,9 @@
 Text formats are line-oriented and exact (rationals as p/q); JSON reports
 are canonical: sorted keys, floats at 12 significant digits, no
 environment- or clock-dependent content.  Writes are atomic (temp file
-then rename) so partially written reports are never observed.
+then rename) so partially written reports are never observed.  A CSV
+export is built as one string: a spectrum row by one ``%`` format, and
+the witness rows of an int64 search block by one numpy decimal render.
 """
 
 from __future__ import annotations
@@ -251,10 +253,13 @@ def load_points(path) -> list[Fraction]:
 
 
 def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") -> str:
+    # One % per row: %d prints an integral frequency as int() does, and
+    # "%.12g" % x is format(x, ".12g"), which is what fmt_float prints.
     lines = [f"{freq_label},re,im,abs"]
     for s in samples:
-        f = int(s.frequency) if float(s.frequency).is_integer() else fmt_float(s.frequency)
-        lines.append(f"{f},{fmt_float(s.value.real)},{fmt_float(s.value.imag)},{fmt_float(abs(s.value))}")
+        f, v = s.frequency, s.value
+        row = "%d,%.12g,%.12g,%.12g" if float(f).is_integer() else "%.12g,%.12g,%.12g,%.12g"
+        lines.append(row % (f, v.real, v.imag, abs(v)))
     return "\n".join(lines) + "\n"
 
 
@@ -268,9 +273,56 @@ def stage_csv(stage: CantorStage) -> str:
     return "\n".join(lines) + "\n"
 
 
-def witnesses_csv(witnesses: Iterable[tuple]) -> str:
-    # Rows (start, difference, length); str prints an int or Fraction as fmt_rational does.
-    return "start,difference,length\n" + "".join(map("%s,%s,%s\n".__mod__, witnesses))
+def witnesses_csv(witnesses: Iterable[tuple], values: Sequence[int] | None = None) -> str:
+    """The witness CSV: a header, then one "start,difference,length" row
+    per witness; ``str`` prints an int or Fraction as fmt_rational does.
+
+    ``witnesses`` are (start, difference, length) rows; with ``values``
+    they are the search's column blocks instead (start indices into the
+    sorted ``values``, differences, lengths), as ``aps._run_blocks``
+    yields them.  A block searched on int64 is printed by
+    :func:`_decimal_rows` without a Python object per row.
+    """
+    parts = ["start,difference,length\n"]
+    row = "%s,%s,%s\n".__mod__
+    if values is None:
+        parts.extend(map(row, witnesses))
+        return "".join(parts)
+    v = None
+    for starts, diffs, lengths in witnesses:
+        if diffs.dtype == np.int64:
+            # The search ran on int64, so every value fits.
+            if v is None:
+                v = np.array(values, dtype=np.int64)
+            parts.append(_decimal_rows(v[starts], diffs, lengths))
+        else:
+            parts.extend(map(row, zip(map(values.__getitem__, starts.tolist()), diffs.tolist(), lengths.tolist())))
+    return "".join(parts)
+
+
+def _decimal_rows(*columns: np.ndarray) -> str:
+    """Rows "a,b,c\\n" of equal-length non-negative int64 columns, each
+    entry in decimal as ``str`` prints it.
+
+    One uint8 matrix holds a row per line.  Each column's digits are
+    written right to left by a scalar % 10 and //= 10; a digit position
+    left of a value's leading digit is 0 (the last digit never is, so 0
+    prints as "0"), and the zero bytes are dropped at the end.
+    """
+    widths = [len(str(int(c.max()))) if c.size else 1 for c in columns]
+    mat = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    stop = 0
+    for c, width in zip(columns, widths):
+        x = np.array(c, dtype=np.int64)
+        for j in range(stop + width - 1, stop - 1, -1):
+            mat[:, j] = x % 10 + 48
+            if j < stop + width - 1:
+                mat[x == 0, j] = 0
+            x //= 10
+        stop += width + 1
+        mat[:, stop - 1] = ord(",")
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes().decode("ascii")
 
 
 def write_text(path, text: str) -> None:

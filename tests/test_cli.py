@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from salemkit import cli
-from salemkit.aps import find_ap_integers
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
-from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set, witnesses_csv
+from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set
 from salemkit.generators import squares_below
+from test_aps import loop_runs
 
 
 def run(*argv):
     return run_command(list(argv))
+
+
+def witness_rows(witnesses):
+    """Oracle: the witness CSV, printed row by row."""
+    return "start,difference,length\n" + "".join("%s,%s,%s\n" % tuple(w) for w in witnesses)
 
 
 @pytest.fixture
@@ -159,7 +164,8 @@ class TestApFind:
     @pytest.mark.parametrize("first_only", [False, True])
     def test_csv_bytes_are_the_witness_rows(self, tmp_path, capsys, offset, first_only):
         # 600 of 2048 integers hold about 90,000 pairs, several search
-        # blocks; the offset takes every value past int64
+        # blocks; the offset takes every value past int64.  The CLI's bytes
+        # are checked against the pair-loop oracle, printed row by row.
         rng = np.random.default_rng(3)
         A = IntegerSet.from_elements([offset + int(v) for v in rng.choice(2048, 600, replace=False)])
         path, out = tmp_path / "set.txt", tmp_path / "w.csv"
@@ -167,7 +173,17 @@ class TestApFind:
         for n in (3, 4, 5):
             flags = ["--first-only"] if first_only else []
             assert run("ap-find", "--input", str(path), "--n", str(n), *flags, "--output", str(out)) == 0
-            assert out.read_text() == witnesses_csv(find_ap_integers(A, n, first_only=first_only))
+            assert out.read_text() == witness_rows(loop_runs(A.elements, n, first_only))
+
+    @pytest.mark.parametrize("offset", [0, 2**63])
+    def test_csv_without_progressions_is_the_header(self, tmp_path, capsys, offset):
+        # Integers whose base-3 digits are 0 or 1 hold no 3-term progression.
+        A = IntegerSet.from_elements([offset + int(format(i, "b"), 3) for i in range(256)])
+        path, out = tmp_path / "set.txt", tmp_path / "w.csv"
+        save_integer_set(A, path)
+        assert loop_runs(A.elements, 3, False) == []
+        assert run("ap-find", "--input", str(path), "--n", "3", "--output", str(out)) == 0
+        assert out.read_text() == witness_rows([]) == "start,difference,length\n"
 
 
 class TestRoundTrips:

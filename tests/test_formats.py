@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from salemkit import formats
 from salemkit.aps import check_thm32_hypotheses, find_ap_integers, find_ap_points
 from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.cli import run_command
-from salemkit.core_sets import IntegerSet
+from salemkit.core_sets import IntegerSet, SpectrumSample
 from salemkit.equidist import NApproximation, characterize_salem, n_approximation
 from salemkit.generators import squares_below
 from salemkit.measures import decay_check
@@ -21,6 +24,7 @@ from salemkit.randfrac import (
 from salemkit.formats import (
     FormatError,
     canonical_json,
+    fmt_float,
     fmt_rational,
     load_approximation,
     load_integer_set,
@@ -201,6 +205,42 @@ class TestCanonicalJson:
             canonical_json(xs[:4097] + [np.int64(3)] + xs[4097:])
 
 
+def field_spectrum_csv(samples, freq_label):
+    """Oracle: the spectrum CSV printed field by field, through fmt_float."""
+    lines = [f"{freq_label},re,im,abs"]
+    for s in samples:
+        f = int(s.frequency) if float(s.frequency).is_integer() else fmt_float(s.frequency)
+        lines.append(f"{f},{fmt_float(s.value.real)},{fmt_float(s.value.imag)},{fmt_float(abs(s.value))}")
+    return "\n".join(lines) + "\n"
+
+
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def decimal_columns(draw):
+    """1-3 int64 columns of one common length: each column draws below its
+    own power of ten, near powers of ten and near 0 and 2**63 - 1."""
+    rows = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(0, 19))
+        edges = sorted({min(max(10**k + o, 0), _INT64_MAX) for k in range(top + 1) for o in (-1, 0, 1)} | {0, _INT64_MAX})
+        value = st.one_of(st.integers(0, min(10**top, _INT64_MAX)), st.sampled_from(edges))
+        columns.append(draw(st.lists(value, min_size=rows, max_size=rows)))
+    return columns
+
+
+class TestDecimalRows:
+    @settings(max_examples=400, deadline=None)
+    @given(decimal_columns())
+    @example([[0]])
+    @example([[0, 9, 10], [10, 0, 99], [_INT64_MAX, 1, 0]])
+    def test_rows_print_as_str(self, columns):
+        want = "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
+        assert formats._decimal_rows(*(np.array(c, dtype=np.int64) for c in columns)) == want
+
+
 def written(report, tmp_path):
     path = tmp_path / "report.json"
     write_report(report, path)
@@ -293,6 +333,35 @@ class TestCsv:
 
         text = spectrum_csv([SpectrumSample(2.0, 0.5 + 0j)])
         assert text.splitlines()[0] == "m,re,im,abs"
+
+    @pytest.mark.parametrize("freq_label", ["m", "u"])
+    def test_spectrum_bytes_match_field_renderer(self, freq_label):
+        parts = [0.0, -0.0, 0.5, -1.25, 1 / 3, 123456789.123456789, 1e-7, 1e20, 1e300, 5e-324, -2.2250738585072014e-308,
+                 math.nan, math.inf, -math.inf]
+        values = [complex(re, im) for re in parts for im in parts]
+        samples = [SpectrumSample(f, v) for f in (2.0, 2.5, 1e20, 1e-7, 2**0.5, -0.0, 3, math.inf, math.nan) for v in values]
+        assert spectrum_csv(samples, freq_label=freq_label) == field_spectrum_csv(samples, freq_label)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=20))
+    def test_spectrum_bytes_match_field_renderer_on_any_doubles(self, rows):
+        samples = [SpectrumSample(f, complex(re, im)) for f, re, im in rows]
+        assert spectrum_csv(samples) == field_spectrum_csv(samples, "m")
+
+    def test_witness_blocks_print_as_rows(self):
+        # One int64 block as the search yields it (start indices into the
+        # values), and the same values past int64 in an object block.
+        values = (0, 7, 10, 99, 1000, 12345)
+        starts, diffs, lengths = np.array([0, 1, 5, 2]), np.array([10, 1, 9, 1000]), np.array([3, 12, 100, 4])
+        rows = [(values[i], int(d), int(k)) for i, d, k in zip(starts, diffs, lengths)]
+        want = "start,difference,length\n" + "".join("%s,%s,%s\n" % w for w in rows)
+        assert witnesses_csv(rows) == want
+        assert witnesses_csv([(starts, diffs, lengths)], values) == want
+        assert witnesses_csv([(starts[:2], diffs[:2], lengths[:2]), (starts[2:], diffs[2:], lengths[2:])], values) == want
+        big = tuple(2**63 + v for v in values)
+        blocks = [(starts, diffs.astype(object), lengths)]
+        assert witnesses_csv(blocks, big) == witnesses_csv([(2**63 + s, d, k) for s, d, k in rows])
+        assert witnesses_csv([], values) == witnesses_csv([]) == "start,difference,length\n"
 
     def test_stage_columns(self):
         text = stage_csv(build_stage(ternary_plan(2), 1))
