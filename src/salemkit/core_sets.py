@@ -172,7 +172,10 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     consecutive int64-path calls with this D, this call included, has asked
     for at least D phases, so trial loops that make many small calls share
     one table.  Its entries are bit-identical to exponentiating each
-    residue, so the path never moves a bit.  The empty set sums to 0.
+    residue, so the path never moves a bit.  The int64 path allocates one
+    residue block and one phase block per call, each of at most 2**16
+    entries or one row, and fills them in place for every slab of rows.
+    The empty set sums to 0.
     """
     global _run_denominator, _run_phases
     D = int(denominator)
@@ -191,14 +194,28 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
         # D - 1 gives the same residues as % D without a division.
         power_of_two = D & (D - 1) == 0
         rows = max(1, _CHUNK // len(a))
+        # One residue block and one phase block serve every row slab.
+        residues = np.empty((min(rows, len(k)), len(a)), dtype=np.int64)
+        phases = np.empty(residues.shape, dtype=complex)
         for lo in range(0, len(k), rows):
-            block = k[lo : lo + rows, None] * a[None, :]
+            ks = k[lo : lo + rows]
+            block, p = residues[: len(ks)], phases[: len(ks)]
+            np.multiply(ks[:, None], a[None, :], out=block)
             if power_of_two:
                 block &= D - 1
             else:
                 block %= D
-            phases = np.exp((-2j * np.pi / D) * block) if table is None else np.take(table, block)
-            out[lo : lo + rows] = phases.sum(axis=1)
+            if table is None:
+                # Cast into p first: casting inside the multiply would take
+                # a 128 KiB buffer.  The product is the same complex multiply.
+                p[...] = block
+                np.multiply(-2j * np.pi / D, p, out=p)
+                np.exp(p, out=p)
+            else:
+                # Residues lie in [0, D), so "wrap" never wraps; unlike
+                # "raise" it lets take write into p without a buffer.
+                np.take(table, block, out=p, mode="wrap")
+            out[lo : lo + rows] = p.sum(axis=1)
         return out
     members = a.tolist()
     for i, kk in enumerate(k.tolist()):
@@ -220,10 +237,11 @@ def _unit_roots(D: int) -> np.ndarray:
 
 def _reduce(values: Sequence[int], D: int) -> np.ndarray:
     """Values mod D: int64 when the values and D fit in int64, else an
-    object array of Python integers."""
+    object array of Python integers.  An int64 array already in [0, D) is
+    returned as it is, without a copy."""
     arr = np.asarray(values)
     if arr.dtype == np.int64 and D <= _INT64_MAX:
-        return arr % D
+        return arr if arr.min() >= 0 and arr.max() < D else arr % D
     return np.asarray([int(v) % D for v in values], dtype=object)
 
 

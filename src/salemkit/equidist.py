@@ -12,6 +12,7 @@ a uniform-constant fit along the sequence.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ import numpy as np
 
 from .cantor import C_BOUNDS, CantorStage
 from .core_sets import (
+    _INT64_MAX,
     EXPONENT_CAP,
     ZERO_FLOOR,
     IntegerSet,
@@ -104,14 +106,20 @@ def n_approximation(target, N: int) -> NApproximation:
 
     The target is a finite list of rational points, a list of half-open
     (lo, hi) interval pairs, or a CantorStage.  An empty target gives an
-    empty approximation.
+    empty approximation.  A stage whose denominator D and products
+    (n + length) * N fit in int64 has its cells built by
+    :func:`_stage_cells` from int64 spans; other targets add each span's
+    range of cells to a set of Python ints.
     """
     if N < 1:
         raise ValueError("N must be positive")
     cells: set[int] = set()
     if isinstance(target, CantorStage):
-        D, length = target.denominator, target.length
-        spans = ((n * N // D, -(-(n + length) * N // D)) for n in target.numerators)
+        D, length, numerators = target.denominator, target.length, target.numerators
+        # The numerators are sorted, so the last one has the largest product.
+        if numerators and max(D, (numerators[-1] + length) * operator.index(N)) <= _INT64_MAX:
+            return NApproximation(N, _stage_cells(numerators, length, D, N).tolist())
+        spans = ((n * N // D, -(-(n + length) * N // D)) for n in numerators)
     else:
         points, intervals = _coerce_target(target)
         cells.update(int(p * N) for p in points if p < 1)
@@ -121,6 +129,25 @@ def n_approximation(target, N: int) -> NApproximation:
     for first, stop in spans:
         cells.update(range(first, min(stop, N)))
     return NApproximation(N, tuple(sorted(cells)))
+
+
+def _stage_cells(numerators: Sequence[int], length: int, D: int, N: int) -> np.ndarray:
+    """The cells met by the intervals [n/D, (n + length)/D) of sorted
+    numerators n, as a strictly increasing int64 array, without a sort.
+
+    Each span runs from floor(n*N/D) to min(ceil((n + length)*N/D), N);
+    D and every (n + length) * N must fit in int64.  Sorted numerators make
+    both bounds non-decreasing, so clipping each start to the previous
+    stop leaves disjoint spans in order (possibly empty), and their cells
+    are one ``repeat`` plus an ``arange``.
+    """
+    n = np.array(numerators, dtype=np.int64)
+    first = n * N // D
+    stop = np.minimum(-(-(n + length) * N // D), N)
+    np.maximum(first[1:], stop[:-1], out=first[1:])
+    counts = np.maximum(stop - first, 0)
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - offsets, counts)
 
 
 def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
@@ -267,20 +294,34 @@ def integers_from_approximations(approximations: Sequence[NApproximation]) -> In
     With N_0 = 0, stage i contributes N_{i-1} + a for every cell numerator
     a whose fraction a/N_i was not already a cell fraction of stage i-1.
     Fractions are compared as integers c * (L / N_i) over the lcm L of the
-    N_i.  Overlapping blocks are merged by set union.
+    N_i.  When L times the largest N_i fits in int64, each stage's keys are
+    an int64 array, sorted because its cells are, and membership in the
+    previous stage's keys is a ``searchsorted``; otherwise the keys are sets
+    of Python ints.  Overlapping blocks are merged by set union.
     """
     if not approximations:
         raise ValueError("need at least one approximation")
     require_increasing([a.N for a in approximations], "approximation sizes must be strictly increasing")
     L = math.lcm(*(a.N for a in approximations))
+    # Sizes increase, so the last is the largest.
+    exact = L * operator.index(approximations[-1].N) <= _INT64_MAX
     out: set[int] = set()
-    prev_keys: set[int] = set()
+    prev_keys = np.empty(0, dtype=np.int64) if exact else set()
     prev_N = 0
     horizon = 1
     for approx in approximations:
         scale = L // approx.N
-        out.update(prev_N + c for c in approx.cells if c * scale not in prev_keys)
+        if exact:
+            cells = np.array(approx.cells, dtype=np.int64)
+            keys = cells * scale
+            if len(prev_keys):
+                at = np.minimum(np.searchsorted(prev_keys, keys), len(prev_keys) - 1)
+                cells = cells[prev_keys[at] != keys]
+            out.update((cells + prev_N).tolist())
+        else:
+            out.update(prev_N + c for c in approx.cells if c * scale not in prev_keys)
+            keys = {c * scale for c in approx.cells}
         horizon = max(horizon, prev_N + approx.N)
-        prev_keys = {c * scale for c in approx.cells}
+        prev_keys = keys
         prev_N = approx.N
     return IntegerSet(tuple(sorted(out)), horizon)

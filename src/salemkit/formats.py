@@ -208,9 +208,22 @@ def save_approximation(approx: NApproximation, path) -> None:
 
 
 def load_approximation(path) -> NApproximation:
+    """The approximation in ``path``.  A file that is an "N=" header and
+    one integer per line is read in one pass by ``int``, which strips the
+    same whitespace as ``str.strip``; any other file (blank or "#" lines, a
+    late "N=" line, a bad line) is read line by line, which gives the same
+    result, or names the line at fault."""
+    lines = Path(path).read_text().splitlines()
+    if lines and lines[0].startswith("N="):
+        try:
+            N, cells = int(lines[0][2:]), list(map(int, lines[1:]))
+        except ValueError:
+            pass
+        else:
+            return _approximation(N, cells)
     N = None
     cells: list[int] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -226,8 +239,12 @@ def load_approximation(path) -> NApproximation:
             raise FormatError(f"line {lineno}: not an integer") from exc
     if N is None:
         raise FormatError("missing N header")
+    return _approximation(N, cells)
+
+
+def _approximation(N: int, cells: list[int]) -> NApproximation:
     try:
-        return NApproximation(N, tuple(cells))
+        return NApproximation(N, cells)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -253,23 +270,43 @@ def load_points(path) -> list[Fraction]:
 
 
 def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") -> str:
-    # One % per row: %d prints an integral frequency as int() does, and
-    # "%.12g" % x is format(x, ".12g"), which is what fmt_float prints.
+    """One row per sample, by one % format: %d prints an integral frequency
+    as int() does, and "%.12g" % x is format(x, ".12g"), which is what
+    fmt_float prints.  A finite value whose modulus overflows a double has
+    abs "inf"."""
     lines = [f"{freq_label},re,im,abs"]
     for s in samples:
         f, v = s.frequency, s.value
         row = "%d,%.12g,%.12g,%.12g" if float(f).is_integer() else "%.12g,%.12g,%.12g,%.12g"
-        lines.append(row % (f, v.real, v.imag, abs(v)))
+        try:
+            modulus = abs(v)
+        except OverflowError:
+            modulus = math.inf
+        lines.append(row % (f, v.real, v.imag, modulus))
     return "\n".join(lines) + "\n"
 
 
 def stage_csv(stage: CantorStage) -> str:
-    # Each endpoint n/D in lowest terms; n / D rounds like float(Fraction(n, D)).
+    """Each endpoint n/D in lowest terms, and its value n / D rounded like
+    float(Fraction(n, D)), at 12 significant digits.
+
+    Below 2**53, D and the numerators (which do not pass D) are exact
+    doubles, and the float64 quotient is the correctly rounded one that
+    int true division gives; there the gcds and quotients are numpy arrays
+    and each row is one % format.  Larger denominators are printed
+    endpoint by endpoint in Python ints.
+    """
     D = stage.denominator
     lines = ["numerator,denominator,value"]
-    for n in stage.numerators:
-        g = math.gcd(n, D)
-        lines.append(f"{n // g},{D // g},{fmt_float(n / D)}")
+    if D < 2**53:
+        n = np.array(stage.numerators, dtype=np.int64)
+        g = np.gcd(n, D)
+        rows = zip((n // g).tolist(), (D // g).tolist(), (n / D).tolist())
+        lines.extend(map("%d,%d,%.12g".__mod__, rows))
+    else:
+        for n in stage.numerators:
+            g = math.gcd(n, D)
+            lines.append(f"{n // g},{D // g},{fmt_float(n / D)}")
     return "\n".join(lines) + "\n"
 
 

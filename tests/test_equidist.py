@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salemkit.cantor import build_stage, make_plan, ternary_plan
+from salemkit import equidist
+from salemkit.cantor import CantorStage, build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, decay_exponent_fit, fractional_density
 from salemkit.generators import squares_below
 from salemkit.equidist import (
@@ -19,7 +20,10 @@ from salemkit.equidist import (
     weyl_moduli,
 )
 
+from test_cantor import small_plans
+
 LOG23 = math.log(2) / math.log(3)
+INT64_MAX = 2**63 - 1
 
 
 def naive_weyl_modulus(points, m):
@@ -54,6 +58,70 @@ def fraction_integers_from_approximations(approximations):
         prev_fractions = set(fractions)
         prev_N = approx.N
     return IntegerSet(tuple(sorted(out)), horizon)
+
+
+def loop_n_approximation(stage, N):
+    """Oracle: a stage's cells by the span loop over Python ints, each
+    interval's range of cells added to one set, then sorted."""
+    D, length = stage.denominator, stage.length
+    cells = set()
+    for n in stage.numerators:
+        cells.update(range(n * N // D, min(-(-(n + length) * N // D), N)))
+    return tuple(sorted(cells))
+
+
+def set_integers_from_approximations(approximations):
+    """Oracle: the extraction with each stage's keys c * (L / N) held as a
+    set of Python ints."""
+    L = math.lcm(*(a.N for a in approximations))
+    out = set()
+    prev_keys = set()
+    prev_N = 0
+    horizon = 1
+    for approx in approximations:
+        scale = L // approx.N
+        out.update(prev_N + c for c in approx.cells if c * scale not in prev_keys)
+        horizon = max(horizon, prev_N + approx.N)
+        prev_keys = {c * scale for c in approx.cells}
+        prev_N = approx.N
+    return IntegerSet(tuple(sorted(out)), horizon)
+
+
+@st.composite
+def guard_stages(draw):
+    """(stage, N): a few intervals of one short length, clustered (adjacent,
+    overlapping one cell, or apart) in the upper half of [0, D).  D lies
+    below, at or past 2**63 - 1, and N is small, or the largest N for which
+    (n_last + length) * N fits in int64, one less, one more or twice it.
+    The upper half keeps the cell count small at any such N."""
+    D = draw(st.sampled_from([2**40 + 15, 3**30, 2**62 + 1, INT64_MAX - 1, INT64_MAX, 2**63, 2**63 + 1, 3**45]))
+    length = draw(st.integers(1, 1000))
+    offsets = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=6)))
+    spread = draw(st.sampled_from([length, 1, 2 * length + 1]))
+    base = draw(st.integers(D // 2, D - length - spread * offsets[-1]))
+    stage = CantorStage(1, tuple(base + spread * o for o in offsets), length, D)
+    edge = max(1, INT64_MAX // (stage.numerators[-1] + length))
+    N = draw(st.one_of(st.integers(1, 64), st.sampled_from([edge - 1, edge, edge + 1, 2 * edge]).filter(lambda n: n >= 1)))
+    return stage, N
+
+
+@st.composite
+def guard_sequences(draw):
+    """Approximations of sizes s * m for increasing multipliers m, with s
+    at, below or past the largest size for which L * max N fits in int64.
+    Cells m * t share the fraction t / s across stages; cells near 0 and
+    near N mostly do not."""
+    mults = sorted(draw(st.sets(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=1, max_size=4)))
+    # L = s * lcm(mults) and max N = s * mults[-1]
+    edge = math.isqrt(INT64_MAX // (math.lcm(*mults) * mults[-1]))
+    s = draw(st.sampled_from([edge - 1, edge, edge + 1, 7, 60]))
+    approximations = []
+    for m in mults:
+        N = s * m
+        shared = {m * t for t in draw(st.sets(st.integers(0, 8), max_size=6))}
+        ends = {c for o in draw(st.sets(st.integers(0, 8), max_size=6)) for c in (o, N - 1 - o)}
+        approximations.append(NApproximation(N, tuple(sorted(c for c in shared | ends if 0 <= c < N))))
+    return approximations
 
 
 @st.composite
@@ -101,6 +169,40 @@ class TestNApproximation:
                                (squares, 2, 997)):
             stage = build_stage(plan, depth)
             assert n_approximation(stage, N).cells == linear_cells(stage_intervals(stage), N)
+
+    @given(small_plans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_small_plan_stages_match_span_loop(self, plan, data):
+        # unit eta puts adjacent intervals on one boundary cell, and at
+        # small N many intervals share a cell, so clipped spans are empty
+        stage = build_stage(plan, data.draw(st.integers(0, plan.depth)))
+        N = data.draw(st.integers(1, 3 * plan.M(plan.depth)))
+        assert n_approximation(stage, N).cells == loop_n_approximation(stage, N)
+
+    @given(guard_stages())
+    @settings(max_examples=200, deadline=None)
+    def test_stages_at_the_int64_guard_match_span_loop(self, stage_and_N):
+        stage, N = stage_and_N
+        assert n_approximation(stage, N).cells == loop_n_approximation(stage, N)
+
+    def test_int64_spans_up_to_the_guard(self, monkeypatch):
+        # (n_last + length) * N and D each exactly 2**63 - 1 take the int64
+        # spans; one past either takes the span loop
+        calls = []
+        cells = equidist._stage_cells
+        monkeypatch.setattr(equidist, "_stage_cells", lambda *args: calls.append(args) or cells(*args))
+        top = INT64_MAX // 7
+        cases = [
+            (CantorStage(1, (0, top // 2, top - 5), 5, top), 7, True),
+            (CantorStage(1, (0, top // 2, top - 5), 5, top), 8, False),
+            (CantorStage(1, (0, 1, 5), 3, INT64_MAX), 3, True),
+            (CantorStage(1, (0, 1, 5), 3, INT64_MAX + 1), 3, False),
+        ]
+        for stage, N, int64 in cases:
+            calls.clear()
+            assert n_approximation(stage, N).cells == loop_n_approximation(stage, N)
+            assert bool(calls) == int64
+        assert type(n_approximation(CantorStage(1, (0, 1, 5), 3, 8), 8).cells[0]) is int
 
     @given(st.lists(interval_strategy(), min_size=1, max_size=4), st.integers(1, 24))
     @settings(max_examples=80, deadline=None)
@@ -287,6 +389,11 @@ class TestIntegersFromApproximations:
     def test_matches_fraction_reference(self, approximations):
         # non-nested sizes such as 6, 10, 15 share only some cell fractions
         assert integers_from_approximations(approximations) == fraction_integers_from_approximations(approximations)
+
+    @given(st.one_of(approximation_sequences(), guard_sequences()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_reference(self, approximations):
+        assert integers_from_approximations(approximations) == set_integers_from_approximations(approximations)
 
     def test_density_tracks_construction(self):
         # four stages of one beta = 0.5 refinement; counting at the block

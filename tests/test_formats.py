@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from salemkit import formats
 from salemkit.aps import check_thm32_hypotheses, find_ap_integers, find_ap_points
-from salemkit.cantor import build_stage, make_plan, ternary_plan
+from salemkit.cantor import CantorStage, build_stage, make_plan, ternary_plan
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet, SpectrumSample
 from salemkit.equidist import NApproximation, characterize_salem, n_approximation
@@ -39,6 +39,69 @@ from salemkit.formats import (
     witnesses_csv,
     write_report,
 )
+from test_cantor import small_plans
+
+
+def loop_stage_csv(stage):
+    """Oracle: the stage CSV printed endpoint by endpoint in Python ints."""
+    D = stage.denominator
+    lines = ["numerator,denominator,value"]
+    for n in stage.numerators:
+        g = math.gcd(n, D)
+        lines.append(f"{n // g},{D // g},{fmt_float(n / D)}")
+    return "\n".join(lines) + "\n"
+
+
+def line_loop_load_approximation(path):
+    """Oracle: an approximation file read line by line."""
+    N = None
+    cells = []
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("N="):
+            try:
+                N = int(line.split("=", 1)[1])
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: bad N header") from exc
+            continue
+        try:
+            cells.append(int(line))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: not an integer") from exc
+    if N is None:
+        raise FormatError("missing N header")
+    try:
+        return NApproximation(N, tuple(cells))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def approximation_texts(draw):
+    """Approximation files: an N= header (or none), cells padded with
+    whitespace, and maybe blank and "#" lines anywhere, a late N= line and
+    one bad line."""
+    pad = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\u3000", "\x0b", "\x0c"])
+    N = draw(st.integers(1, 40))
+    cells = sorted(draw(st.sets(st.integers(0, 45), max_size=12)))
+    lines = [draw(pad) + str(c) + draw(pad) for c in cells]
+    extras = draw(st.lists(st.sampled_from(["", "   ", "# note", "  #x", "N=%d" % (N + 1), "N=x", "3.5", "1 2", "abc",
+                                            "+7", "0_1", "N=", "-1"]), max_size=3))
+    for line in extras:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    header = draw(st.sampled_from(["N=%d", "N= %d ", "N=%d\t", " N=%d", "# c\nN=%d", None]))
+    if header is not None:
+        lines.insert(0, header % N)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 class TestIntegerSetFiles:
@@ -133,6 +196,22 @@ class TestApproximationFiles:
         with pytest.raises(FormatError):
             load_approximation(path)
 
+    @settings(max_examples=200, deadline=None)
+    @given(approximation_texts())
+    @example("N=16\n 0 \n\t3\n9\u00a0\n")
+    @example("N=16\n0\n\n3\n")
+    @example("N=16\n0\n# c\n3\n")
+    @example("N=16\n0\nN=20\n17\n")
+    @example("N=16\n0\nx\n3\n")
+    @example("N=16\n3\n0\n")
+    @example("N=4\n0\n9\n")
+    @example("N=x\n0\n")
+    @example("123\n0\n")
+    def test_one_pass_read_matches_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("approx") / "a.txt"
+        path.write_text(text)
+        assert outcome(load_approximation, path) == outcome(line_loop_load_approximation, path)
+
 
 class TestPointsFiles:
     def test_round_trip(self, tmp_path):
@@ -206,11 +285,16 @@ class TestCanonicalJson:
 
 
 def field_spectrum_csv(samples, freq_label):
-    """Oracle: the spectrum CSV printed field by field, through fmt_float."""
+    """Oracle: the spectrum CSV printed field by field, through fmt_float;
+    a modulus too large for a double prints as inf."""
     lines = [f"{freq_label},re,im,abs"]
     for s in samples:
         f = int(s.frequency) if float(s.frequency).is_integer() else fmt_float(s.frequency)
-        lines.append(f"{f},{fmt_float(s.value.real)},{fmt_float(s.value.imag)},{fmt_float(abs(s.value))}")
+        try:
+            modulus = abs(s.value)
+        except OverflowError:
+            modulus = math.inf
+        lines.append(f"{f},{fmt_float(s.value.real)},{fmt_float(s.value.imag)},{fmt_float(modulus)}")
     return "\n".join(lines) + "\n"
 
 
@@ -344,6 +428,7 @@ class TestCsv:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=20))
+    @example([(0.0, 1.8941775056029057e300, 1.7976931348623157e308)])
     def test_spectrum_bytes_match_field_renderer_on_any_doubles(self, rows):
         samples = [SpectrumSample(f, complex(re, im)) for f, re, im in rows]
         assert spectrum_csv(samples) == field_spectrum_csv(samples, "m")
@@ -369,6 +454,33 @@ class TestCsv:
         assert lines[0] == "numerator,denominator,value"
         assert lines[1] == "0,1,0"
         assert lines[2].startswith("2,3,0.66666666")
+
+    @given(small_plans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stage_bytes_match_endpoint_loop(self, plan, data):
+        stage = build_stage(plan, data.draw(st.integers(0, plan.depth)))
+        assert stage_csv(stage) == loop_stage_csv(stage)
+
+    @given(st.sampled_from([3**33, 2**53 - 1, 2**53, 2**53 + 1, 3**34, 2**64 + 13]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stage_bytes_at_the_double_guard(self, D, data):
+        # denominators below 2**53 print through float64 quotients, larger
+        # ones endpoint by endpoint; both print every n / D as Fraction does
+        ends = data.draw(st.sets(st.sampled_from([0, 1, 2**52, D - 2, D - 1])))
+        numerators = sorted(ends | data.draw(st.sets(st.integers(0, D - 1), min_size=1, max_size=20)))
+        stage = CantorStage(1, tuple(numerators), 1, D)
+        text = stage_csv(stage)
+        assert text == loop_stage_csv(stage)
+        for row, n in zip(text.splitlines()[1:], numerators):
+            p, q, value = row.split(",")
+            assert Fraction(int(p), int(q)) == Fraction(n, D) and value == fmt_float(float(Fraction(n, D)))
+
+    def test_stage_values_past_the_double_guard_round_once(self):
+        # past 2**53 the quotient of the two rounded doubles can miss n / D
+        # in the 12th digit: here it would print 0.723347347958
+        D, n = 2**53 + 1, 6515333693441668
+        assert float(n) / float(D) != n / D
+        assert stage_csv(CantorStage(1, (0, n), 1, D)).splitlines()[2].endswith(",0.723347347957")
 
     def test_rational_witnesses(self):
         points = [Fraction(p) for p in ("-1/3", "0", "1/3", "1/2", "1", "3/2", "2", "3", "5")]
