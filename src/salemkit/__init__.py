@@ -48,18 +48,13 @@ from .measures import (
     THETA,
     decay_check,
     mu_hat,
-    q_factor,
-    truncation_for,
 )
 from .randfrac import (
     DimensionStats,
     LemmaCheckReport,
     OrderStats,
     RandomFractalConfig,
-    TrialResult,
-    corollary64_check,
     dimension_experiment,
-    generate_trial,
     lemma63_experiment,
     mu1_hat,
     order_experiment,

@@ -310,23 +310,19 @@ def stage_csv(stage: CantorStage) -> str:
     return "\n".join(lines) + "\n"
 
 
-def witnesses_csv(witnesses: Iterable[tuple], values: Sequence[int] | None = None) -> str:
+def witnesses_csv(blocks: Iterable[tuple], values: Sequence[int]) -> str:
     """The witness CSV: a header, then one "start,difference,length" row
-    per witness; ``str`` prints an int or Fraction as fmt_rational does.
-
-    ``witnesses`` are (start, difference, length) rows; with ``values``
-    they are the search's column blocks instead (start indices into the
+    per witness of the search's column blocks (start indices into the
     sorted ``values``, differences, lengths), as ``aps._run_blocks``
     yields them.  A block searched on int64 is printed by
-    :func:`_decimal_rows` without a Python object per row.
+    :func:`_decimal_rows` without a Python object per row; any other block
+    is printed row by row, where ``str`` prints an int or Fraction as
+    fmt_rational does.
     """
     parts = ["start,difference,length\n"]
     row = "%s,%s,%s\n".__mod__
-    if values is None:
-        parts.extend(map(row, witnesses))
-        return "".join(parts)
     v = None
-    for starts, diffs, lengths in witnesses:
+    for starts, diffs, lengths in blocks:
         if diffs.dtype == np.int64:
             # The search ran on int64, so every value fits.
             if v is None:

@@ -14,11 +14,13 @@ by its plan alone: truncating the product at depth d is the measure of the
 plan's first d levels.  Every phase is reduced mod 1 exactly in rationals;
 a float frequency is the binary rational it holds.
 
-A grid is evaluated level by level: the frequencies that still need
-factor k form a suffix of the sorted grid, and factor k is summed over that
-suffix in numpy, digit by digit, and multiplied into the running product.
-Every rounding step is the one the scalar product takes, so each value has
-the same bits as the scalar product at that frequency.
+:func:`mu_hat` is the one public transform, and it takes a whole grid.
+The grid is evaluated level by level in order of the frequencies' factor
+counts: the frequencies that still need factor k form a suffix, and factor
+k is summed over that suffix in numpy, digit by digit, and multiplied into
+the running product.  Every rounding step is the one the scalar product
+takes, so each value has the same bits as the scalar product at that
+frequency.
 """
 
 from __future__ import annotations
@@ -61,19 +63,6 @@ class DecayReport:
             "capped": self.capped,
             "envelope": [[m, mag] for m, mag in self.envelope],
         }
-
-
-def q_factor(plan: LevelPlan, k: int, u) -> complex:
-    """(1/d_k) * sum_{a in A_k} e^{-2 pi i u a / M_k}; modulus at most 1.
-
-    Each phase u*a/M_k is reduced mod 1 exactly, with u read as the
-    rational ``Fraction(u)``.
-    """
-    if not 1 <= k <= plan.depth:
-        raise ValueError(f"level {k} outside the plan")
-    q = Fraction(u)
-    re, im = _level_sums(plan.levels[k - 1].digits, [q.numerator], [q.denominator * plan.M(k)])
-    return complex(re[0], im[0])
 
 
 def _level_sums(digits: Sequence[int], p: Sequence[int], D: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +117,6 @@ def _factor_counts(plan: LevelPlan, us: Sequence) -> tuple[np.ndarray, np.ndarra
     return counts, active
 
 
-def truncation_for(plan: LevelPlan, u) -> tuple[int, bool]:
-    """Number of product factors to evaluate at u, and whether the plan's
-    depth cut the tail while the next factor was still active."""
-    counts, capped = _factor_counts(plan, [u])
-    return int(counts[0]), bool(capped[0])
-
-
 def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[complex]:
     """The factor product at each u of ``us`` with ``counts[j]`` factors,
     level by level.  The counts must not decrease along ``us``, so the
@@ -163,23 +145,30 @@ def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[comple
     return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
 
 
-def mu_hat(plan: LevelPlan, u, *, depth: int | None = None) -> complex:
-    """Transform of the plan's stagewise measure at u via the factor product.
+def mu_hat(plan: LevelPlan, us: Sequence, *, depth: int | None = None) -> np.ndarray:
+    """Transform of the plan's stagewise measure at every frequency in
+    ``us``, in any order, via the factor product.
 
     With ``depth=None`` the factor count follows the truncation rule (and is
-    silently capped at the plan depth; use :func:`truncation_for` to
-    observe the cap).  An explicit ``depth`` forces exactly that many
-    factors, i.e. the transform of the depth-``depth`` endpoint comb.
+    silently capped at the plan depth; :func:`decay_check` reports the cap).
+    An explicit ``depth`` forces exactly that many factors, i.e. the
+    transform of the depth-``depth`` endpoint comb.  The frequencies are
+    evaluated in one pass, in stable order of their factor counts, so each
+    value has the bits of the scalar product at its frequency.
     """
-    if abs(float(u)) > U_MAX:
+    if any(abs(u) > U_MAX for u in us):
         raise ValueError(f"|u| exceeds the largest supported frequency {U_MAX:g}")
     if depth is None:
-        counts, _ = _factor_counts(plan, [u])
+        counts, _ = _factor_counts(plan, us)
     else:
         if not 1 <= depth <= plan.depth:
             raise ValueError("depth must lie within the plan depth")
-        counts = np.array([depth])
-    return _transform(plan, [u], counts)[0]
+        counts = np.full(len(us), depth)
+    out = np.zeros(len(us), dtype=complex)
+    if len(us):
+        order = np.argsort(counts, kind="stable")
+        out[order] = _transform(plan, [us[i] for i in order.tolist()], counts[order])
+    return out
 
 
 def dyadic_block_envelope(samples: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -9,13 +9,12 @@ trial_index) and is independent of execution order.  Every experiment
 walks the same trial stream, trials 0..trials-1 one at a time.  Each
 stage draws its keep-mask first, in blocks, from the trial's one stream,
 and builds only the surviving cells.  Each experiment builds only what it
-reads.  The lemma-6.3 experiment reads each trial as a
-:class:`TrialResult`, and a dumped trial is rendered from its int64
-stage arrays.  The dimension walk reads only the size of the last stage,
-so it takes that stage's draws and counts them without building it.
-Order trials are scored from the int64 array of the final stage, with
-one frequency sweep per experiment; neither builds the per-stage integer
-tuples.
+reads, and every trial is read as the int64 arrays of its stages: the
+lemma-6.3 experiment reads the first stage, order trials are scored from
+the final stage with one frequency sweep per experiment, and a dumped
+trial is rendered from every stage.  The dimension walk reads only the
+size of the last stage, so it takes that stage's draws and counts them
+without building it.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core_sets import _CHUNK, as_integers, exp_sum
-from .equidist import NApproximation, OrderEstimate, _finest_fit, _sweep, equidist_order
+from .equidist import _finest_fit, _sweep
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,6 @@ class RandomFractalConfig:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    beta: float
-    level_sizes: tuple[int, ...]
-    stages: tuple[tuple[int, ...], ...]
-    white_counts: tuple[int, ...]
-    extinct: bool
-    trial_index: int
-    master_seed: int
-
-    def resolution(self) -> int:
-        """N_1 * ... * N_i over the i recorded stages."""
-        return math.prod(self.level_sizes[: len(self.stages)])
-
-
-@dataclass(frozen=True)
 class DimensionStats:
     mean_dim: float
     std_dim: float
@@ -116,22 +100,16 @@ def trial_rng(config: RandomFractalConfig, trial_index: int) -> np.random.Genera
     return np.random.default_rng([config.master_seed, trial_index])
 
 
-def generate_trial(config: RandomFractalConfig, trial_index: int) -> TrialResult:
-    """One Bernoulli refinement down to the configured depth.
-
-    If every cell dies before the requested depth the result is truncated
-    at the first empty stage (which is recorded) and flagged extinct.
-    Identical (master_seed, trial_index) gives identical output.
-    """
-    fields = _trial_fields(config, trial_index)
-    fields["stages"] = tuple(tuple(stage.tolist()) for stage in fields["stages"])
-    return TrialResult(**fields)
-
-
 def _trial_fields(config: RandomFractalConfig, trial_index: int) -> dict:
-    """The fields of :func:`generate_trial`'s :class:`TrialResult`, each
-    stage still the int64 array of :func:`_refine`: a dumped trial renders
-    from these arrays without a tuple of Python ints per stage."""
+    """One Bernoulli refinement down to the configured depth, as the record
+    ``--dump-trial`` writes: beta, level_sizes, stages, white_counts,
+    extinct, trial_index and master_seed.
+
+    Each stage is the int64 array of :func:`_refine`.  If every cell dies
+    before the requested depth the stages end at the first empty stage
+    (which is recorded) and the trial is flagged extinct.  Identical
+    (master_seed, trial_index) gives identical output.
+    """
     if not 0 <= trial_index < config.trials:
         raise ValueError("trial_index outside the configured trial count")
     stages = _refine(config, trial_index)
@@ -207,20 +185,6 @@ def _next_stage(
     return survivors if count else np.concatenate(blocks)
 
 
-def _trials(config: RandomFractalConfig) -> Iterator[TrialResult]:
-    """Every configured trial in trial order, extinct ones included.
-
-    Only the lemma-6.3 experiment reads trials this way.  Trials are
-    generated one at a time and dropped once the caller moves on: a 64**4
-    trial's cells as tuples of Python integers take megabytes.  The
-    dimension walk never builds its last stage but counts it
-    (:func:`_final_count`), and order trials are scored from the int64
-    arrays of :func:`_refine`.
-    """
-    for t in range(config.trials):
-        yield generate_trial(config, t)
-
-
 def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     """Box-dimension statistics log(count)/log(M_depth) across trials.
 
@@ -268,11 +232,12 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 
 
-def mu1_hat(trial: TrialResult, us: Sequence) -> np.ndarray:
+def mu1_hat(cells: np.ndarray, N1: int, beta: float, us: Sequence) -> np.ndarray:
     """Transform of the reweighted stage-1 measure at every frequency in ``us``.
 
-    The measure has density p**(-1) on the union of white stage-1 cells
-    (p = N_1**(-beta)), so each cell contributes its exact interval
+    ``cells`` are the white stage-1 cells of a trial, the int64 array
+    ``_refine(config, t)[0]``.  The measure has density p**(-1) on their
+    union (p = N_1**(-beta)), so each cell contributes its exact interval
     integral of e^{-2 pi i u x}.  At u = 0 this is white/(p*N_1); with no
     white cells the zero measure's transform (identically 0) is returned.
     Each u is read as the rational ``Fraction(u)``; the cell phases u*c/N_1
@@ -280,11 +245,9 @@ def mu1_hat(trial: TrialResult, us: Sequence) -> np.ndarray:
     frequencies' denominators.
     """
     out = np.zeros(len(us), dtype=complex)
-    cells = trial.stages[0] if trial.stages else ()
-    if not cells:
+    if not len(cells):
         return out
-    N1 = trial.level_sizes[0]
-    p = N1 ** (-trial.beta)
+    p = N1 ** (-beta)
     D, numerators, factors = _stage1_grid(N1, tuple(us))
     combs = exp_sum(cells, N1 * D, numerators)
     for i, (factor, comb) in enumerate(zip(factors, combs)):
@@ -327,7 +290,8 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         raise ValueError("u_max must lie in [2, N_1]")
     us = range(2, u_max + 1)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
-    satisfied = sum(bool(np.all(np.abs(mu1_hat(trial, us)) < bounds)) for trial in _trials(config))
+    stage1 = (_refine(config, t)[0] for t in range(config.trials))
+    satisfied = sum(bool(np.all(np.abs(mu1_hat(cells, N1, config.beta, us)) < bounds)) for cells in stage1)
     return LemmaCheckReport(
         N1=N1,
         epsilon1=float(epsilon1),
@@ -335,12 +299,3 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         satisfied_fraction=satisfied / config.trials,
         trials=config.trials,
     )
-
-
-def corollary64_check(trial: TrialResult) -> OrderEstimate:
-    """Equidistribution order of the final-stage cell left endpoints."""
-    if trial.extinct:
-        raise ValueError("extinct trial has no final-stage points")
-    M = trial.resolution()
-    approx = NApproximation(M, trial.stages[-1])
-    return equidist_order([approx])

@@ -17,7 +17,6 @@ from salemkit.measures import decay_check
 from salemkit.randfrac import (
     RandomFractalConfig,
     dimension_experiment,
-    generate_trial,
     lemma63_experiment,
     order_experiment,
 )
@@ -40,6 +39,7 @@ from salemkit.formats import (
     write_report,
 )
 from test_cantor import small_plans
+from test_randfrac import reference_refine
 
 
 def loop_stage_csv(stage):
@@ -380,10 +380,10 @@ class TestReportBytes:
         assert run_command(["random-salem", "--beta", "0.5", "--levels", "8,8,8", "--depth", "3",
                             "--trials", "3", "--seed", "5", "--dump-trial", "2",
                             "--trial-output", str(dump), "--output", str(tmp_path / "s.json")]) == 0
-        t = generate_trial(RandomFractalConfig(0.5, (8, 8, 8), 3, 3, 5), 2)
+        stages = reference_refine(RandomFractalConfig(0.5, (8, 8, 8), 3, 3, 5), 2)
         want = {"trial_index": 2, "master_seed": 5, "beta": 0.5, "level_sizes": [8, 8, 8],
-                "stages": [list(s) for s in t.stages], "white_counts": list(t.white_counts),
-                "extinct": t.extinct}
+                "stages": [s.tolist() for s in stages], "white_counts": [s.size for s in stages],
+                "extinct": stages[-1].size == 0}
         assert dump.read_text() == canonical_json(want) + "\n"
 
     def test_ap_find_json(self, tmp_path):
@@ -439,14 +439,14 @@ class TestCsv:
         values = (0, 7, 10, 99, 1000, 12345)
         starts, diffs, lengths = np.array([0, 1, 5, 2]), np.array([10, 1, 9, 1000]), np.array([3, 12, 100, 4])
         rows = [(values[i], int(d), int(k)) for i, d, k in zip(starts, diffs, lengths)]
-        want = "start,difference,length\n" + "".join("%s,%s,%s\n" % w for w in rows)
-        assert witnesses_csv(rows) == want
+        header = "start,difference,length\n"
+        want = header + "".join("%s,%s,%s\n" % w for w in rows)
         assert witnesses_csv([(starts, diffs, lengths)], values) == want
         assert witnesses_csv([(starts[:2], diffs[:2], lengths[:2]), (starts[2:], diffs[2:], lengths[2:])], values) == want
         big = tuple(2**63 + v for v in values)
         blocks = [(starts, diffs.astype(object), lengths)]
-        assert witnesses_csv(blocks, big) == witnesses_csv([(2**63 + s, d, k) for s, d, k in rows])
-        assert witnesses_csv([], values) == witnesses_csv([]) == "start,difference,length\n"
+        assert witnesses_csv(blocks, big) == header + "".join("%s,%s,%s\n" % (2**63 + s, d, k) for s, d, k in rows)
+        assert witnesses_csv([], values) == header
 
     def test_stage_columns(self):
         text = stage_csv(build_stage(ternary_plan(2), 1))
@@ -487,9 +487,14 @@ class TestCsv:
         witnesses = find_ap_points(points, 3)
         want = "start,difference,length\n" + "".join(
             f"{fmt_rational(s)},{fmt_rational(d)},{n}\n" for s, d, n in witnesses)
-        assert witnesses_csv(witnesses) == want
         # negative, integral and fractional values in both rational columns
         assert "-1/3,1/3,3\n" in want and "0,1,4\n" in want and "1,2,3\n" in want
+        # the witnesses as one object block over the sorted points print
+        # as the fmt_rational rows
+        starts = np.array([points.index(s) for s, _, _ in witnesses])
+        diffs = np.array([d for _, d, _ in witnesses], dtype=object)
+        lengths = np.array([n for _, _, n in witnesses])
+        assert witnesses_csv([(starts, diffs, lengths)], points) == want
 
     def test_rational_formatting(self):
         assert fmt_rational(Fraction(4, 8)) == "1/2"

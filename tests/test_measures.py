@@ -4,6 +4,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,13 +13,8 @@ from salemkit import measures
 from salemkit.cantor import build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, dft_char, geometric_grid
 from salemkit.generators import power_law_set, quadratic_residues, squares_below
-from salemkit.measures import (
-    decay_check,
-    dyadic_block_envelope,
-    mu_hat,
-    q_factor,
-    truncation_for,
-)
+from salemkit.measures import decay_check, dyadic_block_envelope, mu_hat
+from test_cantor import small_plans
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -71,8 +67,15 @@ def loop_level_sum(digits, p, D):
     return total / len(digits)
 
 
+def mu(plan, u, *, depth=None):
+    """mu_hat at a single frequency."""
+    return complex(mu_hat(plan, [u], depth=depth)[0])
+
+
 def loop_truncation(plan, u):
-    """Oracle: the scalar truncation rule, one level at a time for one u."""
+    """Oracle: the scalar truncation rule, one level at a time for one u:
+    the number of product factors to evaluate at u, and whether the plan's
+    depth cut the tail while the next factor was still active."""
     au = abs(float(u))
     for p in range(plan.depth):
         if float(plan.eta_product(p)) * au / plan.M(p + 1) < measures.THETA:
@@ -112,6 +115,26 @@ def fraction_mu_hat(plan, u, factors):
     return value
 
 
+@st.composite
+def plans_with_depth(draw):
+    """A small plan and a depth within it."""
+    plan = draw(small_plans())
+    return plan, draw(st.integers(1, plan.depth))
+
+
+@st.composite
+def unsorted_frequencies(draw):
+    """An unsorted list of ints, floats and Fractions in [-10**6, 10**6],
+    0 and repeated entries among them."""
+    us = draw(st.lists(st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(-10**6, 10**6, max_denominator=10**4),
+        st.floats(-1e6, 1e6),
+    ), min_size=1, max_size=16))
+    us += [0] + us[: draw(st.integers(1, len(us)))]
+    return draw(st.permutations(us))
+
+
 def squares_plan():
     return make_plan(squares_below(10**4), [100, 100, 100, 100], 0.5)
 
@@ -131,25 +154,29 @@ def linear_stage_cdf(plan, k, x):
 
 
 class TestQFactor:
+    """The level factors through the forced-depth transform: at depth 1 it
+    is the first factor Q_1 itself, and at depth k the product of the
+    first k factors."""
+
     def test_zero_argument(self):
         plan = ternary_plan(3)
-        assert q_factor(plan, 1, 0) == 1.0
-        assert q_factor(plan, 2, 0) == 1.0
+        assert mu(plan, 0, depth=1) == 1.0
+        assert mu(plan, 0, depth=2) == 1.0
 
     def test_ternary_cancellation(self):
         plan = ternary_plan(3, unit_eta=True)
-        assert abs(q_factor(plan, 1, Fraction(3, 4))) < 1e-15
+        assert abs(mu(plan, Fraction(3, 4), depth=1)) < 1e-15
 
     def test_ternary_integral_phases(self):
         plan = ternary_plan(3, unit_eta=True)
-        assert q_factor(plan, 1, 3) == 1.0
+        assert mu(plan, 3, depth=1) == 1.0
 
     @given(st.floats(-50, 50))
     @settings(max_examples=60, deadline=None)
     def test_modulus_bounded(self, u):
         plan = ternary_plan(4)
         for k in (1, 2, 4):
-            assert abs(q_factor(plan, k, u)) <= 1 + 1e-12
+            assert abs(mu(plan, u, depth=k)) <= 1 + 1e-12
 
 
 class TestQFromDft:
@@ -175,52 +202,79 @@ class TestQFromDft:
             digit_set = IntegerSet(level.digits, level.size)
             for m in (1, 3, 7):
                 scaled = m * plan.M(k - 1)
-                assert q_from_dft(digit_set, m) == pytest.approx(q_factor(plan, k, scaled), abs=1e-12)
+                assert q_from_dft(digit_set, m) == pytest.approx(fraction_q_factor(plan, k, scaled), abs=1e-12)
 
 
 class TestMuHat:
     def test_at_zero(self):
         m = ternary_plan(6)
-        assert mu_hat(m, 0) == 1.0
+        assert mu(m, 0) == 1.0
 
     def test_conjugate_symmetry(self):
         m = ternary_plan(8)
-        u = 17.3
-        assert mu_hat(m, -u) == pytest.approx(mu_hat(m, u).conjugate(), abs=1e-12)
+        minus, plus = mu_hat(m, [-17.3, 17.3])
+        assert minus == pytest.approx(plus.conjugate(), abs=1e-12)
 
     def test_ternary_scaling_identity(self):
         # |mu(3^k)| = |mu(1)| for the unit-eta ternary product: under the
         # truncation rule both sides evaluate the same factor sequence
         m = ternary_plan(14, unit_eta=True)
-        base = abs(mu_hat(m, 1))
-        for k in range(1, 7):
-            assert abs(abs(mu_hat(m, 3**k)) - base) < 1e-9
+        base, *scaled = np.abs(mu_hat(m, [1] + [3**k for k in range(1, 7)]))
+        assert all(abs(value - base) < 1e-9 for value in scaled)
 
     def test_modulus_bounded_and_product_inequality(self):
         for seed in (2, 7, 13):
             plan = make_plan(power_law_set(64, 0.5, seed=seed), [16, 32, 64], 0.5,
                              c_bounds=(Fraction(1, 8), Fraction(8)))
             for u in (0.5, 3.7, 21.0, 100.0):
-                value = abs(mu_hat(plan, u))
+                value = abs(mu(plan, u))
                 assert value <= 1 + 1e-12
-                factors, _ = truncation_for(plan, u)
+                factors, _ = loop_truncation(plan, u)
                 bound = 1.0
                 for k in range(1, factors):
-                    bound *= abs(q_factor(plan, k + 1, float(plan.eta_product(k)) * u))
+                    bound *= abs(fraction_q_factor(plan, k + 1, float(plan.eta_product(k)) * u))
                 assert value <= bound + 1e-12
 
     def test_truncation_cap_flagged(self):
-        m = ternary_plan(4, unit_eta=True)
-        factors, capped = truncation_for(m, 10**5)
-        assert factors == 4 and capped
-        m = ternary_plan(8, unit_eta=True)
-        factors, capped = truncation_for(m, 1)
-        assert factors == 7 and not capped
+        # the factor counts and cap flags that decay_check reports
+        cases = ((ternary_plan(4, unit_eta=True), 10**5, (4, True)), (ternary_plan(8, unit_eta=True), 1, (7, False)))
+        for m, u, want in cases:
+            counts, capped = measures._factor_counts(m, [u])
+            assert (int(counts[0]), bool(capped[0])) == want == loop_truncation(m, u)
 
     def test_u_max_enforced(self):
         m = ternary_plan(4)
         with pytest.raises(ValueError):
-            mu_hat(m, measures.U_MAX + 1)
+            mu_hat(m, [2, measures.U_MAX + 1, 3])
+        with pytest.raises(ValueError):
+            mu_hat(m, [-measures.U_MAX - 1], depth=2)
+        # compared exactly, so a frequency too large for a float is refused
+        # too, not cut by an OverflowError
+        for huge in (10**400, Fraction(-(10**400), 3)):
+            with pytest.raises(ValueError, match="largest supported frequency"):
+                mu_hat(m, [2, huge])
+        assert mu_hat(m, [measures.U_MAX, -measures.U_MAX]).shape == (2,)
+
+    @given(plans_with_depth(), unsorted_frequencies())
+    @example((ternary_plan(3), 2), [])
+    @example((ternary_plan(3), 2), [5, -2.5, Fraction(1, 3), 0, 5, 2 * measures.U_MAX])
+    @settings(max_examples=100, deadline=None)
+    def test_grid_in_any_order_matches_fraction_reference(self, case, us):
+        # Each value of one grid call has the bits of the reduced-Fraction
+        # reference at its frequency, signed zeros included (repr), with the
+        # scalar rule's factor count or the forced depth.  One |u| above
+        # U_MAX refuses the whole call.
+        plan, depth = case
+        for forced in (None, depth):
+            if any(abs(u) > measures.U_MAX for u in us):
+                with pytest.raises(ValueError, match="largest supported frequency"):
+                    mu_hat(plan, us, depth=forced)
+                continue
+            values = mu_hat(plan, us, depth=forced)
+            assert isinstance(values, np.ndarray) and values.shape == (len(us),)
+            for u, value in zip(us, values.tolist()):
+                factors = loop_truncation(plan, u)[0] if forced is None else forced
+                assert repr(value) == repr(fraction_mu_hat(plan, u, factors))
 
     def test_quadrature_agreement(self):
         # forced-depth product equals the endpoint comb; midpoint quadrature
@@ -229,7 +283,7 @@ class TestMuHat:
         L = float(plan.interval_length(8))
         for u in (1.0, 4.5, 33.0, 100.0):
             direct = stieltjes_quadrature(plan, 8, u)
-            assert abs(mu_hat(plan, u, depth=8) - direct) <= 2 * math.pi * L * u
+            assert abs(mu(plan, u, depth=8) - direct) <= 2 * math.pi * L * u
 
     def test_quadrature_agreement_random_plans(self):
         for seed in (2, 5, 11):
@@ -240,7 +294,7 @@ class TestMuHat:
             L = float(plan.interval_length(3))
             for u in (1.0, 7.3, 40.0):
                 direct = stieltjes_quadrature(plan, 3, u)
-                assert abs(mu_hat(plan, u, depth=3) - direct) <= 2 * math.pi * L * u
+                assert abs(mu(plan, u, depth=3) - direct) <= 2 * math.pi * L * u
 
 
 class TestExactPhases:
@@ -248,16 +302,16 @@ class TestExactPhases:
 
     def test_float_frequency_is_its_binary_rational(self):
         plan = squares_plan()
-        for u in self.FLOATS + (-17.3,):
-            assert mu_hat(plan, u) == mu_hat(plan, Fraction(u))
-            for k in range(1, plan.depth + 1):
-                assert q_factor(plan, k, u) == q_factor(plan, k, Fraction(u))
+        us = self.FLOATS + (-17.3,)
+        exact = [Fraction(u) for u in us]
+        for depth in (None, *range(1, plan.depth + 1)):
+            assert mu_hat(plan, us, depth=depth).tolist() == mu_hat(plan, exact, depth=depth).tolist()
 
     @pytest.mark.parametrize("u", FLOATS)
     def test_large_float_frequencies_match_exact_oracle(self, u):
         plan = squares_plan()
-        factors, _ = truncation_for(plan, u)
-        assert abs(mu_hat(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
+        factors, _ = loop_truncation(plan, u)
+        assert abs(mu(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
     @given(st.one_of(
         st.integers(-10**6, 10**6),
@@ -266,21 +320,22 @@ class TestExactPhases:
     ))
     @settings(max_examples=200, deadline=None)
     def test_bits_match_fraction_reference(self, u):
-        # The integer-pair phases of mu_hat and q_factor give the bits of
-        # the reduced-Fraction reference, signed zeros included (repr).
+        # The integer-pair phases of mu_hat give the bits of the
+        # reduced-Fraction reference, signed zeros included (repr), and at
+        # depth 1 the bits of the first factor.
         for plan in (squares_plan(), ternary_plan(14, unit_eta=True), ternary_plan(12)):
-            factors, capped = truncation_for(plan, u)
-            assert (factors, capped) == loop_truncation(plan, u)
-            assert repr(mu_hat(plan, u)) == repr(fraction_mu_hat(plan, u, factors))
-            assert repr(mu_hat(plan, u, depth=plan.depth)) == repr(fraction_mu_hat(plan, u, plan.depth))
-            for k in range(1, plan.depth + 1):
-                assert repr(q_factor(plan, k, u)) == repr(fraction_q_factor(plan, k, u))
+            factors, capped = loop_truncation(plan, u)
+            counts, caps = measures._factor_counts(plan, [u])
+            assert (int(counts[0]), bool(caps[0])) == (factors, capped)
+            assert repr(mu(plan, u)) == repr(fraction_mu_hat(plan, u, factors))
+            assert repr(mu(plan, u, depth=plan.depth)) == repr(fraction_mu_hat(plan, u, plan.depth))
+            assert repr(mu(plan, u, depth=1)) == repr(fraction_q_factor(plan, 1, u))
 
     def test_integer_frequencies_match_exact_oracle(self):
         plan = ternary_plan(10)
         for u in (2, 3**7, 10**5 + 1, Fraction(7, 3)):
-            factors, _ = truncation_for(plan, u)
-            assert abs(mu_hat(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
+            factors, _ = loop_truncation(plan, u)
+            assert abs(mu(plan, u) - exact_phase_mu_hat(plan, factors, u)) <= 1e-15
 
 
 class TestStageCdf:
@@ -337,7 +392,7 @@ class TestDecayCheck:
         assert seen == [[factors for factors, _ in rule]]
         assert report.truncation_depth_used == max(factors for factors, _ in rule)
         assert report.capped == any(capped for _, capped in rule)
-        assert report.envelope == tuple(dyadic_block_envelope([(u, abs(mu_hat(m, u))) for u in grid]))
+        assert report.envelope == tuple(dyadic_block_envelope(list(zip(grid, np.abs(mu_hat(m, grid)).tolist()))))
 
     # Both residue paths on the unit ternary plan (digits 0 and 2): at
     # s = 2**48, D = s * M_{k+1} passes 2**53 from level 4 on, after three
@@ -368,7 +423,7 @@ class TestDecayCheck:
         plan = ternary_plan(14, unit_eta=True)
         first, product, numerator = self.CROSSING
         assert first.denominator * plan.M(3) <= 2**53 < first.denominator * plan.M(4)
-        assert first.numerator * 2 < 2**63 and truncation_for(plan, first) == (plan.depth, True)
+        assert first.numerator * 2 < 2**63 and loop_truncation(plan, first) == (plan.depth, True)
         assert product.denominator * plan.M(1) <= 2**53 and product.numerator < 2**63 <= product.numerator * 2
         assert numerator.denominator * plan.M(1) <= 2**53 and numerator.numerator >= 2**63
         assert all(2 <= u <= measures.U_MAX for u in self.CROSSING)
@@ -378,8 +433,7 @@ class TestDecayCheck:
         for grid in (list(range(40, 1, -1)), geometric_grid(2.0, 500.0, 8)):
             report = decay_check(m, grid, LOG23)
             assert [s.frequency for s in report.spectrum] == sorted(float(u) for u in grid)
-            for sample, u in zip(report.spectrum, sorted(grid)):
-                assert sample.value == mu_hat(m, u)
+            assert [s.value for s in report.spectrum] == mu_hat(m, sorted(grid)).tolist()
             assert "spectrum" not in report.as_dict()
 
     def test_fraction_grid_sampled_exactly(self):
@@ -388,9 +442,9 @@ class TestDecayCheck:
         m = ternary_plan(14, unit_eta=True)
         grid = [Fraction(3**k, 2) + Fraction(1, 3) for k in range(2, 13)]
         report = decay_check(m, grid, LOG23)
-        for sample, u in zip(report.spectrum, grid):
+        for sample, u, value in zip(report.spectrum, grid, mu_hat(m, grid).tolist()):
             assert sample.frequency == float(u)
-            assert sample.value == mu_hat(m, u)
+            assert sample.value == value
         assert all(type(u) is float for u, _ in report.envelope)
 
     def test_ternary_negative_control(self):
@@ -445,7 +499,3 @@ class TestDecayCheck:
         m = ternary_plan(4, unit_eta=True)
         for x in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
             assert linear_stage_cdf(m, 2, x) == 0.5
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            q_factor(ternary_plan(2), 3, 1.0)

@@ -13,24 +13,22 @@ from salemkit import randfrac
 from salemkit.randfrac import (
     OrderStats,
     RandomFractalConfig,
-    TrialResult,
-    corollary64_check,
     dimension_experiment,
-    generate_trial,
     lemma63_experiment,
     mu1_hat,
     order_experiment,
 )
 from salemkit.cli import run_command
 from salemkit.core_sets import _CHUNK, exp_sum
+from salemkit.equidist import NApproximation, equidist_order
 from salemkit.formats import canonical_json
 
 SEED = 20260810
 
 
-def mu1(trial, u):
+def mu1(cells, N1, beta, u):
     """mu1_hat at a single frequency."""
-    return complex(mu1_hat(trial, [u])[0])
+    return complex(mu1_hat(cells, N1, beta, [u])[0])
 
 
 def naive_mu1(cells, N1, beta, u):
@@ -72,11 +70,24 @@ class LadderRng:
         return draws
 
 
+def corollary64_check(final, M):
+    """Oracle for order_experiment: the equidistribution order of one
+    surviving trial's final-stage cell left endpoints, through an
+    NApproximation and equidist_order."""
+    return equidist_order([NApproximation(M, final)])
+
+
 def survivor_alphas(config):
-    """Oracle for order_experiment: corollary64_check on every surviving
-    trial of generate_trial, and the extinct count."""
-    trials = [generate_trial(config, t) for t in range(config.trials)]
-    return [corollary64_check(t).alpha for t in trials if not t.extinct], sum(t.extinct for t in trials)
+    """Oracle for order_experiment: corollary64_check on the final stage of
+    every surviving trial, and the extinct count."""
+    finals = [randfrac._refine(config, t)[-1] for t in range(config.trials)]
+    M = config.resolution()
+    return [corollary64_check(f, M).alpha for f in finals if f.size], sum(f.size == 0 for f in finals)
+
+
+def stage_lists(config, trial_index):
+    """Every stage of one trial as a list of Python ints."""
+    return [stage.tolist() for stage in randfrac._refine(config, trial_index)]
 
 
 def assert_same_stages(stages, expected):
@@ -167,9 +178,9 @@ class TestRefine:
 class TestGenerateTrial:
     def test_beta_zero_full_survival(self):
         cfg = RandomFractalConfig(0.0, (4, 4, 4), 3, 1, SEED)
-        trial = generate_trial(cfg, 0)
-        assert trial.white_counts == (4, 16, 64)
-        assert not trial.extinct
+        trial = randfrac._trial_fields(cfg, 0)
+        assert trial["white_counts"] == (4, 16, 64)
+        assert not trial["extinct"]
 
     # Cells recorded from the generator: any change to the order or number
     # of RNG draws changes them.
@@ -200,16 +211,16 @@ class TestGenerateTrial:
         expected = self.PINNED[key]
         cfg = RandomFractalConfig(beta, sizes, len(sizes), len(expected), seed)
         for t, stages in enumerate(expected):
-            trial = generate_trial(cfg, t)
-            assert trial.stages == stages
-            assert all(type(c) is int for stage in trial.stages for c in stage)
-            assert trial.white_counts == tuple(len(s) for s in stages)
-            assert trial.extinct == (len(stages) < len(sizes) or not stages[-1])
+            trial = randfrac._trial_fields(cfg, t)
+            assert all(stage.dtype == np.int64 for stage in trial["stages"])
+            assert [stage.tolist() for stage in trial["stages"]] == [list(s) for s in stages]
+            assert trial["white_counts"] == tuple(len(s) for s in stages)
+            assert trial["extinct"] == (len(stages) < len(sizes) or not stages[-1])
 
     def test_deterministic_replay(self):
         cfg = RandomFractalConfig(0.5, (16, 16, 16), 3, 2, SEED)
-        assert generate_trial(cfg, 0) == generate_trial(cfg, 0)
-        assert generate_trial(cfg, 0) != generate_trial(cfg, 1)
+        assert stage_lists(cfg, 0) == stage_lists(cfg, 0)
+        assert stage_lists(cfg, 0) != stage_lists(cfg, 1)
 
     def test_resolution_beyond_int64_rejected(self):
         # cells are int64: M = 2**64 would wrap; only construct, since
@@ -220,14 +231,14 @@ class TestGenerateTrial:
 
     def test_order_independent_of_other_trials(self):
         cfg = RandomFractalConfig(0.5, (16, 16), 2, 5, SEED)
-        direct = generate_trial(cfg, 3)
-        _ = [generate_trial(cfg, t) for t in (4, 1, 0)]
-        assert generate_trial(cfg, 3) == direct
+        direct = stage_lists(cfg, 3)
+        _ = [stage_lists(cfg, t) for t in (4, 1, 0)]
+        assert stage_lists(cfg, 3) == direct
 
     def test_nesting(self):
         cfg = RandomFractalConfig(0.3, (8, 8, 8), 3, 1, SEED)
-        trial = generate_trial(cfg, 0)
-        for size, parents, children in zip(trial.level_sizes[1:], trial.stages, trial.stages[1:]):
+        stages = stage_lists(cfg, 0)
+        for size, parents, children in zip(cfg.level_sizes[1:], stages, stages[1:]):
             parent_set = set(parents)
             for c in children:
                 assert c // size in parent_set
@@ -240,7 +251,7 @@ class TestGenerateTrial:
         sigma = math.sqrt(N1 * p * (1 - p))
         cfg = RandomFractalConfig(0.5, (N1,), 1, 1000, SEED)
         hits = sum(
-            abs(generate_trial(cfg, t).white_counts[0] - 64) <= 3 * sigma for t in range(1000)
+            abs(randfrac._refine(cfg, t)[0].size - 64) <= 3 * sigma for t in range(1000)
         )
         assert hits >= 990
 
@@ -249,12 +260,23 @@ class TestGenerateTrial:
         cfg = RandomFractalConfig(0.99, (2, 2, 2, 2), 4, 40, SEED)
         seen_extinct = False
         for t in range(40):
-            trial = generate_trial(cfg, t)
-            if trial.extinct:
+            trial = randfrac._trial_fields(cfg, t)
+            if trial["extinct"]:
                 seen_extinct = True
-                assert len(trial.stages) <= 4
-                assert trial.white_counts[-1] == 0 or len(trial.stages) < 4
+                assert len(trial["stages"]) <= 4
+                assert trial["white_counts"][-1] == 0 or len(trial["stages"]) < 4
         assert seen_extinct
+
+    def test_extinct_trial_dump(self, tmp_path):
+        # Trial 3 dies at stage 2 of 3 (pinned above): the dump ends at
+        # the first empty stage and is flagged extinct.
+        dump = tmp_path / "trial.json"
+        assert run_command(["random-salem", "--beta", "0.75", "--levels", "4,4,4", "--depth", "3",
+                            "--trials", "4", "--seed", "7", "--dump-trial", "3",
+                            "--trial-output", str(dump), "--output", str(tmp_path / "s.json")]) == 0
+        want = {"beta": 0.75, "level_sizes": [4, 4, 4], "stages": [[2], []], "white_counts": [1, 0],
+                "extinct": True, "trial_index": 3, "master_seed": 7}
+        assert dump.read_text() == canonical_json(want) + "\n"
 
 
 class TestDimensionExperiment:
@@ -277,13 +299,14 @@ class TestDimensionExperiment:
 
     @pytest.mark.parametrize("beta, sizes, trials", [(0.75, (4, 4, 4), 40), (0.25, (64, 64, 64), 12)])
     def test_counts_match_trial_oracle(self, beta, sizes, trials):
-        # the experiment reads counts off the refinement arrays; the oracle
-        # reads them off generate_trial, extinct trials included
+        # the experiment counts the last stage without building it; the
+        # oracle reads the counts off the trial records, extinct trials
+        # included
         cfg = RandomFractalConfig(beta, sizes, 3, trials, SEED)
-        results = [generate_trial(cfg, t) for t in range(trials)]
+        results = [randfrac._trial_fields(cfg, t) for t in range(trials)]
         M = math.prod(sizes)
-        dims = [math.log(r.white_counts[-1]) / math.log(M) for r in results if not r.extinct]
-        extinct = sum(r.extinct for r in results)
+        dims = [math.log(r["white_counts"][-1]) / math.log(M) for r in results if not r["extinct"]]
+        extinct = sum(r["extinct"] for r in results)
         assert (extinct > 0) == (beta == 0.75)
         stats = dimension_experiment(cfg)
         assert stats.dims == tuple(dims)
@@ -301,17 +324,17 @@ class TestDimensionExperiment:
 class TestMu1Hat:
     def test_all_white_matches_lebesgue(self):
         cfg = RandomFractalConfig(0.0, (16,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
+        cells = randfrac._refine(cfg, 0)[0]
         for u in (1, 2, 7):
-            assert abs(mu1(trial, u)) < 1e-12
-        assert mu1(trial, 0) == 1.0
+            assert abs(mu1(cells, 16, 0.0, u)) < 1e-12
+        assert mu1(cells, 16, 0.0, 0) == 1.0
 
     def test_single_cell_closed_form(self):
         # p = 1/2 on two cells, only cell 0 white: density 2 on [0, 1/2)
-        trial = TrialResult(1.0, (2,), ((0,),), (1,), False, 0, 0)
+        cells = np.array([0], dtype=np.int64)
         expected = 2 * (1 - cmath.exp(-1j * math.pi)) / (2j * math.pi)
-        assert mu1(trial, 1) == pytest.approx(expected, abs=1e-12)
-        assert abs(mu1(trial, 1)) == pytest.approx(2 / math.pi, abs=1e-12)
+        assert mu1(cells, 2, 1.0, 1) == pytest.approx(expected, abs=1e-12)
+        assert abs(mu1(cells, 2, 1.0, 1)) == pytest.approx(2 / math.pi, abs=1e-12)
 
     def test_unbiasedness(self):
         # mean over trials approximates the Lebesgue transform (zero at
@@ -321,75 +344,74 @@ class TestMu1Hat:
         us = np.arange(1, 65, dtype=np.int64)
         acc = np.zeros(len(us), dtype=complex)
         for t in range(trials):
-            acc += mu1_hat(generate_trial(cfg, t), us)
+            acc += mu1_hat(randfrac._refine(cfg, t)[0], N1, beta, us)
         mean = acc / trials
         sigma = N1 ** ((beta - 1) / 2) / math.sqrt(trials)
         assert np.all(np.abs(mean) <= 3.5 * sigma)
 
     def test_float_frequency_is_its_binary_rational(self):
         cfg = RandomFractalConfig(0.5, (4096,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
+        cells = randfrac._refine(cfg, 0)[0]
         for u in (0.1, 2.5, 17.3, 1000.001, 123456.789, -3.7):
-            assert mu1(trial, u) == mu1(trial, Fraction(u))
+            assert mu1(cells, 4096, 0.5, u) == mu1(cells, 4096, 0.5, Fraction(u))
 
     def test_modulus_bounded_by_inverse_p(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 10, SEED)
         p = 64**-0.5
         for t in range(10):
-            trial = generate_trial(cfg, t)
+            cells = randfrac._refine(cfg, t)[0]
             for u in (0, 1, 5, 31.5):
-                assert abs(mu1(trial, u)) <= 1 / p + 1e-9
+                assert abs(mu1(cells, 64, 0.5, u)) <= 1 / p + 1e-9
 
     def test_conjugate_symmetry(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
+        cells = randfrac._refine(cfg, 0)[0]
         for u in (1, 3, 17):
-            assert mu1(trial, -u) == pytest.approx(mu1(trial, u).conjugate(), abs=1e-12)
+            assert mu1(cells, 64, 0.5, -u) == pytest.approx(mu1(cells, 64, 0.5, u).conjugate(), abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
         # an integer batch equals its singleton calls bit for bit, u = 0
         # included, and the oracle to 1e-12; the closing factor is the
         # scalar cmath one, whose rounding the spectrum files print
         cfg = RandomFractalConfig(0.5, (256,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
-        cells, p = trial.stages[0], 256**-0.5
+        cells, p = randfrac._refine(cfg, 0)[0], 256**-0.5
         us = [1, 2, 0, 9, 100, -3, 255]
-        vec = mu1_hat(trial, us)
+        vec = mu1_hat(cells, 256, 0.5, us)
         assert vec.shape == (len(us),)
         for u, v in zip(us, vec):
-            assert complex(v) == mu1(trial, u)
+            assert complex(v) == mu1(cells, 256, 0.5, u)
             if u != 0:
-                want = naive_mu1(cells, 256, 0.5, Fraction(u))
+                want = naive_mu1(cells.tolist(), 256, 0.5, Fraction(u))
                 assert v == pytest.approx(want, abs=1e-12)
                 factor = (1 - cmath.exp(-2j * math.pi * float(u) / 256)) / (2j * math.pi * float(u))
                 assert complex(v) == complex(exp_sum(cells, 256, [u])[0]) * factor / p
-        assert vec[2] == len(trial.stages[0]) / (256**-0.5 * 256)
+        assert vec[2] == len(cells) / (256**-0.5 * 256)
 
     def test_mixed_denominator_batch(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
+        cells = randfrac._refine(cfg, 0)[0]
         us = [Fraction(1, 3), 5, Fraction(-7, 2), 0, Fraction(129, 4), 2.5]
-        vec = mu1_hat(trial, us)
+        vec = mu1_hat(cells, 64, 0.5, us)
         for u, v in zip(us, vec):
             if u == 0:
-                assert v == len(trial.stages[0]) / (64**-0.5 * 64)
+                assert v == len(cells) / (64**-0.5 * 64)
             else:
-                assert v == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, Fraction(u)), abs=1e-12)
+                assert v == pytest.approx(naive_mu1(cells.tolist(), 64, 0.5, Fraction(u)), abs=1e-12)
 
     def test_empty_trial_and_empty_batch(self):
-        extinct = TrialResult(0.9, (16,), ((),), (0,), True, 0, 0)
-        assert np.array_equal(mu1_hat(extinct, [0, 1, Fraction(1, 2)]), np.zeros(3))
-        assert np.array_equal(mu1_hat(TrialResult(0.9, (16,), (), (), True, 0, 0), [3]), np.zeros(1))
-        trial = generate_trial(RandomFractalConfig(0.5, (64,), 1, 1, SEED), 0)
-        assert mu1_hat(trial, []).shape == (0,)
+        extinct = np.zeros(0, dtype=np.int64)
+        assert np.array_equal(mu1_hat(extinct, 16, 0.9, [0, 1, Fraction(1, 2)]), np.zeros(3))
+        cells = randfrac._refine(RandomFractalConfig(0.5, (64,), 1, 1, SEED), 0)[0]
+        assert mu1_hat(cells, 64, 0.5, []).shape == (0,)
 
     def test_grid_reduced_once_keeps_bits(self):
         # the frequencies are reduced once per (N_1, us) and shared by every
         # trial; a range, a list and a tuple of the same us, and a second
         # trial, give the bits of reducing them afresh on every call
-        def fresh(trial, us):
-            cells, N1 = trial.stages[0], trial.level_sizes[0]
-            p = N1 ** (-trial.beta)
+        N1, beta = 1024, 0.5
+
+        def fresh(cells, us):
+            p = N1 ** (-beta)
             qs = [Fraction(u) for u in us]
             D = math.lcm(*(q.denominator for q in qs))
             combs = exp_sum(cells, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
@@ -402,20 +424,20 @@ class TestMu1Hat:
                     out[i] = complex(comb) * factor / p
             return out
 
-        cfg = RandomFractalConfig(0.5, (1024,), 1, 2, SEED)
+        cfg = RandomFractalConfig(beta, (N1,), 1, 2, SEED)
         for t in range(2):
-            trial = generate_trial(cfg, t)
-            want = fresh(trial, range(65)).view(np.int64)
+            cells = randfrac._refine(cfg, t)[0]
+            want = fresh(cells, range(65)).view(np.int64)
             for us in (range(65), list(range(65)), tuple(range(65))):
-                assert np.array_equal(mu1_hat(trial, us).view(np.int64), want)
+                assert np.array_equal(mu1_hat(cells, N1, beta, us).view(np.int64), want)
         halves = [Fraction(1, 2), 3, 2.5, 0]
-        assert np.array_equal(mu1_hat(trial, halves).view(np.int64), fresh(trial, halves).view(np.int64))
+        assert np.array_equal(mu1_hat(cells, N1, beta, halves).view(np.int64), fresh(cells, halves).view(np.int64))
 
     def test_rational_frequency(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
-        trial = generate_trial(cfg, 0)
+        cells = randfrac._refine(cfg, 0)[0]
         for u in (Fraction(1, 3), Fraction(-7, 2), Fraction(129, 4)):
-            assert mu1(trial, u) == pytest.approx(naive_mu1(trial.stages[0], 64, 0.5, u), abs=1e-12)
+            assert mu1(cells, 64, 0.5, u) == pytest.approx(naive_mu1(cells.tolist(), 64, 0.5, u), abs=1e-12)
 
 
 class TestLemma63:
@@ -435,7 +457,9 @@ class TestLemma63:
         cfg = RandomFractalConfig(0.5, (256,), 1, 60, SEED)
         us = range(2, 65)
         bounds = 1.0 * np.arange(2, 65, dtype=float) ** ((0.5 - 1.0) / 2.0)
-        hits = sum(bool(np.all(np.abs(mu1_hat(generate_trial(cfg, t), us)) < bounds)) for t in range(60))
+        # the cells from the build-all-children oracle, not the experiment's refinement
+        stage1 = (reference_refine(cfg, t)[0] for t in range(60))
+        hits = sum(bool(np.all(np.abs(mu1_hat(cells, 256, 0.5, us)) < bounds)) for cells in stage1)
         assert 0 < hits < 60
         assert lemma63_experiment(cfg, 1.0, 64).satisfied_fraction == hits / 60
 
@@ -453,26 +477,16 @@ class TestLemma63:
 class TestCorollary64:
     def test_beta_zero_hits_cap(self):
         cfg = RandomFractalConfig(0.0, (16, 16), 2, 1, SEED)
-        est = corollary64_check(generate_trial(cfg, 0))
+        est = corollary64_check(randfrac._refine(cfg, 0)[-1], cfg.resolution())
         assert est.alpha == est.cap
+        assert order_experiment(cfg).alphas == (est.alpha,)
 
     def test_single_cell_zero(self):
-        trial = TrialResult(0.5, (16, 16), ((3,), (50,)), (1, 1), False, 0, 0)
-        assert corollary64_check(trial).alpha == 0.0
-
-    def test_extinct_rejected(self):
-        trial = TrialResult(0.9, (16, 16), ((3,), ()), (1, 0), True, 0, 0)
-        with pytest.raises(ValueError):
-            corollary64_check(trial)
+        assert corollary64_check(np.array([50], dtype=np.int64), 256).alpha == 0.0
 
     def test_beta_half_median_order(self):
         cfg = RandomFractalConfig(0.5, (64, 64, 64), 3, 50, SEED)
-        alphas = []
-        for t in range(50):
-            trial = generate_trial(cfg, t)
-            if not trial.extinct:
-                alphas.append(corollary64_check(trial).alpha)
-        alphas.sort()
+        alphas = sorted(order_experiment(cfg).alphas)
         median = alphas[len(alphas) // 2]
         assert 0.35 <= median <= 0.65
 
@@ -480,14 +494,7 @@ class TestCorollary64:
 class TestOrderExperiment:
     def test_matches_survivor_loop(self, tmp_path):
         cfg = RandomFractalConfig(0.9, (4, 4), 2, 40, SEED)
-        alphas = []
-        extinct = 0
-        for t in range(cfg.trials):
-            trial = generate_trial(cfg, t)
-            if trial.extinct:
-                extinct += 1
-            else:
-                alphas.append(corollary64_check(trial).alpha)
+        alphas, extinct = survivor_alphas(cfg)
         assert 0 < extinct < cfg.trials
         stats = order_experiment(cfg)
         assert stats.alphas == tuple(alphas)
@@ -511,14 +518,14 @@ class TestOrderExperiment:
         assert json.loads(canonical_json(stats))["median_alpha"] is None
 
     # The trials are scored from the int64 arrays of the refinement, the
-    # oracle from the tuples of generate_trial through NApproximation.  The
-    # cases take each phase path of exp_sum, starting from no run and no
-    # table.  At M = 210,000 (not a power of two, reduced with % M) the
-    # dense trials of beta = 1/4 gather from the table of unit roots.  The
-    # sparse ones of beta = 3/4, some of them extinct, ask for fewer than M
-    # phases in all, oracle and experiment together, so they call np.exp.
-    # M = 2,100,000 > 2**20 is above the table.  M = 64 reduces with the
-    # mask and gathers from its table.
+    # oracle from the same cells through NApproximation.  The cases take
+    # each phase path of exp_sum, starting from no run and no table.  At
+    # M = 210,000 (not a power of two, reduced with % M) the dense trials
+    # of beta = 1/4 gather from the table of unit roots.  The sparse ones of
+    # beta = 3/4, some of them extinct, ask for fewer than M phases in all,
+    # oracle and experiment together, so they call np.exp.  M = 2,100,000
+    # > 2**20 is above the table.  M = 64 reduces with the mask and gathers
+    # from its table.
     @pytest.mark.parametrize(
         "beta, sizes, trials, extinct, tabulated",
         [(0.25, (10, 30, 700), 4, 0, True), (0.75, (10, 30, 700), 12, 3, False),
@@ -538,8 +545,9 @@ class TestOrderExperiment:
     def test_survivor_below_16_refused(self):
         # M = 8 is too coarse to sweep; trial 0 keeps 2 of its 8 cells
         cfg = RandomFractalConfig(0.5, (2, 2, 2), 3, 4, 0)
-        assert not generate_trial(cfg, 0).extinct
-        for run in (lambda: order_experiment(cfg), lambda: corollary64_check(generate_trial(cfg, 0))):
+        final = randfrac._refine(cfg, 0)[-1]
+        assert final.size
+        for run in (lambda: order_experiment(cfg), lambda: corollary64_check(final, cfg.resolution())):
             with pytest.raises(ValueError, match="^the largest N must be at least 16$"):
                 run()
 
