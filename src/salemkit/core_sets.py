@@ -8,8 +8,13 @@ Spectral decay is summarized by the largest alpha such that
 
 Everything here is a pure function of immutable inputs; per-frequency
 evaluations can run concurrently and results never depend on evaluation
-order.  The one piece of module state, exp_sum's count of its current run
-of calls, only picks how phases are exponentiated, never a value.
+order.  The module state only picks how a value is computed, never the
+value: exp_sum's count of its current run of calls picks how phases are
+exponentiated, and a pool of threads, built at the first call of more
+than one slab of frequency rows, shares the slabs with the calling
+thread.  The threads are the CPUs the process may run on, up to 4, the
+calling thread included; there is no setting, and a process started
+under ``taskset -c 0`` runs every sum on its calling thread.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +55,17 @@ _TABLE_MAX = 1 << 20
 _run_denominator = 0
 _run_phases = 0
 _INT64_MAX = (1 << 63) - 1
+
+
+# Most threads that sum exp_sum's slabs, the calling thread included: the
+# CPUs this process may run on, as taskset sets them, up to 4.
+try:
+    _WORKERS = min(4, len(os.sched_getaffinity(0)))
+except AttributeError:  # no sched_getaffinity outside Linux
+    _WORKERS = min(4, os.cpu_count() or 1)
+# The pool of the other threads, and its guard.
+_executor = None
+_executor_lock = threading.Lock()
 
 
 def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -172,10 +190,16 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     consecutive int64-path calls with this D, this call included, has asked
     for at least D phases, so trial loops that make many small calls share
     one table.  Its entries are bit-identical to exponentiating each
-    residue, so the path never moves a bit.  The int64 path allocates one
-    residue block and one phase block per call, each of at most 2**16
-    entries or one row, and fills them in place for every slab of rows.
-    The empty set sums to 0.
+    residue, so the path never moves a bit.  The int64 path cuts the
+    frequencies into slabs of rows, each of at most 2**16 entries or one
+    row, and sums them on at most W threads, W being the CPUs the process
+    may run on (``os.sched_getaffinity``) up to 4: the calling thread and
+    up to W - 1 threads of a module pool each take the next slab until
+    none is left, so a thread the host runs slowly takes fewer.  A call of
+    one slab never touches the pool.  Each thread has one residue block
+    and one phase block, allocated by the calling thread, and fills them
+    in place for every slab it takes; a row's sum is the same whichever
+    thread takes its slab.  The empty set sums to 0.
     """
     global _run_denominator, _run_phases
     D = int(denominator)
@@ -190,37 +214,88 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
             _run_denominator, _run_phases = D, 0
         _run_phases += len(a) * len(k)
         table = _unit_roots(D) if D <= _TABLE_MAX and _run_phases >= D else None
-        # The products are non-negative, so for D a power of two the mask
-        # D - 1 gives the same residues as % D without a division.
-        power_of_two = D & (D - 1) == 0
         rows = max(1, _CHUNK // len(a))
-        # One residue block and one phase block serve every row slab.
-        residues = np.empty((min(rows, len(k)), len(a)), dtype=np.int64)
-        phases = np.empty(residues.shape, dtype=complex)
-        for lo in range(0, len(k), rows):
-            ks = k[lo : lo + rows]
-            block, p = residues[: len(ks)], phases[: len(ks)]
-            np.multiply(ks[:, None], a[None, :], out=block)
-            if power_of_two:
-                block &= D - 1
-            else:
-                block %= D
-            if table is None:
-                # Cast into p first: casting inside the multiply would take
-                # a 128 KiB buffer.  The product is the same complex multiply.
-                p[...] = block
-                np.multiply(-2j * np.pi / D, p, out=p)
-                np.exp(p, out=p)
-            else:
-                # Residues lie in [0, D), so "wrap" never wraps; unlike
-                # "raise" it lets take write into p without a buffer.
-                np.take(table, block, out=p, mode="wrap")
-            out[lo : lo + rows] = p.sum(axis=1)
+        slabs = range(0, len(k), rows)
+        threads = min(_WORKERS, len(slabs))
+        # Each thread takes the next slab from one shared iterator, so a
+        # thread that the host runs slowly takes fewer slabs.  The calling
+        # thread allocates every thread's blocks: a worker's freed blocks
+        # would stay in that thread's own malloc arena.
+        shape = (min(rows, len(k)), len(a))
+        claim = (iter(slabs), threading.Lock())
+        jobs = [(a, k, D, table, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=complex), out, claim)
+                for _ in range(threads)]
+        futures = [_pool().submit(_slab_sums, *job) for job in jobs[1:]]
+        _slab_sums(*jobs[0])
+        for future in futures:
+            # A job not yet started would find no slab left.
+            if not future.cancel():
+                future.result()
         return out
     members = a.tolist()
     for i, kk in enumerate(k.tolist()):
         out[i] = np.exp(-2j * np.pi * np.array([kk * x % D / D for x in members])).sum()
     return out
+
+
+def _slab_sums(a: np.ndarray, k: np.ndarray, D: int, table: np.ndarray | None,
+               residues: np.ndarray, phases: np.ndarray, out: np.ndarray, claim: tuple) -> None:
+    """Write exp_sum's row sums into ``out`` for each slab that this thread
+    takes from ``claim`` (an iterator of first rows and its lock), filling
+    the residue and phase blocks in place.  Only numpy runs here, and it
+    releases the GIL."""
+    slabs, lock = claim
+    rows = len(residues)
+    while True:
+        with lock:
+            lo = next(slabs, None)
+        if lo is None:
+            return
+        ks = k[lo : lo + rows]
+        block, p = residues[: len(ks)], phases[: len(ks)]
+        np.multiply(ks[:, None], a[None, :], out=block)
+        # The products are non-negative, so for D a power of two the mask
+        # D - 1 gives the same residues as % D without a division.
+        if D & (D - 1) == 0:
+            block &= D - 1
+        else:
+            block %= D
+        if table is None:
+            # Cast into p first: casting inside the multiply would take
+            # a 128 KiB buffer.  The product is the same complex multiply.
+            p[...] = block
+            np.multiply(-2j * np.pi / D, p, out=p)
+            np.exp(p, out=p)
+        else:
+            # Residues lie in [0, D), so "wrap" never wraps; unlike
+            # "raise" it lets take write into p without a buffer.
+            np.take(table, block, out=p, mode="wrap")
+        p.sum(axis=1, out=out[lo : lo + rows])
+
+
+def _pool():
+    """The threads that share exp_sum's slabs with the calling thread,
+    built at the first call of more than one slab."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            # Imported here, not with the module: it takes about 4-6 ms,
+            # which a process that never splits a call should not pay.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="exp_sum")
+        return _executor
+
+
+def _drop_pool() -> None:
+    """In a forked child: the parent's threads do not exist there, so the
+    child builds its own pool."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @functools.lru_cache(maxsize=2)

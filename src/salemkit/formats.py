@@ -5,7 +5,8 @@ are canonical: sorted keys, floats at 12 significant digits, no
 environment- or clock-dependent content.  Writes are atomic (temp file
 then rename) so partially written reports are never observed.  A CSV
 export is built as one string: a spectrum row by one ``%`` format, and
-the witness rows of an int64 search block by one numpy decimal render.
+the witness rows of an int64 search block by one numpy decimal render,
+which also prints the int64 stages of a trial dump.
 """
 
 from __future__ import annotations
@@ -83,9 +84,13 @@ def _render(obj) -> str:
 
 def _int_list(ints) -> str:
     """A sequence of ints, or a 1-D int64 array, as a JSON list: joined in
-    blocks of 4096, so a long cell list never exists as one list of str."""
+    blocks of 4096, so a long cell list never exists as one list of str.
+    A non-negative array's blocks are printed by :func:`_decimal_rows`,
+    without a Python object per entry."""
     blocks = (ints[i : i + 4096] for i in range(0, len(ints), 4096))
     if isinstance(ints, np.ndarray):
+        if len(ints) and ints.min() >= 0:
+            return "[" + ",".join(_decimal_rows(block, end=",")[:-1] for block in blocks) + "]"
         blocks = (block.tolist() for block in blocks)
     return "[" + ",".join(",".join(map(str, block)) for block in blocks) + "]"
 
@@ -333,9 +338,9 @@ def witnesses_csv(blocks: Iterable[tuple], values: Sequence[int]) -> str:
     return "".join(parts)
 
 
-def _decimal_rows(*columns: np.ndarray) -> str:
-    """Rows "a,b,c\\n" of equal-length non-negative int64 columns, each
-    entry in decimal as ``str`` prints it.
+def _decimal_rows(*columns: np.ndarray, end: str = "\n") -> str:
+    """Rows "a,b,c" of equal-length non-negative int64 columns, each ended
+    by ``end`` and each entry in decimal as ``str`` prints it.
 
     One uint8 matrix holds a row per line.  Each column's digits are
     written right to left by a scalar % 10 and //= 10; a digit position
@@ -354,7 +359,7 @@ def _decimal_rows(*columns: np.ndarray) -> str:
             x //= 10
         stop += width + 1
         mat[:, stop - 1] = ord(",")
-    mat[:, -1] = ord("\n")
+    mat[:, -1] = ord(end)
     return mat[mat != 0].tobytes().decode("ascii")
 
 

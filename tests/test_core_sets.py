@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemkit import core_sets
@@ -361,28 +366,188 @@ class TestExpSum:
         assert np.array_equal(table.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("D", [10**8, 10**6])
-    def test_one_call_allocates_two_blocks(self, D, tabulated_calls):
+    def test_one_call_allocates_two_blocks(self, D, tabulated_calls, monkeypatch):
         # characterize's finest member: 13,600 cells by 146 frequencies, at
         # the benchmark's D = 10**8 (exponentiated) and at a tabulated D.
-        # Beyond its residue and phase blocks, a call allocates under 64 KiB.
+        # Beyond one residue block and one phase block per thread, a call
+        # allocates under 64 KiB: at one worker, the two blocks in all.
         rng = np.random.default_rng(D)
         a = np.sort(rng.choice(D, 13600, replace=False))
         k = np.arange(2, 148)
         rows = core_sets._CHUNK // len(a)
+        slabs = -(-len(k) // rows)
         blocks = rows * len(a) * (8 + 16)
         tabulated = D <= 2**20
         if tabulated:
-            core_sets._unit_roots(D)  # built before the call, outside its peak
-        tracemalloc.start()
+            core_sets._unit_roots(D)  # built before the calls, outside their peaks
+        ref = exponentiated(a, D, k)
+        for calls, workers in enumerate((1, 2, 4), 1):
+            monkeypatch.setattr(core_sets, "_WORKERS", workers)
+            if workers > 1:
+                core_sets._pool()  # its threads are built outside the peak
+            tracemalloc.start()
+            try:
+                got = exp_sum(a, D, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the build and each call ask the table cache once
+            assert tabulated_calls() == (1 + calls) * tabulated
+            assert peak < min(workers, slabs) * blocks + (1 << 16)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @given(
+        D=st.sampled_from([1000, 1024, 10007, 2**14]),
+        tabulated=st.booleans(),
+        cols=st.integers(1, 40),
+        slabs=st.integers(1, 9),
+        last=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(D=1000, tabulated=True, cols=16, slabs=3, last=4, seed=1)  # fewer slabs than 4 workers
+    @example(D=1024, tabulated=False, cols=16, slabs=4, last=4, seed=2)  # as many as 4 workers
+    @example(D=10007, tabulated=False, cols=16, slabs=7, last=1, seed=3)  # no count of 2 to 4 workers divides 7
+    @settings(max_examples=60, deadline=None)
+    def test_split_moves_no_bit(self, D, tabulated, cols, slabs, last, seed):
+        # slabs of at most 64 entries, so few rows make many slabs: at 1 to
+        # 4 workers, with the table or np.exp, the mask or % D, every sum
+        # is the exponentiated residues' sum bit for bit
+        rows = 64 // cols
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, D, cols)
+        k = rng.integers(0, D, (slabs - 1) * rows + min(last, rows))
+        ref = exponentiated(a, D, k).view(np.int64)
+        info = core_sets._unit_roots.cache_info()
+        asked = info.hits + info.misses
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_sets, "_CHUNK", 64)
+            if tabulated:
+                mp.setattr(core_sets, "_run_denominator", D)
+                mp.setattr(core_sets, "_run_phases", D)
+            else:
+                mp.setattr(core_sets, "_TABLE_MAX", 0)
+            for workers in (1, 2, 3, 4):
+                mp.setattr(core_sets, "_WORKERS", workers)
+                assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
+        info = core_sets._unit_roots.cache_info()
+        assert info.hits + info.misses - asked == 4 * tabulated
+
+    def test_one_slab_leaves_pool_unbuilt(self, monkeypatch):
+        # lemma 6.3's small calls, a slab of exactly 2**16 entries, and one
+        # row longer than a slab: each is one slab, summed on the caller
+        monkeypatch.setattr(core_sets, "_executor", None)
+        monkeypatch.setattr(core_sets, "_WORKERS", 4)
+        rng = np.random.default_rng(9)
+        for D, cols, rows in [(4096, 1000, 63), (2**20, 1024, 64), (10**8, 70000, 1)]:
+            a = rng.integers(0, D, cols)
+            k = rng.integers(0, D, rows)
+            assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
+        assert core_sets._executor is None
+
+    def test_busy_pool_holds_up_no_call(self, monkeypatch):
+        # while every pool thread is busy elsewhere, a call of many slabs
+        # sums them all on its calling thread and returns without waiting
+        monkeypatch.setattr(core_sets, "_WORKERS", 4)
+        release = threading.Event()
+        busy = [core_sets._pool().submit(release.wait) for _ in range(4)]
+        rng = np.random.default_rng(13)
+        D = 10**8
+        a = rng.integers(0, D, 20000)
+        k = rng.integers(0, D, 30)  # 3 rows a slab, 10 slabs
+        got = []
+        caller = threading.Thread(target=lambda: got.append(exp_sum(a, D, k)))
         try:
-            got = exp_sum(a, D, k)
-            peak = tracemalloc.get_traced_memory()[1]
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
         finally:
-            tracemalloc.stop()
-        # the build and the call each ask the table cache once
-        assert tabulated_calls() == 2 * tabulated
-        assert peak < blocks + (1 << 16)
-        assert np.array_equal(got.view(np.int64), exponentiated(a, D, k).view(np.int64))
+            release.set()
+        for future in busy:
+            future.result(timeout=60)
+        assert np.array_equal(got[0].view(np.int64), exponentiated(a, D, k).view(np.int64))
+
+    def test_concurrent_callers_build_one_pool(self, monkeypatch):
+        # more callers and workers than cores, switching threads often:
+        # every caller's sums keep their bits, and the first split calls,
+        # made at once, build one pool between them however slow its build
+        import concurrent.futures
+
+        builds = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                time.sleep(0.05)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(core_sets, "_executor", None)
+        monkeypatch.setattr(core_sets, "_WORKERS", 4)
+        rng = np.random.default_rng(12)
+        calls = []
+        for D in (10**8, 2**18, 10007, 2**40) * 2:
+            a = rng.integers(0, min(D, 2**20), 5000)
+            k = rng.integers(0, min(D, 2**20), 70)  # 13 rows a slab, 6 slabs
+            calls.append((a, D, k, exponentiated(a, D, k).view(np.int64)))
+        mismatches = []
+        start = threading.Barrier(len(calls))
+
+        def call(a, D, k, ref):
+            start.wait(timeout=60)
+            for _ in range(5):
+                if not np.array_equal(exp_sum(a, D, k).view(np.int64), ref):
+                    mismatches.append(D)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=args) for args in calls]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert mismatches == []
+            assert builds == [(3,)]
+        finally:
+            core_sets._executor.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child: the
+        # child starts with no pool, and its first split call builds one
+        # whose thread runs beside the child's only thread
+        monkeypatch.setattr(core_sets, "_WORKERS", 2)
+        rng = np.random.default_rng(10)
+        D = 10**8
+        a = rng.integers(0, D, 20000)
+        k = rng.integers(0, D, 12)  # 3 rows a slab, 4 slabs
+        ref = exponentiated(a, D, k).view(np.int64)
+        assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
+        assert core_sets._executor is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fresh = core_sets._executor is None
+                bits = np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
+                code = 0 if fresh and bits and threading.active_count() == 2 else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's exp_sum did not return")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_int64_boundary(self):
         # largest product 2**63 - 2**31 fits int64, 2**63 does not

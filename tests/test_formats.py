@@ -272,6 +272,14 @@ class TestCanonicalJson:
         assert canonical_json(np.array(xs, dtype=np.int64)) == canonical_json(tuple(xs))
         assert canonical_json({"s": (np.array(xs, dtype=np.int64),)}) == canonical_json({"s": [xs]})
 
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 1])
+    def test_non_negative_int64_arrays_print_as_their_int_lists(self, n):
+        # printed block by block by _decimal_rows: 0, every digit count and
+        # the int64 maximum, across the blocks' edges
+        xs = [i * 7**i % 2**63 for i in range(n)]
+        xs[-1] = 2**63 - 1
+        assert canonical_json(np.array(xs, dtype=np.int64)) == "[" + ",".join(map(str, xs)) + "]"
+
     @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=np.int64), np.zeros(3), np.zeros(3, dtype=np.int32)])
     def test_other_arrays_still_refused(self, array):
         with pytest.raises(TypeError):
@@ -322,7 +330,9 @@ class TestDecimalRows:
     @example([[0, 9, 10], [10, 0, 99], [_INT64_MAX, 1, 0]])
     def test_rows_print_as_str(self, columns):
         want = "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
-        assert formats._decimal_rows(*(np.array(c, dtype=np.int64) for c in columns)) == want
+        arrays = [np.array(c, dtype=np.int64) for c in columns]
+        assert formats._decimal_rows(*arrays) == want
+        assert formats._decimal_rows(*arrays, end=",") == want.replace("\n", ",")
 
 
 def written(report, tmp_path):
