@@ -106,46 +106,43 @@ def n_approximation(target, N: int) -> NApproximation:
 
     The target is a finite list of rational points, a list of half-open
     (lo, hi) interval pairs, or a CantorStage.  An empty target gives an
-    empty approximation.  A stage whose denominator D and products
-    (n + length) * N fit in int64 has its cells built by
-    :func:`_stage_cells` from int64 spans; other targets add each span's
-    range of cells to a set of Python ints.
+    empty approximation.  A stage's cells are built by :func:`_stage_cells`;
+    other targets add each interval's range of cells to a set of Python ints.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    cells: set[int] = set()
     if isinstance(target, CantorStage):
-        D, length, numerators = target.denominator, target.length, target.numerators
-        # The numerators are sorted, so the last one has the largest product.
-        if numerators and max(D, (numerators[-1] + length) * operator.index(N)) <= _INT64_MAX:
-            return NApproximation(N, _stage_cells(numerators, length, D, N).tolist())
-        spans = ((n * N // D, -(-(n + length) * N // D)) for n in numerators)
-    else:
-        points, intervals = _coerce_target(target)
-        cells.update(int(p * N) for p in points if p < 1)
-        spans = ((int(lo * N), math.ceil(hi * N)) for lo, hi in intervals)
+        return NApproximation(N, _stage_cells(target, N).tolist())
+    points, intervals = _coerce_target(target)
+    cells = {int(p * N) for p in points if p < 1}
     # Cell c meets [lo, hi) iff c/N < hi and (c+1)/N > lo, that is iff
-    # floor(lo*N) <= c < ceil(hi*N): each span is that pair of bounds.
-    for first, stop in spans:
-        cells.update(range(first, min(stop, N)))
+    # floor(lo*N) <= c < ceil(hi*N).
+    for lo, hi in intervals:
+        cells.update(range(int(lo * N), min(math.ceil(hi * N), N)))
     return NApproximation(N, tuple(sorted(cells)))
 
 
-def _stage_cells(numerators: Sequence[int], length: int, D: int, N: int) -> np.ndarray:
-    """The cells met by the intervals [n/D, (n + length)/D) of sorted
-    numerators n, as a strictly increasing int64 array, without a sort.
+def _stage_cells(stage: CantorStage, N: int) -> np.ndarray:
+    """The cells met by the stage's intervals [n/D, (n + length)/D), as a
+    strictly increasing array, without a sort.
 
-    Each span runs from floor(n*N/D) to min(ceil((n + length)*N/D), N);
-    D and every (n + length) * N must fit in int64.  Sorted numerators make
-    both bounds non-decreasing, so clipping each start to the previous
+    Each span runs from floor(n*N/D) to min(ceil((n + length)*N/D), N).
+    The numerators are int64 while D and every (n + length) * N fit in
+    int64, and Python ints in an object array otherwise; the same numpy
+    code runs on either, and the cells have that dtype.  Sorted numerators
+    make both bounds non-decreasing, so clipping each start to the previous
     stop leaves disjoint spans in order (possibly empty), and their cells
     are one ``repeat`` plus an ``arange``.
     """
-    n = np.array(numerators, dtype=np.int64)
+    D, length, numerators = stage.denominator, stage.length, stage.numerators
+    N = operator.index(N)
+    # The numerators are sorted, so the last one has the largest product.
+    fits = bool(numerators) and max(D, (numerators[-1] + length) * N) <= _INT64_MAX
+    n = np.array(numerators, dtype=np.int64 if fits else object)
     first = n * N // D
     stop = np.minimum(-(-(n + length) * N // D), N)
     np.maximum(first[1:], stop[:-1], out=first[1:])
-    counts = np.maximum(stop - first, 0)
+    counts = np.maximum(stop - first, 0).astype(np.int64, copy=False)
     offsets = np.cumsum(counts) - counts
     return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - offsets, counts)
 
@@ -294,33 +291,28 @@ def integers_from_approximations(approximations: Sequence[NApproximation]) -> In
     With N_0 = 0, stage i contributes N_{i-1} + a for every cell numerator
     a whose fraction a/N_i was not already a cell fraction of stage i-1.
     Fractions are compared as integers c * (L / N_i) over the lcm L of the
-    N_i.  When L times the largest N_i fits in int64, each stage's keys are
-    an int64 array, sorted because its cells are, and membership in the
-    previous stage's keys is a ``searchsorted``; otherwise the keys are sets
-    of Python ints.  Overlapping blocks are merged by set union.
+    N_i.  Each stage's keys are an array, sorted because its cells are, of
+    int64 when L times the largest N_i fits in int64 and of Python ints
+    otherwise; membership in the previous stage's keys is a
+    ``searchsorted``.  Overlapping blocks are merged by set union.
     """
     if not approximations:
         raise ValueError("need at least one approximation")
     require_increasing([a.N for a in approximations], "approximation sizes must be strictly increasing")
     L = math.lcm(*(a.N for a in approximations))
     # Sizes increase, so the last is the largest.
-    exact = L * operator.index(approximations[-1].N) <= _INT64_MAX
+    dtype = np.int64 if L * operator.index(approximations[-1].N) <= _INT64_MAX else object
     out: set[int] = set()
-    prev_keys = np.empty(0, dtype=np.int64) if exact else set()
+    prev_keys = np.empty(0, dtype=dtype)
     prev_N = 0
     horizon = 1
     for approx in approximations:
-        scale = L // approx.N
-        if exact:
-            cells = np.array(approx.cells, dtype=np.int64)
-            keys = cells * scale
-            if len(prev_keys):
-                at = np.minimum(np.searchsorted(prev_keys, keys), len(prev_keys) - 1)
-                cells = cells[prev_keys[at] != keys]
-            out.update((cells + prev_N).tolist())
-        else:
-            out.update(prev_N + c for c in approx.cells if c * scale not in prev_keys)
-            keys = {c * scale for c in approx.cells}
+        cells = np.array(approx.cells, dtype=dtype)
+        keys = cells * (L // approx.N)
+        if len(prev_keys):
+            at = np.minimum(np.searchsorted(prev_keys, keys), len(prev_keys) - 1)
+            cells = cells[prev_keys[at] != keys]
+        out.update((cells + prev_N).tolist())
         horizon = max(horizon, prev_N + approx.N)
         prev_keys = keys
         prev_N = approx.N

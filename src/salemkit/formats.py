@@ -15,11 +15,10 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,8 +95,11 @@ def _int_list(ints) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it onto
+    ``path``; its mode is 0o666 less the umask, as ``open(path, "w")`` makes."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -106,6 +108,14 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _content_lines(lines: Sequence[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line neither blank nor a "#" comment."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 # Integer sets: one base-10 integer per line, optional "# horizon=N" header.
@@ -166,10 +176,7 @@ def load_plan(path) -> LevelPlan:
     beta = None
     c_bounds = C_BOUNDS
     levels: list[Level] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(Path(path).read_text().splitlines()):
         if line.startswith("beta="):
             try:
                 beta = float(line.split("=", 1)[1])
@@ -182,13 +189,13 @@ def load_plan(path) -> LevelPlan:
                 raise FormatError(f"line {lineno}: c_bounds needs two rationals")
             c_bounds = tuple(parse_rational(b) for b in bounds)
             continue
-        fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
-        if not {"N", "digits", "eta"} <= fields.keys():
+        entries = dict(part.split("=", 1) for part in line.split() if "=" in part)
+        if not {"N", "digits", "eta"} <= entries.keys():
             raise FormatError(f"line {lineno}: expected N=, digits=, eta=")
         try:
-            size = int(fields["N"])
-            digits = tuple(int(d) for d in fields["digits"].split(","))
-            levels.append(Level(size, digits, parse_rational(fields["eta"])))
+            size = int(entries["N"])
+            digits = tuple(int(d) for d in entries["digits"].split(","))
+            levels.append(Level(size, digits, parse_rational(entries["eta"])))
         except FormatError:
             raise
         except ValueError as exc:
@@ -228,10 +235,7 @@ def load_approximation(path) -> NApproximation:
             return _approximation(N, cells)
     N = None
     cells: list[int] = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(lines):
         if line.startswith("N="):
             try:
                 N = int(line.split("=", 1)[1])
@@ -262,13 +266,7 @@ def save_points(points: Sequence[Fraction], path) -> None:
 
 
 def load_points(path) -> list[Fraction]:
-    out = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse_rational(line))
-    return out
+    return [parse_rational(line) for _, line in _content_lines(Path(path).read_text().splitlines())]
 
 
 # CSV exports.
@@ -293,26 +291,18 @@ def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") ->
 
 def stage_csv(stage: CantorStage) -> str:
     """Each endpoint n/D in lowest terms, and its value n / D rounded like
-    float(Fraction(n, D)), at 12 significant digits.
+    float(Fraction(n, D)), at 12 significant digits, by one % format a row.
 
-    Below 2**53, D and the numerators (which do not pass D) are exact
-    doubles, and the float64 quotient is the correctly rounded one that
-    int true division gives; there the gcds and quotients are numpy arrays
-    and each row is one % format.  Larger denominators are printed
-    endpoint by endpoint in Python ints.
+    Below 2**53 the numerators are int64: they and D are exact doubles, so
+    the float64 quotient is the correctly rounded one.  At or above it they
+    are Python ints in an object array, where ``np.gcd``, ``//`` and ``/``
+    are Python's int operations and ``n / D`` is again correctly rounded.
     """
     D = stage.denominator
-    lines = ["numerator,denominator,value"]
-    if D < 2**53:
-        n = np.array(stage.numerators, dtype=np.int64)
-        g = np.gcd(n, D)
-        rows = zip((n // g).tolist(), (D // g).tolist(), (n / D).tolist())
-        lines.extend(map("%d,%d,%.12g".__mod__, rows))
-    else:
-        for n in stage.numerators:
-            g = math.gcd(n, D)
-            lines.append(f"{n // g},{D // g},{fmt_float(n / D)}")
-    return "\n".join(lines) + "\n"
+    n = np.array(stage.numerators, dtype=np.int64 if D < 2**53 else object)
+    g = np.gcd(n, D)
+    rows = zip((n // g).tolist(), (D // g).tolist(), (n / D).tolist())
+    return "numerator,denominator,value\n" + "".join(map("%d,%d,%.12g\n".__mod__, rows))
 
 
 def witnesses_csv(blocks: Iterable[tuple], values: Sequence[int]) -> str:

@@ -72,26 +72,23 @@ def _level_sums(digits: Sequence[int], p: Sequence[int], D: Sequence[int]) -> tu
     Each phase is the integer residue p_j*a mod D_j over D_j, one correctly
     rounded float, and the arithmetic is that of the scalar loop
     ``total += cmath.exp(-2j * math.pi * (p * a % D / D))`` followed by
-    ``total / d``, so the bits are the same.
+    ``total / d``, so the bits are the same.  The pairs are int64 while
+    every p_j*a fits and D_j <= 2**53, where r / D divides two exact doubles
+    and rounds as Python's int division, and Python ints in object arrays
+    otherwise.
     """
     # Not routed through core_sets.exp_sum: at exact zeros of the transform
     # the reports print this sum's rounding noise, which the kernel's
     # angles and pairwise summation round differently.
-    # int64 residues while every p*a fits and D <= 2**53, so that r / D
-    # divides two exactly held doubles and rounds as Python's int division.
     pmax = max(map(abs, p))
     exact64 = max(D) <= 2**53 and pmax < 2**63 and pmax * max(digits) < 2**63
-    if exact64:
-        p64, D64 = np.array(p, np.int64), np.array(D, np.int64)
+    dtype = np.int64 if exact64 else object
+    p, D = np.array(p, dtype), np.array(D, dtype)
     # The digits are added one by one in order, as the loop adds them;
     # .sum() would add pairwise.
     total = np.zeros(len(p), complex)
     for a in digits:
-        if exact64:
-            x = p64 * a % D64 / D64
-        else:
-            x = np.array([pj * a % Dj / Dj for pj, Dj in zip(p, D)])
-        total += np.exp(-2j * math.pi * x)
+        total += np.exp(-2j * math.pi * np.asarray(p * a % D / D, float))
     # Python's complex / int divides each part by d here, since a sum
     # from 0j holds no -0.0; numpy's complex division rounds otherwise.
     d = len(digits)

@@ -185,23 +185,23 @@ class TestNApproximation:
         stage, N = stage_and_N
         assert n_approximation(stage, N).cells == loop_n_approximation(stage, N)
 
-    def test_int64_spans_up_to_the_guard(self, monkeypatch):
-        # (n_last + length) * N and D each exactly 2**63 - 1 take the int64
-        # spans; one past either takes the span loop
-        calls = []
-        cells = equidist._stage_cells
-        monkeypatch.setattr(equidist, "_stage_cells", lambda *args: calls.append(args) or cells(*args))
+    def test_int64_spans_up_to_the_guard(self):
+        # (n_last + length) * N and D each exactly 2**63 - 1 keep the cells
+        # in int64; one past either, or no numerators, makes them Python
+        # ints in an object array
         top = INT64_MAX // 7
         cases = [
-            (CantorStage(1, (0, top // 2, top - 5), 5, top), 7, True),
-            (CantorStage(1, (0, top // 2, top - 5), 5, top), 8, False),
-            (CantorStage(1, (0, 1, 5), 3, INT64_MAX), 3, True),
-            (CantorStage(1, (0, 1, 5), 3, INT64_MAX + 1), 3, False),
+            (CantorStage(1, (0, top // 2, top - 5), 5, top), 7, np.int64),
+            (CantorStage(1, (0, top // 2, top - 5), 5, top), 8, object),
+            (CantorStage(1, (0, 1, 5), 3, INT64_MAX), 3, np.int64),
+            (CantorStage(1, (0, 1, 5), 3, INT64_MAX + 1), 3, object),
+            (CantorStage(1, (), 3, INT64_MAX + 1), 3, object),
         ]
-        for stage, N, int64 in cases:
-            calls.clear()
+        for stage, N, dtype in cases:
+            cells = equidist._stage_cells(stage, N)
+            assert cells.dtype == dtype
+            assert tuple(cells.tolist()) == loop_n_approximation(stage, N)
             assert n_approximation(stage, N).cells == loop_n_approximation(stage, N)
-            assert bool(calls) == int64
         assert type(n_approximation(CantorStage(1, (0, 1, 5), 3, 8), 8).cells[0]) is int
 
     @given(st.lists(interval_strategy(), min_size=1, max_size=4), st.integers(1, 24))
@@ -394,6 +394,27 @@ class TestIntegersFromApproximations:
     @settings(max_examples=200, deadline=None)
     def test_matches_set_reference(self, approximations):
         assert integers_from_approximations(approximations) == set_integers_from_approximations(approximations)
+
+    def test_int64_keys_up_to_the_guard(self, monkeypatch):
+        # Sizes s and 2s give L * max N = 4 s**2: the largest s at which it
+        # fits int64 keys the stages in int64, the next one in object
+        # arrays.  L * max N is (max N)**2 times a factor made of smaller
+        # sizes, so it can be neither 2**63 - 1 nor 2**63 exactly.
+        dtypes = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda keys, v: dtypes.append(keys.dtype) or searchsorted(keys, v))
+        edge = math.isqrt(INT64_MAX // 4)
+        for s, dtype in ((edge, np.int64), (edge + 1, object)):
+            # cell 2t of size 2s is the fraction t/s of cell t of size s
+            approximations = [
+                NApproximation(s, (0, 1, 5, s - 2, s - 1)),
+                NApproximation(2 * s, (0, 1, 2, 3, 10, 2 * s - 4, 2 * s - 3, 2 * s - 1)),
+            ]
+            dtypes.clear()
+            B = integers_from_approximations(approximations)
+            assert B == set_integers_from_approximations(approximations)
+            assert B.elements == (0, 1, 5, s - 2, s - 1, s + 1, s + 3, 3 * s - 3, 3 * s - 1)
+            assert dtypes == [dtype]
 
     def test_density_tracks_construction(self):
         # four stages of one beta = 0.5 refinement; counting at the block

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +343,21 @@ def written(report, tmp_path):
     return path.read_text()
 
 
+class TestAtomicWrite:
+    def test_reports_take_the_umask(self, tmp_path):
+        # created 0o666 less the umask, as open(path, "w") creates a file
+        old = os.umask(0o022)
+        try:
+            for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+                os.umask(umask)
+                path = tmp_path / f"report_{umask:o}.json"
+                write_report({"a": 1}, path)
+                assert stat.S_IMODE(path.stat().st_mode) == mode
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report_22.json", "report_77.json"]
+
+
 class TestReportBytes:
     """A report renders as the dict of its dataclass fields; each test
     spells that dict out by hand."""
@@ -475,7 +492,8 @@ class TestCsv:
     @settings(max_examples=150, deadline=None)
     def test_stage_bytes_at_the_double_guard(self, D, data):
         # denominators below 2**53 print through float64 quotients, larger
-        # ones endpoint by endpoint; both print every n / D as Fraction does
+        # ones through Python ints in object arrays; both print every n / D
+        # as Fraction does
         ends = data.draw(st.sets(st.sampled_from([0, 1, 2**52, D - 2, D - 1])))
         numerators = sorted(ends | data.draw(st.sets(st.integers(0, D - 1), min_size=1, max_size=20)))
         stage = CantorStage(1, tuple(numerators), 1, D)
