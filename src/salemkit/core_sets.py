@@ -10,11 +10,14 @@ Everything here is a pure function of immutable inputs; per-frequency
 evaluations can run concurrently and results never depend on evaluation
 order.  The module state only picks how a value is computed, never the
 value: exp_sum's count of its current run of calls picks how phases are
-exponentiated, and a pool of threads, built at the first call of more
-than one slab of frequency rows, shares the slabs with the calling
-thread.  The threads are the CPUs the process may run on, up to 4, the
-calling thread included; there is no setting, and a process started
-under ``taskset -c 0`` runs every sum on its calling thread.
+exponentiated, and one work-sharing helper, ``_share``, runs the items
+of a call (exp_sum's slabs of frequency rows, the random experiments'
+trials) on the calling thread and the threads of a pool built at the
+first call of more than one item.  The threads are the CPUs the process
+may run on, up to 4, the calling thread included; there is no setting,
+and a process started under ``taskset -c 0`` runs every item on its
+calling thread.  A call made from inside an item runs inline, and the
+calling thread allocates every buffer that a pool thread fills.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,7 +60,7 @@ _run_phases = 0
 _INT64_MAX = (1 << 63) - 1
 
 
-# Most threads that sum exp_sum's slabs, the calling thread included: the
+# Most threads that run _share's items, the calling thread included: the
 # CPUs this process may run on, as taskset sets them, up to 4.
 try:
     _WORKERS = min(4, len(os.sched_getaffinity(0)))
@@ -66,6 +69,12 @@ except AttributeError:  # no sched_getaffinity outside Linux
 # The pool of the other threads, and its guard.
 _executor = None
 _executor_lock = threading.Lock()
+# While a thread runs _share's items, ``_local.blocks`` is the residue
+# and phase block pair that it fills in place.
+_local = threading.local()
+# Held while the unit-root table cache is asked, so that two threads which
+# reach a new table together build it once.
+_table_lock = threading.Lock()
 
 
 def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -192,14 +201,17 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     one table.  Its entries are bit-identical to exponentiating each
     residue, so the path never moves a bit.  The int64 path cuts the
     frequencies into slabs of rows, each of at most 2**16 entries or one
-    row, and sums them on at most W threads, W being the CPUs the process
-    may run on (``os.sched_getaffinity``) up to 4: the calling thread and
-    up to W - 1 threads of a module pool each take the next slab until
-    none is left, so a thread the host runs slowly takes fewer.  A call of
-    one slab never touches the pool.  Each thread has one residue block
-    and one phase block, allocated by the calling thread, and fills them
-    in place for every slab it takes; a row's sum is the same whichever
-    thread takes its slab.  The empty set sums to 0.
+    row, and sums them through :func:`_share`: the calling thread and up
+    to W - 1 pool threads, W being the CPUs the process may run on
+    (``os.sched_getaffinity``) up to 4, each take the next slab until none
+    is left, so a thread the host runs slowly takes fewer.  A call of one
+    slab never touches the pool, and a call made from inside one of
+    ``_share``'s items, such as a random trial, sums every slab on its own
+    thread.  Each thread fills one residue block and one phase block in
+    place for every slab it takes, allocated by the calling thread (or the
+    blocks of the item the call runs in, when they are large enough); a
+    row's sum is the same whichever thread takes its slab.  The empty set
+    sums to 0.
     """
     global _run_denominator, _run_phases
     D = int(denominator)
@@ -213,24 +225,17 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
         if D != _run_denominator:
             _run_denominator, _run_phases = D, 0
         _run_phases += len(a) * len(k)
-        table = _unit_roots(D) if D <= _TABLE_MAX and _run_phases >= D else None
+        table = None
+        if D <= _TABLE_MAX and _run_phases >= D:
+            with _table_lock:
+                table = _unit_roots(D)
         rows = max(1, _CHUNK // len(a))
-        slabs = range(0, len(k), rows)
-        threads = min(_WORKERS, len(slabs))
-        # Each thread takes the next slab from one shared iterator, so a
-        # thread that the host runs slowly takes fewer slabs.  The calling
-        # thread allocates every thread's blocks: a worker's freed blocks
-        # would stay in that thread's own malloc arena.
-        shape = (min(rows, len(k)), len(a))
-        claim = (iter(slabs), threading.Lock())
-        jobs = [(a, k, D, table, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=complex), out, claim)
-                for _ in range(threads)]
-        futures = [_pool().submit(_slab_sums, *job) for job in jobs[1:]]
-        _slab_sums(*jobs[0])
-        for future in futures:
-            # A job not yet started would find no slab left.
-            if not future.cancel():
-                future.result()
+
+        def slab(j: int) -> None:
+            lo = j * rows
+            _slab_sums(a, k[lo : lo + rows], D, table, out[lo : lo + rows])
+
+        _share(slab, -(-len(k) // rows), min(rows, len(k)) * len(a))
         return out
     members = a.tolist()
     for i, kk in enumerate(k.tolist()):
@@ -238,44 +243,106 @@ def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -
     return out
 
 
-def _slab_sums(a: np.ndarray, k: np.ndarray, D: int, table: np.ndarray | None,
-               residues: np.ndarray, phases: np.ndarray, out: np.ndarray, claim: tuple) -> None:
-    """Write exp_sum's row sums into ``out`` for each slab that this thread
-    takes from ``claim`` (an iterator of first rows and its lock), filling
-    the residue and phase blocks in place.  Only numpy runs here, and it
-    releases the GIL."""
-    slabs, lock = claim
-    rows = len(residues)
-    while True:
+def _slab_sums(a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, out: np.ndarray) -> None:
+    """Write exp_sum's sums of the rows ``ks`` into ``out``, filling this
+    thread's residue and phase blocks in place.  Only numpy runs here, and
+    it releases the GIL."""
+    shape = (len(ks), len(a))
+    residues, phases = _blocks(shape[0] * shape[1])
+    block, p = residues.reshape(shape), phases.reshape(shape)
+    np.multiply(ks[:, None], a[None, :], out=block)
+    # The products are non-negative, so for D a power of two the mask
+    # D - 1 gives the same residues as % D without a division.
+    if D & (D - 1) == 0:
+        block &= D - 1
+    else:
+        block %= D
+    if table is None:
+        # Cast into p first: casting inside the multiply would take
+        # a 128 KiB buffer.  The product is the same complex multiply.
+        p[...] = block
+        np.multiply(-2j * np.pi / D, p, out=p)
+        np.exp(p, out=p)
+    else:
+        # Residues lie in [0, D), so "wrap" never wraps; unlike
+        # "raise" it lets take write into p without a buffer.
+        np.take(table, block, out=p, mode="wrap")
+    p.sum(axis=1, out=out)
+
+
+def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
+    """[fn(0), ..., fn(n - 1)], run on the calling thread and up to W - 1
+    pool threads, each taking the next item from one iterator under a lock.
+
+    Each thread runs its items with a residue block (int64) and a phase
+    block (complex) of ``entries`` entries, which :func:`_blocks` gives
+    it.  The calling thread allocates every pair: a pool thread's freed
+    blocks would stay in its own malloc arena.  One item, or one CPU,
+    leaves the pool unbuilt.  A call from inside an item runs inline and
+    submits no job (a job queued behind the busy pool would hold its work
+    until the pool drained), in the item's blocks when they are large
+    enough.  Once the calling thread finds no item left, it cancels the
+    jobs not yet started and waits for the rest; jobs read fn and the
+    blocks from a list emptied before the call returns, so a cancelled job
+    holds neither.  After an item raises, no thread takes another, and
+    the exception is raised once every started job is done.
+    """
+    outer = getattr(_local, "blocks", None)
+    if outer is not None and len(outer[0]) >= entries:
+        return [fn(i) for i in range(n)]
+    threads = 1 if outer is not None or n < 2 else min(_WORKERS, n)
+    results = [None] * n
+    pairs = [(np.empty(entries, dtype=np.int64), np.empty(entries, dtype=complex)) for _ in range(threads)]
+    work = [fn, iter(range(n)), threading.Lock(), results, pairs]
+    futures = [_pool().submit(_drain, work, j) for j in range(1, threads)]
+    try:
+        _drain(work, 0)
+    finally:
+        for future in futures:
+            # A job not yet started would find no item left.
+            if not future.cancel():
+                future.exception()
+        work.clear()
+    for future in futures:
+        if not future.cancelled():
+            future.result()
+    return results
+
+
+def _drain(work: list, j: int) -> None:
+    """Run the items that this thread takes from ``work`` (fn, the item
+    iterator, its lock, the results and the block pairs), with pair j as
+    this thread's blocks until it finds none left."""
+    fn, _, lock, results, pairs = work
+    outer = getattr(_local, "blocks", None)
+    _local.blocks = pairs[j]
+    try:
+        while True:
+            with lock:
+                i = next(work[1], None)
+            if i is None:
+                return
+            results[i] = fn(i)
+    finally:
+        _local.blocks = outer
         with lock:
-            lo = next(slabs, None)
-        if lo is None:
-            return
-        ks = k[lo : lo + rows]
-        block, p = residues[: len(ks)], phases[: len(ks)]
-        np.multiply(ks[:, None], a[None, :], out=block)
-        # The products are non-negative, so for D a power of two the mask
-        # D - 1 gives the same residues as % D without a division.
-        if D & (D - 1) == 0:
-            block &= D - 1
-        else:
-            block %= D
-        if table is None:
-            # Cast into p first: casting inside the multiply would take
-            # a 128 KiB buffer.  The product is the same complex multiply.
-            p[...] = block
-            np.multiply(-2j * np.pi / D, p, out=p)
-            np.exp(p, out=p)
-        else:
-            # Residues lie in [0, D), so "wrap" never wraps; unlike
-            # "raise" it lets take write into p without a buffer.
-            np.take(table, block, out=p, mode="wrap")
-        p.sum(axis=1, out=out[lo : lo + rows])
+            # Exhausted already, unless an item raised.
+            work[1] = iter(())
+
+
+def _blocks(entries: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first ``entries`` entries of this thread's residue and phase
+    blocks while it runs :func:`_share`'s items, or None outside them or
+    when the blocks are smaller."""
+    pair = getattr(_local, "blocks", None)
+    if pair is None or len(pair[0]) < entries:
+        return None
+    return pair[0][:entries], pair[1][:entries]
 
 
 def _pool():
-    """The threads that share exp_sum's slabs with the calling thread,
-    built at the first call of more than one slab."""
+    """The threads that share :func:`_share`'s items with the calling
+    thread, built at the first call of more than one item."""
     global _executor
     with _executor_lock:
         if _executor is None:
@@ -283,7 +350,7 @@ def _pool():
             # which a process that never splits a call should not pay.
             from concurrent.futures import ThreadPoolExecutor
 
-            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="exp_sum")
+            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="share")
         return _executor
 
 

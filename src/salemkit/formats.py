@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -96,8 +97,18 @@ def _int_list(ints) -> str:
 
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to a new file beside ``path`` and rename it onto
-    ``path``; its mode is 0o666 less the umask, as ``open(path, "w")`` makes."""
+    ``path``; its mode is 0o666 less the umask, as ``open(path, "w")`` makes.
+    A target that exists and is not a regular file, such as a device or a
+    pipe, is written in place, so it stays what it is."""
     path = Path(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:

@@ -6,7 +6,14 @@ and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
-walks the same trial stream, trials 0..trials-1 one at a time.  Each
+walks the same trial stream, trials 0..trials-1.  The dimension and
+order experiments share their trials among threads through
+``core_sets._share``: each trial is a pure function of (config, t), so
+every statistic is the same whichever thread scores it, and the draws,
+keep-masks and sums of a trial fill blocks that the experiment's calling
+thread allocated.  The lemma-6.3 experiment walks its trials one at a
+time on the calling thread: each is about 0.2 ms of Python that holds
+the GIL, so sharing them made it slower.  Each
 stage draws its keep-mask first, in blocks, from the trial's one stream,
 and builds only the surviving cells.  Each experiment builds only what it
 reads, and every trial is read as the int64 arrays of its stages: the
@@ -29,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_sets import _CHUNK, as_integers, exp_sum
+from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sum
 from .equidist import _finest_fit, _sweep
 
 
@@ -168,7 +175,9 @@ def _next_stage(
     of at most ``_CHUNK`` draws (and at least one parent).  The blocks take
     consecutive draws of the one stream, and a generator gives the same
     doubles in pieces as in one call, so the cells do not depend on the
-    block size, and a count is the size of the stage it stands for.
+    block size, and a count is the size of the stage it stands for.  In
+    one of ``core_sets._share``'s items, a block's draws and keep-mask
+    fill the item's phase and residue blocks in place.
     """
     p = size ** (-beta)
     rows = max(1, _CHUNK // size)
@@ -176,7 +185,13 @@ def _next_stage(
     survivors = 0
     for lo in range(0, parents.size, rows):
         block = parents[lo : lo + rows]
-        keep = rng.random(block.size * size) < p
+        n = block.size * size
+        scratch = _blocks(n)
+        if scratch is None:
+            draws, keep = np.empty(n), np.empty(n, dtype=bool)
+        else:
+            draws, keep = scratch[1].view(np.float64)[:n], scratch[0].view(np.bool_)[:n]
+        np.less(rng.random(out=draws), p, out=keep)
         if count:
             survivors += int(np.count_nonzero(keep))
         else:
@@ -197,7 +212,7 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     if M < 2:
         raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
     # Only the final count is read, so the last stage is counted, not built.
-    finals = (_final_count(config, t) for t in range(config.trials))
+    finals = _share(functools.partial(_final_count, config), config.trials, _CHUNK)
     dims = [math.log(count) / math.log(M) for count in finals if count]
     if dims:
         arr = np.asarray(dims)
@@ -217,17 +232,17 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     """
     # Each final stage is scored as the int64 array _refine returns: its
     # cells are sorted, distinct and below M by construction.  The sweep is
-    # built at the first survivor, so an experiment whose trials all went
-    # extinct needs none and is not refused at M < 16.
+    # built at the first survivor (by each thread that scores one at once,
+    # all equal), so an experiment whose trials all went extinct needs none
+    # and is not refused at M < 16.
     M = config.resolution()
-    ms = None
-    alphas = []
-    for t in range(config.trials):
+    sweep = functools.cache(functools.partial(_sweep, M))
+
+    def score(t: int) -> float | None:
         final = _refine(config, t)[-1]
-        if final.size:
-            if ms is None:
-                ms = _sweep(M)
-            alphas.append(_finest_fit(final, M, ms)[0])
+        return _finest_fit(final, M, sweep())[0] if final.size else None
+
+    alphas = [alpha for alpha in _share(score, config.trials, _CHUNK) if alpha is not None]
     median = statistics.median(alphas) if alphas else None
     return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 

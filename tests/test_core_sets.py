@@ -365,6 +365,38 @@ class TestExpSum:
         ref = np.exp((-2j * np.pi / D) * np.arange(D, dtype=np.int64))
         assert np.array_equal(table.view(np.int64), ref.view(np.int64))
 
+    def test_racing_calls_build_one_table(self, tabulated_calls):
+        # eight threads whose calls reach the table switch at once, as two
+        # shared trials can: one of them builds the 4 MiB table of 2**18
+        # unit roots while the others wait for it, and every sum keeps its
+        # bits
+        D = 2**18
+        core_sets._run_denominator, core_sets._run_phases = D, D
+        rng = np.random.default_rng(15)
+        a = rng.integers(0, D, 50)
+        k = rng.integers(0, D, 3)
+        ref = exponentiated(a, D, k).view(np.int64)
+        start = threading.Barrier(8)
+        got = []
+
+        def call():
+            start.wait(timeout=60)
+            got.append(exp_sum(a, D, k).view(np.int64))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 and all(np.array_equal(g, ref) for g in got)
+        assert core_sets._unit_roots.cache_info().misses == 1
+
     @pytest.mark.parametrize("D", [10**8, 10**6])
     def test_one_call_allocates_two_blocks(self, D, tabulated_calls, monkeypatch):
         # characterize's finest member: 13,600 cells by 146 frequencies, at
@@ -465,6 +497,32 @@ class TestExpSum:
         for future in busy:
             future.result(timeout=60)
         assert np.array_equal(got[0].view(np.int64), exponentiated(a, D, k).view(np.int64))
+
+    def test_cancelled_jobs_hold_no_blocks(self, monkeypatch, tabulated_calls):
+        # while every pool thread is busy elsewhere, ten calls of 3 slabs
+        # each submit jobs that they cancel behind the busy pool; those jobs
+        # hold no block, so once the calls return, all that stays traced is
+        # the unit-root table that their run built
+        monkeypatch.setattr(core_sets, "_WORKERS", 4)
+        release = threading.Event()
+        busy = [core_sets._pool().submit(release.wait) for _ in range(4)]
+        rng = np.random.default_rng(14)
+        D = 786433
+        a = rng.integers(0, D, 20000)
+        ks = [rng.integers(0, D, 9) for _ in range(10)]  # 3 rows a slab, 3 slabs
+        refs = [exponentiated(a, D, k).view(np.int64) for k in ks]
+        tracemalloc.start()
+        try:
+            got = [exp_sum(a, D, k) for k in ks]
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            release.set()
+        for future in busy:
+            future.result(timeout=60)
+        assert tabulated_calls() > 0
+        assert traced < core_sets._unit_roots(D).nbytes + (1 << 16)
+        assert all(np.array_equal(g.view(np.int64), ref) for g, ref in zip(got, refs))
 
     def test_concurrent_callers_build_one_pool(self, monkeypatch):
         # more callers and workers than cores, switching threads often:

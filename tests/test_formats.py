@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,36 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report_22.json", "report_77.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_pipe_target_written_in_place(self, tmp_path):
+        # a pipe given as the target stays a pipe, and its reader gets the
+        # report; no temporary file is left beside it
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            write_report({"a": 1}, fifo)
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [canonical_json({"a": 1}) + "\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+    def test_regular_target_replaced_atomically(self, tmp_path):
+        # a regular target is replaced by a new file, so a reader holding
+        # the old one open still reads the old bytes
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        with open(path) as held:
+            write_report({"a": 1}, path)
+            assert os.fstat(held.fileno()).st_ino != path.stat().st_ino
+            assert held.read() == "old\n"
+        assert path.read_text() == canonical_json({"a": 1}) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestReportBytes:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salemkit import randfrac
+from salemkit import core_sets, randfrac
 from salemkit.randfrac import (
     OrderStats,
     RandomFractalConfig,
@@ -20,7 +21,7 @@ from salemkit.randfrac import (
 )
 from salemkit.cli import run_command
 from salemkit.core_sets import _CHUNK, exp_sum
-from salemkit.equidist import NApproximation, equidist_order
+from salemkit.equidist import NApproximation, _finest_fit, _sweep, equidist_order
 from salemkit.formats import canonical_json
 
 SEED = 20260810
@@ -64,10 +65,14 @@ class LadderRng:
     def __init__(self):
         self.drawn = 0
 
-    def random(self, n):
+    def random(self, n=None, out=None):
+        n = len(out) if out is not None else n
         draws = (np.arange(self.drawn, self.drawn + n) % 4) / 4
         self.drawn += n
-        return draws
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
 
 def corollary64_check(final, M):
@@ -555,3 +560,110 @@ class TestOrderExperiment:
         # no trial survives, so no sweep is needed and M = 8 is not refused
         cfg = RandomFractalConfig(0.95, (2, 2, 2), 3, 3, 18)
         assert order_experiment(cfg) == OrderStats(1.0 - 0.95, None, (), 3, 3)
+
+
+def serial_dimension(config):
+    """Oracle for dimension_experiment's sharing: the dims and extinct
+    share from a loop over the trials' final counts on this thread."""
+    counts = [randfrac._final_count(config, t) for t in range(config.trials)]
+    M = config.resolution()
+    return tuple(math.log(c) / math.log(M) for c in counts if c), sum(c == 0 for c in counts) / config.trials
+
+
+def serial_alphas(config):
+    """Oracle for order_experiment's sharing: the fitted order of each
+    surviving trial, from a loop over _refine and _finest_fit on this
+    thread; ValueError when a trial survives at M < 16."""
+    M = config.resolution()
+    finals = [randfrac._refine(config, t)[-1] for t in range(config.trials)]
+    return [_finest_fit(f, M, _sweep(M))[0] for f in finals if f.size]
+
+
+@st.composite
+def shared_configs(draw):
+    """Small configs of depth at least 3: extinct trials at high beta, fewer
+    trials than 4 threads, and resolutions below 16."""
+    sizes = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 7, 16]), min_size=3, max_size=4)))
+    beta = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]))
+    depth = draw(st.integers(3, len(sizes)))
+    trials = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return RandomFractalConfig(beta, sizes, depth, trials, seed)
+
+
+class TestSharedTrials:
+    @given(config=shared_configs())
+    @example(config=RandomFractalConfig(0.5, (2, 2, 2), 3, 4, 0))  # a survivor at M = 8
+    @example(config=RandomFractalConfig(0.9, (4, 4, 4), 3, 6, 5))  # extinct trials
+    @settings(max_examples=40, deadline=None)
+    def test_shared_trials_keep_their_bits(self, config):
+        # at 1, 2 and 4 threads, with a fresh pool each, the experiments
+        # give the serial loops' numbers by ==, and refuse M < 16 exactly
+        # when the loop does
+        dims, extinct = serial_dimension(config)
+        try:
+            alphas, refusal = serial_alphas(config), None
+        except ValueError as exc:
+            alphas, refusal = None, str(exc)
+        for workers in (1, 2, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core_sets, "_WORKERS", workers)
+                mp.setattr(core_sets, "_executor", None)
+                try:
+                    stats = dimension_experiment(config)
+                    assert stats.dims == dims
+                    assert stats.extinct == extinct
+                    if refusal is not None:
+                        with pytest.raises(ValueError, match=f"^{refusal}$"):
+                            order_experiment(config)
+                        continue
+                    orders = order_experiment(config)
+                    assert orders.alphas == tuple(alphas)
+                    assert orders.median_alpha == (statistics.median(alphas) if alphas else None)
+                finally:
+                    if core_sets._executor is not None:
+                        core_sets._executor.shutdown()
+
+    def test_trial_exp_sum_submits_no_job(self, monkeypatch):
+        # at 64**3 and beta = 1/4 every final stage is thousands of cells,
+        # so its sweep's exp_sum is many slabs; inside a trial it sums them
+        # on the trial's own thread, and the pool gets only the
+        # experiment's one job
+        cfg = RandomFractalConfig(0.25, (64, 64, 64), 3, 4, SEED)
+        M = cfg.resolution()
+        assert all(randfrac._refine(cfg, t)[-1].size * len(_sweep(M)) > 2 * _CHUNK for t in range(cfg.trials))
+        monkeypatch.setattr(core_sets, "_WORKERS", 2)
+        alphas = serial_alphas(cfg)  # its exp_sum calls are made here, so they share their slabs
+        pool = core_sets._pool()
+        submitted = []
+
+        def submit(fn, *args):
+            submitted.append(fn)
+            return type(pool).submit(pool, fn, *args)
+
+        monkeypatch.setattr(pool, "submit", submit)
+        assert order_experiment(cfg).alphas == tuple(alphas)
+        assert len(submitted) == 1
+
+    def test_second_thread_costs_one_block_pair(self, monkeypatch):
+        # at W = 2 the calling thread allocates one more residue and phase
+        # block pair, for the pool thread, and the draws, keep-masks and
+        # exp_sum blocks of its trials fill that pair in place.  Beside the
+        # pair, the peak may hold what a second trial holds at once: its
+        # cells, and the two buffers of np.getbufsize() int64 entries that
+        # numpy's ufunc iterator takes for exp_sum's outer product of rows
+        # shorter than that (none of them is one of the blocks).  The
+        # pool's thread and the unit-root table are built before the peaks.
+        cfg = RandomFractalConfig(0.25, (16, 16, 16), 3, 8, SEED)
+        peaks = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(core_sets, "_WORKERS", workers)
+            want = order_experiment(cfg)
+            tracemalloc.start()
+            try:
+                got = order_experiment(cfg)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+        assert peaks[2] <= peaks[1] + _CHUNK * (8 + 16) + 2 * 8 * np.getbufsize() + (1 << 16)
