@@ -9,11 +9,11 @@ Spectral decay is summarized by the largest alpha such that
 Everything here is a pure function of immutable inputs; per-frequency
 evaluations can run concurrently and results never depend on evaluation
 order.  The module state only picks how a value is computed, never the
-value: exp_sum's count of its current run of calls picks how phases are
+value: exp_sums' count of its current run of calls picks how phases are
 exponentiated, and one work-sharing helper, ``_share``, runs the items
-of a call (exp_sum's slabs of frequency rows, the random experiments'
-trials) on the calling thread and the threads of a pool built at the
-first call of more than one item.  The threads are the CPUs the process
+of a call (exp_sums' slabs of groups and frequency rows, the random
+experiments' trials) on the calling thread and the threads of a pool
+built at the first call of more than one item.  The threads are the CPUs the process
 may run on, up to 4, the calling thread included; there is no setting,
 and a process started under ``taskset -c 0`` runs every item on its
 calling thread.  A call made from inside an item runs inline, and the
@@ -30,7 +30,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,18 +41,18 @@ EXPONENT_CAP = 1.0
 # rounding noise of summing up to 1e6 unit-modulus terms in doubles.
 ZERO_FLOOR = 1e-12
 
-# Entries per block of exp_sum's int64 phases and of the random
+# Entries per block of exp_sums' int64 phases and of the random
 # refinement's keep draws: full-range spectra of a few thousand members
 # stay within tens of MB, and blocks stay large enough that numpy, not the
 # block loop, sets the time.
 _CHUNK = 1 << 16
-# Largest denominator whose unit roots exp_sum tabulates: 2**20 complex
+# Largest denominator whose unit roots exp_sums tabulates: 2**20 complex
 # doubles are 16 MB, and the cache below keeps at most two tables.  A table
 # is built only once a run of calls with one denominator D has asked for at
 # least D phases, so fewer than D are exponentiated before it, and it never
 # costs much more exps than it saves.
 _TABLE_MAX = 1 << 20
-# The current run of int64-path exp_sum calls: their shared denominator and
+# The current run of int64-path exp_sums calls: their shared denominator and
 # the phases they have asked for.  A call with another denominator starts a
 # new run.  A race between threads over these can only cost speed.
 _run_denominator = 0
@@ -186,71 +186,126 @@ def loglog_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 
 def exp_sum(numerators: Sequence[int], denominator: int, freqs: Sequence[int]) -> np.ndarray:
-    """sum_j e^{-2 pi i k a_j / D} for each integer k in ``freqs``.
+    """sum_j e^{-2 pi i k a_j / D} for each integer k in ``freqs``: the one
+    row of :func:`exp_sums` over the single group ``numerators``."""
+    return exp_sums([numerators], denominator, freqs)[0]
 
-    Every phase k*a_j is reduced mod D exactly before exponentiation, so the
-    sum is exact in its phases at every size: in int64 blocks when all the
-    products fit, in Python integers otherwise.  A residue r becomes the
-    angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D) on the
-    other, and each row is summed by numpy.  On the int64 path a power-of-two
-    D reduces the non-negative products with the mask D - 1, which gives the
-    same residues as % D.  When D <= 2**20, the residues are gathered from
-    a cached table of the D unit roots e^{(-2 pi i / D) * r} once the run of
-    consecutive int64-path calls with this D, this call included, has asked
-    for at least D phases, so trial loops that make many small calls share
-    one table.  Its entries are bit-identical to exponentiating each
-    residue, so the path never moves a bit.  The int64 path cuts the
-    frequencies into slabs of rows, each of at most 2**16 entries or one
-    row, and sums them through :func:`_share`: the calling thread and up
-    to W - 1 pool threads, W being the CPUs the process may run on
-    (``os.sched_getaffinity``) up to 4, each take the next slab until none
-    is left, so a thread the host runs slowly takes fewer.  A call of one
-    slab never touches the pool, and a call made from inside one of
-    ``_share``'s items, such as a random trial, sums every slab on its own
-    thread.  Each thread fills one residue block and one phase block in
-    place for every slab it takes, allocated by the calling thread (or the
-    blocks of the item the call runs in, when they are large enough); a
-    row's sum is the same whichever thread takes its slab.  The empty set
-    sums to 0.
+
+def exp_sums(groups: Sequence[Sequence[int]], denominator: int, freqs: Sequence[int]) -> np.ndarray:
+    """sum_{a in g} e^{-2 pi i k a / D} for each group g of ``groups`` and
+    each integer k in ``freqs``, as a (len(groups), len(freqs)) array.
+
+    Every phase k*a is reduced mod D exactly before exponentiation, so the
+    sum is exact in its phases at every size.  Each group takes the path it
+    would take alone: int64 blocks when its members, the frequencies and
+    all their products fit, Python integers otherwise, one group at a
+    time.  A residue r becomes the angle (-2 pi / D) * r on the int64 path
+    and -2 pi * (r / D) on the other, and each group's row is summed by
+    numpy.
+    On the int64 path a power-of-two D reduces the non-negative products
+    with the mask D - 1, which gives the same residues as % D.  When
+    D <= 2**20, the residues are gathered from a cached table of the D unit
+    roots e^{(-2 pi i / D) * r} once the run of consecutive int64-path calls
+    with this D, this call included, has asked for at least D phases, so
+    many small calls share one table.  Its entries are bit-identical to
+    exponentiating each residue, so the path never moves a bit.
+
+    The int64 path puts its groups side by side, one column per member,
+    and cuts them into slabs of at most 2**16 entries or one row
+    (:func:`_slabs`): runs of whole groups with every frequency row, and a
+    group too wide for that alone, cut by rows.  It sums them through
+    :func:`_share`: the calling thread and up to W - 1 pool threads, W
+    being the CPUs the process may run on (``os.sched_getaffinity``) up to
+    4, each take the next slab until none is left, so a thread the host
+    runs slowly takes fewer.  A call of one slab never touches the pool,
+    and a call made from inside one of ``_share``'s items, such as a random
+    trial, sums every slab on its own thread.  Each thread fills one
+    residue block and one phase block in place for every slab it takes,
+    allocated by the calling thread (or the blocks of the item the call
+    runs in, when they are large enough).  Each group's sums are those of its own columns of the block, in the order
+    numpy sums one group alone, so a group's row is the same bits in any
+    grouping, and whichever thread takes its slab.  An empty group, and
+    every group when there are no frequencies, sums to 0.
     """
     global _run_denominator, _run_phases
     D = int(denominator)
     if D < 1:
         raise ValueError("denominator must be positive")
-    out = np.zeros(len(freqs), dtype=complex)
-    if len(numerators) == 0 or len(freqs) == 0:
+    out = np.zeros((len(groups), len(freqs)), dtype=complex)
+    # An empty group is left out, not joined: np.asarray([]) is float64.
+    filled = [(i, np.asarray(g)) for i, g in enumerate(groups) if len(g)]
+    if not filled or len(freqs) == 0:
         return out
-    a, k = _reduce(numerators, D), _reduce(freqs, D)
-    if a.dtype == np.int64 and k.dtype == np.int64 and int(a.max()) * int(k.max()) <= _INT64_MAX:
+    k = _reduce(freqs, D)
+    narrow = [(i, m) for i, m in filled if m.dtype == np.int64 == k.dtype]
+    # Groups summed in Python integers, as they would be alone.
+    wide = [(i, _reduce(m, D)) for i, m in filled if not m.dtype == np.int64 == k.dtype]
+    spans: list[tuple[int, int, int]] = []
+    if narrow:
+        a = _reduce(narrow[0][1] if len(narrow) == 1 else np.concatenate([m for _, m in narrow]), D)
+        edges = list(accumulate((len(m) for _, m in narrow), initial=0))
+        fits = np.maximum.reduceat(a, edges[:-1]) <= _INT64_MAX // max(int(k.max()), 1)
+        for (i, _), lo, hi, fit in zip(narrow, edges, edges[1:], fits.tolist()):
+            if fit:
+                spans.append((i, lo, hi))
+            else:
+                wide.append((i, a[lo:hi]))
+    if spans:
         if D != _run_denominator:
             _run_denominator, _run_phases = D, 0
-        _run_phases += len(a) * len(k)
+        _run_phases += sum(hi - lo for _, lo, hi in spans) * len(k)
         table = None
         if D <= _TABLE_MAX and _run_phases >= D:
             with _table_lock:
                 table = _unit_roots(D)
-        rows = max(1, _CHUNK // len(a))
+        slabs = _slabs(spans, len(k))
 
         def slab(j: int) -> None:
-            lo = j * rows
-            _slab_sums(a, k[lo : lo + rows], D, table, out[lo : lo + rows])
+            run, lo, hi = slabs[j]
+            _slab_sums(a, k[lo:hi], D, table, run, out[:, lo:hi])
 
-        _share(slab, -(-len(k) // rows), min(rows, len(k)) * len(a))
-        return out
-    members = a.tolist()
-    for i, kk in enumerate(k.tolist()):
-        out[i] = np.exp(-2j * np.pi * np.array([kk * x % D / D for x in members])).sum()
+        entries = max((min(hi, len(k)) - lo) * (run[-1][2] - run[0][1]) for run, lo, hi in slabs)
+        _share(slab, len(slabs), entries)
+    ks = k.tolist()
+    for i, members in wide:
+        group = members.tolist()
+        for j, kk in enumerate(ks):
+            out[i, j] = np.exp(-2j * np.pi * np.array([kk * x % D / D for x in group])).sum()
     return out
 
 
-def _slab_sums(a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, out: np.ndarray) -> None:
-    """Write exp_sum's sums of the rows ``ks`` into ``out``, filling this
-    thread's residue and phase blocks in place.  Only numpy runs here, and
-    it releases the GIL."""
-    shape = (len(ks), len(a))
+def _slabs(spans: list[tuple[int, int, int]], rows: int) -> list[tuple[list, int, int]]:
+    """exp_sums' slabs (run, lo, hi): the frequency rows lo:hi of a run of
+    groups whose spans (g, lo, hi) of columns lie side by side.  A run takes
+    the next group while its columns times ``rows`` stay within 2**16
+    entries; a group wider than that is a run of its own, and its rows are
+    cut into slabs of at most 2**16 entries or one row."""
+    cap = _CHUNK // rows
+    runs: list[list[tuple[int, int, int]]] = []
+    for span in spans:
+        if runs and span[1] == runs[-1][-1][2] and span[2] - runs[-1][0][1] <= cap:
+            runs[-1].append(span)
+        else:
+            runs.append([span])
+    slabs = []
+    for run in runs:
+        step = max(1, _CHUNK // (run[-1][2] - run[0][1]))
+        slabs += [(run, lo, lo + step) for lo in range(0, rows, step)]
+    return slabs
+
+
+def _slab_sums(
+    a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, run: list[tuple[int, int, int]], out: np.ndarray
+) -> None:
+    """Write exp_sums' sums of the rows ``ks`` into ``out``: for each span
+    (g, lo, hi) of ``run``, the sums over the columns lo:hi of ``a`` into
+    row g, filling this thread's residue and phase blocks in place.  Only
+    numpy runs here, and it releases the GIL."""
+    first = run[0][1]
+    shape = (len(ks), run[-1][2] - first)
     residues, phases = _blocks(shape[0] * shape[1])
     block, p = residues.reshape(shape), phases.reshape(shape)
-    np.multiply(ks[:, None], a[None, :], out=block)
+    np.multiply(ks[:, None], a[None, first : run[-1][2]], out=block)
     # The products are non-negative, so for D a power of two the mask
     # D - 1 gives the same residues as % D without a division.
     if D & (D - 1) == 0:
@@ -267,7 +322,8 @@ def _slab_sums(a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, 
         # Residues lie in [0, D), so "wrap" never wraps; unlike
         # "raise" it lets take write into p without a buffer.
         np.take(table, block, out=p, mode="wrap")
-    p.sum(axis=1, out=out)
+    for g, lo, hi in run:
+        p[:, lo - first : hi - first].sum(axis=1, out=out[g])
 
 
 def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
@@ -368,7 +424,7 @@ if hasattr(os, "register_at_fork"):
 @functools.lru_cache(maxsize=2)
 def _unit_roots(D: int) -> np.ndarray:
     """Read-only e^{(-2 pi i / D) * r} for r = 0..D-1, by the same complex
-    multiply and exp as exp_sum's untabulated blocks, so each entry is the
+    multiply and exp as exp_sums' untabulated blocks, so each entry is the
     same double.  Built in place, so the table is the only D-sized buffer."""
     table = np.arange(D, dtype=complex)
     table *= -2j * np.pi / D

@@ -11,10 +11,10 @@ order experiments share their trials among threads through
 ``core_sets._share``: each trial is a pure function of (config, t), so
 every statistic is the same whichever thread scores it, and the draws,
 keep-masks and sums of a trial fill blocks that the experiment's calling
-thread allocated.  The lemma-6.3 experiment walks its trials one at a
-time on the calling thread: each is about 0.2 ms of Python that holds
-the GIL, so sharing them made it slower.  Each
-stage draws its keep-mask first, in blocks, from the trial's one stream,
+thread allocated.  The lemma-6.3 experiment draws its trials' stage-1
+cells on the calling thread and sums them all in one grouped
+``core_sets.exp_sums`` call, whose slabs are shared among the threads.
+Each stage draws its keep-mask first, in blocks, from the trial's one stream,
 and builds only the surviving cells.  Each experiment builds only what it
 reads, and every trial is read as the int64 arrays of its stages: the
 lemma-6.3 experiment reads the first stage, order trials are scored from
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sum
+from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sums
 from .equidist import _finest_fit, _sweep
 
 
@@ -256,37 +256,43 @@ def mu1_hat(cells: np.ndarray, N1: int, beta: float, us: Sequence) -> np.ndarray
     integral of e^{-2 pi i u x}.  At u = 0 this is white/(p*N_1); with no
     white cells the zero measure's transform (identically 0) is returned.
     Each u is read as the rational ``Fraction(u)``; the cell phases u*c/N_1
-    are reduced exactly by one :func:`exp_sum` call over the lcm of the
+    are reduced exactly by :func:`exp_sums` over the lcm of the
     frequencies' denominators.
     """
-    out = np.zeros(len(us), dtype=complex)
-    if not len(cells):
+    return _mu1_hats([cells], N1, beta, us)[0]
+
+
+def _mu1_hats(stage1: Sequence[np.ndarray], N1: int, beta: float, us: Sequence) -> np.ndarray:
+    """:func:`mu1_hat` of every trial's cells in ``stage1``, one row per
+    trial, from one :func:`exp_sums` call over them all.  The frequencies
+    are reduced once, for every trial.
+
+    Each sum s is closed with its factor f and p as the scalar
+    ``complex(s) * f / p`` is: CPython's complex product, then its quotient
+    by the complex (p, 0.0), written out on arrays so that every row keeps
+    the bits of the scalar loop.
+    """
+    out = np.zeros((len(stage1), len(us)), dtype=complex)
+    sizes = np.array([len(cells) for cells in stage1])
+    white = sizes > 0
+    if not white.any() or not len(us):
         return out
     p = N1 ** (-beta)
-    D, numerators, factors = _stage1_grid(N1, tuple(us))
-    combs = exp_sum(cells, N1 * D, numerators)
-    for i, (factor, comb) in enumerate(zip(factors, combs)):
-        out[i] = len(cells) / (p * N1) if factor is None else complex(comb) * factor / p
-    return out
-
-
-@functools.lru_cache(maxsize=4)
-def _stage1_grid(N1: int, us: tuple) -> tuple[int, tuple[int, ...], tuple[complex | None, ...]]:
-    """What :func:`mu1_hat` needs of its frequencies, which no trial changes:
-    the lcm D of the denominators of ``Fraction(u)``, each u*D as an
-    integer, and each cell integral's closing factor (None at u = 0).
-
-    Cached, so the trials of one experiment reduce their grid once.  Equal
-    keys give equal results, since equal numbers have equal ``Fraction``s.
-    """
     qs = [Fraction(u) for u in us]
     D = math.lcm(*(q.denominator for q in qs))
-    numerators = tuple(q.numerator * (D // q.denominator) for q in qs)
+    s = exp_sums(stage1, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
     # Scalar cmath per u: the spectrum files print this rounding.
-    factors = tuple(
-        None if q == 0 else (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q)) for q in qs
+    f = np.array(
+        [0 if q == 0 else (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q)) for q in qs],
+        dtype=complex,
     )
-    return D, numerators, factors
+    re = s.real * f.real - s.imag * f.imag
+    im = s.real * f.imag + s.imag * f.real
+    out.real = (re + im * 0.0) / p
+    out.imag = (im - re * 0.0) / p
+    out[:, [q == 0 for q in qs]] = (sizes / (p * N1))[:, None]
+    out[~white] = 0
+    return out
 
 
 def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int) -> LemmaCheckReport:
@@ -305,8 +311,9 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         raise ValueError("u_max must lie in [2, N_1]")
     us = range(2, u_max + 1)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
-    stage1 = (_refine(config, t)[0] for t in range(config.trials))
-    satisfied = sum(bool(np.all(np.abs(mu1_hat(cells, N1, config.beta, us)) < bounds)) for cells in stage1)
+    stage1 = [_refine(config, t)[0] for t in range(config.trials)]
+    vals = _mu1_hats(stage1, N1, config.beta, us)
+    satisfied = int(np.count_nonzero(np.all(np.abs(vals) < bounds, axis=1)))
     return LemmaCheckReport(
         N1=N1,
         epsilon1=float(epsilon1),

@@ -21,6 +21,7 @@ from salemkit.core_sets import (
     decay_exponent_fit,
     dft_char,
     exp_sum,
+    exp_sums,
     fractional_density,
     geometric_grid,
     weyl_sum,
@@ -28,7 +29,7 @@ from salemkit.core_sets import (
 from salemkit.aps import dyadic_embed
 from salemkit.equidist import NApproximation, characterize_salem, equidist_order, integers_from_approximations
 from salemkit.generators import power_law_set
-from salemkit.randfrac import RandomFractalConfig
+from salemkit.randfrac import RandomFractalConfig, _refine
 
 
 @st.composite
@@ -465,8 +466,9 @@ class TestExpSum:
         assert info.hits + info.misses - asked == 4 * tabulated
 
     def test_one_slab_leaves_pool_unbuilt(self, monkeypatch):
-        # lemma 6.3's small calls, a slab of exactly 2**16 entries, and one
-        # row longer than a slab: each is one slab, summed on the caller
+        # a 63-row call over 1000 members, a slab of exactly 2**16 entries,
+        # and one row longer than a slab: each is one slab, summed on the
+        # caller
         monkeypatch.setattr(core_sets, "_executor", None)
         monkeypatch.setattr(core_sets, "_WORKERS", 4)
         rng = np.random.default_rng(9)
@@ -614,6 +616,108 @@ class TestExpSum:
         for numerators in ([3, 2**32 - 1], [3, 2**32]):
             got = exp_sum(numerators, D, [k])[0]
             assert abs(got - exact_phase_sum(numerators, D, k)) <= 2e-14
+
+
+@st.composite
+def grouped_sums(draw):
+    """A denominator, frequencies and groups of members for exp_sums: groups
+    as lists, as int64 (or object) arrays, and empty ones as [], as a
+    float64 np.array([]) and as an empty int64 array.  D = 2**40 + 15 mixes
+    groups whose products fit int64 with groups whose products do not, and
+    2**63 + 1 and 3**50 are past int64 (the object path)."""
+    D = draw(st.sampled_from([1000, 1024, 10007, 2**14, 2**40 + 15, 2**63 + 1, 3**50]))
+    freqs = draw(st.lists(st.integers(0, min(D - 1, 2**40)), min_size=1, max_size=12))
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["list", "array", "[]", "float []", "int64 []"]))
+        if kind.endswith("[]"):
+            groups.append({"[]": [], "float []": np.array([]), "int64 []": np.zeros(0, dtype=np.int64)}[kind])
+            continue
+        top = draw(st.sampled_from([min(D, 2**20), D])) - 1
+        members = draw(st.lists(st.integers(0, top), min_size=1, max_size=10))
+        if kind == "array":
+            members = np.array(members, dtype=np.int64 if top <= 2**63 - 1 else object)
+        groups.append(members)
+    return D, freqs, groups
+
+
+class TestExpSums:
+    @given(case=grouped_sums(), tabulated=st.booleans())
+    @example(case=(1000, [3, 7], [[], np.array([]), np.zeros(0, dtype=np.int64)]), tabulated=True)  # all empty
+    @example(case=(1024, list(range(1, 13)), [list(range(0, 1000, 37))]), tabulated=False)  # one group
+    @example(case=(10007, [5, 9999], [np.array([]), [1, 2, 3], [], np.arange(20, 30)]), tabulated=True)
+    @example(case=(2**40 + 15, [2**31], [[3, 2**32], [3, 2**32 - 1], []]), tabulated=False)  # one group overflows
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_each_groups_exp_sum(self, case, tabulated):
+        # slabs of at most 64 entries, so the groups are cut into several
+        # runs and wide groups into several slabs of rows: at 1, 2 and 4
+        # workers, with the table or np.exp, the mask or % D, each group's
+        # row is exp_sum of that group alone bit for bit, and an empty
+        # group's row is 0.  Where every product fits int64, each row is
+        # also the sum of the group's exponentiated residues.
+        D, freqs, groups = case
+        refs = [exp_sum(g, D, freqs).view(np.int64) for g in groups]
+        small = D <= 2**14  # every product fits int64, so every member takes the int64 path
+        if small:
+            k = np.array(freqs, dtype=np.int64)
+            for g, ref in zip(groups, refs):
+                if len(g):
+                    assert np.array_equal(exponentiated(np.array(g, dtype=np.int64), D, k).view(np.int64), ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_sets, "_CHUNK", 64)
+            if not tabulated:
+                mp.setattr(core_sets, "_TABLE_MAX", 0)
+            for workers in (1, 2, 4):
+                mp.setattr(core_sets, "_WORKERS", workers)
+                mp.setattr(core_sets, "_run_denominator", D)
+                mp.setattr(core_sets, "_run_phases", D if tabulated else 0)
+                got = exp_sums(groups, D, freqs)
+                assert got.shape == (len(groups), len(freqs))
+                for g, row, ref in zip(groups, got, refs):
+                    assert np.array_equal(row.view(np.int64), ref)
+                    if not len(g):
+                        assert not row.any()
+                if small:
+                    # an empty float64 group did not turn the joined members float64
+                    added = sum(map(len, groups)) * len(freqs)
+                    assert core_sets._run_phases == (D if tabulated else 0) + added
+
+    def test_no_frequencies(self):
+        assert exp_sums([[1, 2], []], 7, []).shape == (2, 0)
+        assert exp_sums([], 7, [1]).shape == (0, 1)
+
+    def test_one_lemma_call_allocates_two_blocks(self, tabulated_calls, monkeypatch):
+        # lemma 6.3's grouped call at N1 = 4096: 200 trials' stage-1 cells
+        # by 63 frequencies, 19 MB of residues and phases in all.  Beyond
+        # one residue block and one phase block per thread, the output and
+        # the joined members, a call allocates under 64 KiB, and the two
+        # buffers of np.getbufsize() int64 entries per thread that numpy's
+        # ufunc iterator takes for the outer product of a slab's rows,
+        # which are shorter than that.
+        cfg = RandomFractalConfig(0.5, (4096,), 1, 200, 20260810)
+        stage1 = [_refine(cfg, t)[0] for t in range(cfg.trials)]
+        k = np.arange(2, 65)
+        edges = np.cumsum([0] + [len(c) for c in stage1]).tolist()
+        spans = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
+        slabs = core_sets._slabs(spans, len(k))
+        assert len(slabs) > 4
+        blocks = max((min(hi, len(k)) - lo) * (run[-1][2] - run[0][1]) for run, lo, hi in slabs) * (8 + 16)
+        output, joined = len(stage1) * len(k) * 16, edges[-1] * 8
+        refs = [exp_sum(c, 4096, k).view(np.int64) for c in stage1]
+        core_sets._unit_roots(4096)  # built before the calls, outside their peaks
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(core_sets, "_WORKERS", workers)
+            if workers > 1:
+                core_sets._pool()  # its threads are built outside the peak
+            tracemalloc.start()
+            try:
+                got = exp_sums(stage1, 4096, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            buffers = 2 * 8 * np.getbufsize()
+            assert peak < min(workers, len(slabs)) * (blocks + buffers) + output + joined + (1 << 16)
+            assert all(np.array_equal(row.view(np.int64), ref) for row, ref in zip(got, refs))
 
 
 class TestWeylSum:

@@ -20,7 +20,7 @@ from salemkit.randfrac import (
     order_experiment,
 )
 from salemkit.cli import run_command
-from salemkit.core_sets import _CHUNK, exp_sum
+from salemkit.core_sets import _CHUNK, exp_sum, exp_sums
 from salemkit.equidist import NApproximation, _finest_fit, _sweep, equidist_order
 from salemkit.formats import canonical_json
 
@@ -410,9 +410,9 @@ class TestMu1Hat:
         assert mu1_hat(cells, 64, 0.5, []).shape == (0,)
 
     def test_grid_reduced_once_keeps_bits(self):
-        # the frequencies are reduced once per (N_1, us) and shared by every
-        # trial; a range, a list and a tuple of the same us, and a second
-        # trial, give the bits of reducing them afresh on every call
+        # the frequencies are reduced once per call and shared by its
+        # trials; a range, a list and a tuple of the same us, and a second
+        # trial, give the bits of reducing them afresh for every trial
         N1, beta = 1024, 0.5
 
         def fresh(cells, us):
@@ -438,6 +438,47 @@ class TestMu1Hat:
         halves = [Fraction(1, 2), 3, 2.5, 0]
         assert np.array_equal(mu1_hat(cells, N1, beta, halves).view(np.int64), fresh(cells, halves).view(np.int64))
 
+    @given(
+        N1=st.sampled_from([16, 64, 256, 1000, 4096]),
+        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
+        trials=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        us=st.lists(
+            st.one_of(
+                st.integers(-300, 300), st.fractions(-500, 500, max_denominator=12), st.sampled_from([0, 2.5, 0.1, -3.7])
+            ),
+            max_size=12,
+        ),
+    )
+    @example(N1=16, beta=0.9, trials=8, seed=7, us=[0, 1, 2, Fraction(1, 3), Fraction(-7, 2), 2.5, 0.1])
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_closing_matches_scalar_loop(self, N1, beta, trials, seed, us):
+        # the vectorised closing step of every trial's row is the scalar
+        # complex(comb) * factor / p bit for bit, at integer, rational and
+        # u = 0 frequencies, with extinct trials' rows exactly 0; and each
+        # row is mu1_hat of that trial alone
+        cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
+        stage1 = [randfrac._refine(cfg, t)[0] for t in range(trials)]
+        got = randfrac._mu1_hats(stage1, N1, beta, us)
+        assert got.shape == (trials, len(us))
+        p = N1 ** (-beta)
+        qs = [Fraction(u) for u in us]
+        D = math.lcm(*(q.denominator for q in qs))
+        combs = exp_sums(stage1, N1 * D, [q.numerator * (D // q.denominator) for q in qs])
+        want = np.zeros((trials, len(us)), dtype=complex)
+        for t, cells in enumerate(stage1):
+            for i, q in enumerate(qs):
+                if not len(cells):
+                    continue
+                if q == 0:
+                    want[t, i] = len(cells) / (p * N1)
+                else:
+                    factor = (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q))
+                    want[t, i] = complex(combs[t, i]) * factor / p
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for cells, row in zip(stage1, got):
+            assert np.array_equal(row.view(np.int64), mu1_hat(cells, N1, beta, us).view(np.int64))
+
     def test_rational_frequency(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 1, SEED)
         cells = randfrac._refine(cfg, 0)[0]
@@ -459,14 +500,47 @@ class TestLemma63:
         assert fractions[0] <= fractions[1] <= fractions[2]
 
     def test_satisfied_fraction_matches_per_trial_loop(self):
+        # the grouped experiment against one mu1_hat per trial.  The second
+        # config has 8 extinct trials of 50, whose zero transform passes
+        # exactly when epsilon1 > 0
+        cases = [
+            ((0.5, 256, 60, SEED), 64, 1.0, None),
+            ((0.9, 16, 50, 7), 16, 1.0, 0.62),
+            ((0.9, 16, 50, 7), 16, 0.0, 0.0),
+        ]
+        for (beta, N1, trials, seed), u_max, epsilon, fraction in cases:
+            cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
+            us = range(2, u_max + 1)
+            bounds = epsilon * np.arange(2, u_max + 1, dtype=float) ** ((beta - 1.0) / 2.0)
+            # the cells from the build-all-children oracle, not the experiment's refinement
+            stage1 = [reference_refine(cfg, t)[0] for t in range(trials)]
+            hits = sum(bool(np.all(np.abs(mu1_hat(cells, N1, beta, us)) < bounds)) for cells in stage1)
+            got = lemma63_experiment(cfg, epsilon, u_max).satisfied_fraction
+            assert got == hits / trials
+            if fraction is None:
+                assert 0 < hits < trials
+            else:
+                assert sum(not len(cells) for cells in stage1) == 8
+                assert got == fraction
+
+    def test_one_kernel_call_per_experiment(self, monkeypatch, tmp_path):
+        # every trial is summed by one exp_sums call; the CLI's --spectrum
+        # adds one more, for trial 0
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return exp_sums(*args)
+
+        monkeypatch.setattr(randfrac, "exp_sums", counted)
         cfg = RandomFractalConfig(0.5, (256,), 1, 60, SEED)
-        us = range(2, 65)
-        bounds = 1.0 * np.arange(2, 65, dtype=float) ** ((0.5 - 1.0) / 2.0)
-        # the cells from the build-all-children oracle, not the experiment's refinement
-        stage1 = (reference_refine(cfg, t)[0] for t in range(60))
-        hits = sum(bool(np.all(np.abs(mu1_hat(cells, 256, 0.5, us)) < bounds)) for cells in stage1)
-        assert 0 < hits < 60
-        assert lemma63_experiment(cfg, 1.0, 64).satisfied_fraction == hits / 60
+        lemma63_experiment(cfg, 1.0, 64)
+        assert calls == [60]
+        calls.clear()
+        assert run_command(["lemma63", "--beta", "0.5", "--n1", "256", "--trials", "60", "--u-max", "64",
+                            "--seed", str(SEED), "--spectrum", str(tmp_path / "s.csv"),
+                            "--output", str(tmp_path / "l.json")]) == 0
+        assert calls == [60, 1]
 
     def test_u_max_validated(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 5, SEED)
