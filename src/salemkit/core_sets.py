@@ -8,16 +8,15 @@ Spectral decay is summarized by the largest alpha such that
 
 Everything here is a pure function of immutable inputs; per-frequency
 evaluations can run concurrently and results never depend on evaluation
-order.  The module state only picks how a value is computed, never the
-value: exp_sums' count of its current run of calls picks how phases are
-exponentiated, and one work-sharing helper, ``_share``, runs the items
-of a call (exp_sums' slabs of groups and frequency rows, the random
-experiments' trials) on the calling thread and the threads of a pool
-built at the first call of more than one item.  The threads are the CPUs the process
+order.  The module state only picks where a value is computed, never the
+value: one work-sharing helper, ``_share``, runs the items of a call
+(exp_sums' slabs of groups and frequency rows, the random experiments'
+trials) on the calling thread and the threads of a pool built at the
+first call of more than one item.  The threads are the CPUs the process
 may run on, up to 4, the calling thread included; there is no setting,
 and a process started under ``taskset -c 0`` runs every item on its
-calling thread.  A call made from inside an item runs inline, and the
-calling thread allocates every buffer that a pool thread fills.
+calling thread.  The calling thread allocates every buffer that a pool
+thread fills.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,16 +46,10 @@ ZERO_FLOOR = 1e-12
 # block loop, sets the time.
 _CHUNK = 1 << 16
 # Largest denominator whose unit roots exp_sums tabulates: 2**20 complex
-# doubles are 16 MB, and the cache below keeps at most two tables.  A table
-# is built only once a run of calls with one denominator D has asked for at
-# least D phases, so fewer than D are exponentiated before it, and it never
-# costs much more exps than it saves.
+# doubles are 16 MB, and the cache below keeps at most two tables.  A call
+# builds or reads the table only when it asks for at least D phases itself,
+# so the table never costs much more exps than it saves.
 _TABLE_MAX = 1 << 20
-# The current run of int64-path exp_sums calls: their shared denominator and
-# the phases they have asked for.  A call with another denominator starts a
-# new run.  A race between threads over these can only cost speed.
-_run_denominator = 0
-_run_phases = 0
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -198,74 +191,61 @@ def exp_sums(groups: Sequence[Sequence[int]], denominator: int, freqs: Sequence[
     Every phase k*a is reduced mod D exactly before exponentiation, so the
     sum is exact in its phases at every size.  Each group takes the path it
     would take alone: int64 blocks when its members, the frequencies and
-    all their products fit, Python integers otherwise, one group at a
-    time.  A residue r becomes the angle (-2 pi / D) * r on the int64 path
-    and -2 pi * (r / D) on the other, and each group's row is summed by
-    numpy.
+    all their products fit, whatever integer or object array or sequence
+    holds them, Python integers otherwise, one group at a time.  A residue
+    r becomes the angle (-2 pi / D) * r on the int64 path and -2 pi * (r / D)
+    on the other, and each group's row is summed by numpy.
     On the int64 path a power-of-two D reduces the non-negative products
     with the mask D - 1, which gives the same residues as % D.  When
-    D <= 2**20, the residues are gathered from a cached table of the D unit
-    roots e^{(-2 pi i / D) * r} once the run of consecutive int64-path calls
-    with this D, this call included, has asked for at least D phases, so
-    many small calls share one table.  Its entries are bit-identical to
-    exponentiating each residue, so the path never moves a bit.
+    D <= 2**20 and this call asks for at least D phases on the int64 path,
+    the residues are gathered from a cached table of the D unit roots
+    e^{(-2 pi i / D) * r}.  Its entries are bit-identical to exponentiating
+    each residue, so the path never moves a bit, and it depends only on the
+    call's own arguments.
 
-    The int64 path puts its groups side by side, one column per member,
-    and cuts them into slabs of at most 2**16 entries or one row
-    (:func:`_slabs`): runs of whole groups with every frequency row, and a
-    group too wide for that alone, cut by rows.  It sums them through
+    The int64 path cuts its groups into slabs of at most 2**16 entries or
+    one row (:func:`_slabs`): runs of whole groups with every frequency
+    row, their members joined side by side, and a group too wide for that,
+    a run of its own used in place and cut by rows.  It sums them through
     :func:`_share`: the calling thread and up to W - 1 pool threads, W
     being the CPUs the process may run on (``os.sched_getaffinity``) up to
     4, each take the next slab until none is left, so a thread the host
-    runs slowly takes fewer.  A call of one slab never touches the pool,
-    and a call made from inside one of ``_share``'s items, such as a random
-    trial, sums every slab on its own thread.  Each thread fills one
-    residue block and one phase block in place for every slab it takes,
-    allocated by the calling thread (or the blocks of the item the call
-    runs in, when they are large enough).  Each group's sums are those of its own columns of the block, in the order
-    numpy sums one group alone, so a group's row is the same bits in any
-    grouping, and whichever thread takes its slab.  An empty group, and
-    every group when there are no frequencies, sums to 0.
+    runs slowly takes fewer.  A call of one slab never touches the pool.
+    Each thread fills one residue block and one phase block in place for
+    every slab it takes, allocated by the calling thread.  Each group's
+    sums are those of its own columns of the block, in the order numpy sums
+    one group alone, so a group's row is the same bits in any grouping, and
+    whichever thread takes its slab.  An empty group, and every group when
+    there are no frequencies, sums to 0.
     """
-    global _run_denominator, _run_phases
     D = int(denominator)
     if D < 1:
         raise ValueError("denominator must be positive")
     out = np.zeros((len(groups), len(freqs)), dtype=complex)
-    # An empty group is left out, not joined: np.asarray([]) is float64.
-    filled = [(i, np.asarray(g)) for i, g in enumerate(groups) if len(g)]
-    if not filled or len(freqs) == 0:
+    if len(freqs) == 0:
         return out
     k = _reduce(freqs, D)
-    narrow = [(i, m) for i, m in filled if m.dtype == np.int64 == k.dtype]
+    # Members up to this bound have products with every frequency in int64.
+    fit = _INT64_MAX // max(int(k.max()), 1)
+    narrow: list[tuple[int, np.ndarray]] = []
     # Groups summed in Python integers, as they would be alone.
-    wide = [(i, _reduce(m, D)) for i, m in filled if not m.dtype == np.int64 == k.dtype]
-    spans: list[tuple[int, int, int]] = []
+    wide: list[tuple[int, np.ndarray]] = []
+    for i, g in enumerate(groups):
+        if len(g):
+            m = _reduce(g, D)
+            (narrow if m.dtype == k.dtype == np.int64 and m.max() <= fit else wide).append((i, m))
     if narrow:
-        a = _reduce(narrow[0][1] if len(narrow) == 1 else np.concatenate([m for _, m in narrow]), D)
-        edges = list(accumulate((len(m) for _, m in narrow), initial=0))
-        fits = np.maximum.reduceat(a, edges[:-1]) <= _INT64_MAX // max(int(k.max()), 1)
-        for (i, _), lo, hi, fit in zip(narrow, edges, edges[1:], fits.tolist()):
-            if fit:
-                spans.append((i, lo, hi))
-            else:
-                wide.append((i, a[lo:hi]))
-    if spans:
-        if D != _run_denominator:
-            _run_denominator, _run_phases = D, 0
-        _run_phases += sum(hi - lo for _, lo, hi in spans) * len(k)
         table = None
-        if D <= _TABLE_MAX and _run_phases >= D:
+        if D <= _TABLE_MAX and sum(len(m) for _, m in narrow) * len(k) >= D:
             with _table_lock:
                 table = _unit_roots(D)
-        slabs = _slabs(spans, len(k))
+        slabs = _slabs(narrow, len(k))
 
         def slab(j: int) -> None:
-            run, lo, hi = slabs[j]
+            run, a, lo, hi = slabs[j]
             _slab_sums(a, k[lo:hi], D, table, run, out[:, lo:hi])
 
-        entries = max((min(hi, len(k)) - lo) * (run[-1][2] - run[0][1]) for run, lo, hi in slabs)
-        _share(slab, len(slabs), entries)
+        _share(slab, len(slabs), max((min(hi, len(k)) - lo) * len(a) for _, a, lo, hi in slabs))
     ks = k.tolist()
     for i, members in wide:
         group = members.tolist()
@@ -274,38 +254,42 @@ def exp_sums(groups: Sequence[Sequence[int]], denominator: int, freqs: Sequence[
     return out
 
 
-def _slabs(spans: list[tuple[int, int, int]], rows: int) -> list[tuple[list, int, int]]:
-    """exp_sums' slabs (run, lo, hi): the frequency rows lo:hi of a run of
-    groups whose spans (g, lo, hi) of columns lie side by side.  A run takes
-    the next group while its columns times ``rows`` stay within 2**16
-    entries; a group wider than that is a run of its own, and its rows are
-    cut into slabs of at most 2**16 entries or one row."""
+def _slabs(groups: list[tuple[int, np.ndarray]], rows: int) -> list[tuple[list, np.ndarray, int, int]]:
+    """exp_sums' slabs (run, a, lo, hi): the frequency rows lo:hi of a run
+    of groups (g, members), whose members lie side by side in ``a``.  A run
+    takes the next group while its members times ``rows`` stay within 2**16
+    entries, so it is one slab, and is joined into one array by the calling
+    thread.  A group wider than that is a run of its own, used in place,
+    and its rows are cut into slabs of at most 2**16 entries or one row."""
     cap = _CHUNK // rows
-    runs: list[list[tuple[int, int, int]]] = []
-    for span in spans:
-        if runs and span[1] == runs[-1][-1][2] and span[2] - runs[-1][0][1] <= cap:
-            runs[-1].append(span)
+    runs: list[list[tuple[int, np.ndarray]]] = []
+    width = 0
+    for group in groups:
+        if runs and width + len(group[1]) <= cap:
+            runs[-1].append(group)
+            width += len(group[1])
         else:
-            runs.append([span])
+            runs.append([group])
+            width = len(group[1])
     slabs = []
     for run in runs:
-        step = max(1, _CHUNK // (run[-1][2] - run[0][1]))
-        slabs += [(run, lo, lo + step) for lo in range(0, rows, step)]
+        a = run[0][1] if len(run) == 1 else np.concatenate([m for _, m in run])
+        step = max(1, _CHUNK // len(a))
+        slabs += [(run, a, lo, lo + step) for lo in range(0, rows, step)]
     return slabs
 
 
 def _slab_sums(
-    a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, run: list[tuple[int, int, int]], out: np.ndarray
+    a: np.ndarray, ks: np.ndarray, D: int, table: np.ndarray | None, run: list[tuple[int, np.ndarray]], out: np.ndarray
 ) -> None:
-    """Write exp_sums' sums of the rows ``ks`` into ``out``: for each span
-    (g, lo, hi) of ``run``, the sums over the columns lo:hi of ``a`` into
-    row g, filling this thread's residue and phase blocks in place.  Only
-    numpy runs here, and it releases the GIL."""
-    first = run[0][1]
-    shape = (len(ks), run[-1][2] - first)
+    """Write exp_sums' sums of the rows ``ks`` into ``out``: for each group
+    (g, members) of ``run``, whose members lie side by side in ``a``, the
+    sums over its columns into row g, filling this thread's residue and
+    phase blocks in place.  Only numpy runs here, and it releases the GIL."""
+    shape = (len(ks), len(a))
     residues, phases = _blocks(shape[0] * shape[1])
     block, p = residues.reshape(shape), phases.reshape(shape)
-    np.multiply(ks[:, None], a[None, first : run[-1][2]], out=block)
+    np.multiply(ks[:, None], a[None, :], out=block)
     # The products are non-negative, so for D a power of two the mask
     # D - 1 gives the same residues as % D without a division.
     if D & (D - 1) == 0:
@@ -322,8 +306,10 @@ def _slab_sums(
         # Residues lie in [0, D), so "wrap" never wraps; unlike
         # "raise" it lets take write into p without a buffer.
         np.take(table, block, out=p, mode="wrap")
-    for g, lo, hi in run:
-        p[:, lo - first : hi - first].sum(axis=1, out=out[g])
+    lo = 0
+    for g, members in run:
+        p[:, lo : lo + len(members)].sum(axis=1, out=out[g])
+        lo += len(members)
 
 
 def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
@@ -334,19 +320,13 @@ def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
     block (complex) of ``entries`` entries, which :func:`_blocks` gives
     it.  The calling thread allocates every pair: a pool thread's freed
     blocks would stay in its own malloc arena.  One item, or one CPU,
-    leaves the pool unbuilt.  A call from inside an item runs inline and
-    submits no job (a job queued behind the busy pool would hold its work
-    until the pool drained), in the item's blocks when they are large
-    enough.  Once the calling thread finds no item left, it cancels the
-    jobs not yet started and waits for the rest; jobs read fn and the
-    blocks from a list emptied before the call returns, so a cancelled job
-    holds neither.  After an item raises, no thread takes another, and
-    the exception is raised once every started job is done.
+    leaves the pool unbuilt.  Once the calling thread finds no item left,
+    it cancels the jobs not yet started and waits for the rest; jobs read
+    fn and the blocks from a list emptied before the call returns, so a
+    cancelled job holds neither.  After an item raises, no thread takes
+    another, and the exception is raised once every started job is done.
     """
-    outer = getattr(_local, "blocks", None)
-    if outer is not None and len(outer[0]) >= entries:
-        return [fn(i) for i in range(n)]
-    threads = 1 if outer is not None or n < 2 else min(_WORKERS, n)
+    threads = 1 if n < 2 else min(_WORKERS, n)
     results = [None] * n
     pairs = [(np.empty(entries, dtype=np.int64), np.empty(entries, dtype=complex)) for _ in range(threads)]
     work = [fn, iter(range(n)), threading.Lock(), results, pairs]
@@ -434,10 +414,18 @@ def _unit_roots(D: int) -> np.ndarray:
 
 
 def _reduce(values: Sequence[int], D: int) -> np.ndarray:
-    """Values mod D: int64 when the values and D fit in int64, else an
-    object array of Python integers.  An int64 array already in [0, D) is
-    returned as it is, without a copy."""
+    """Values mod D: int64 when D and the values fit in int64, whatever
+    integer or object array or sequence holds them, else an object array
+    of Python integers.  An int64 array already in [0, D) is returned as it
+    is, without a copy."""
     arr = np.asarray(values)
+    if D <= _INT64_MAX and arr.dtype != np.int64 and arr.dtype.kind in "iuO":
+        try:
+            # A uint64 past int64 would wrap; a Python int past it raises.
+            if arr.dtype.kind != "u" or arr.max(initial=0) <= _INT64_MAX:
+                arr = arr.astype(np.int64)
+        except OverflowError:
+            pass
     if arr.dtype == np.int64 and D <= _INT64_MAX:
         return arr if arr.min() >= 0 and arr.max() < D else arr % D
     return np.asarray([int(v) % D for v in values], dtype=object)

@@ -152,9 +152,13 @@ def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
     reduced mod N exactly by :func:`exp_sum` at every N."""
     if len(cells) == 0:
         raise ValueError("empty approximation has no Weyl sums")
-    sums = exp_sum(cells, N, ms) / len(cells)
-    # Scalar abs: numpy's vectorised complex abs rounds differently, and
-    # the reports print these moduli.
+    return _moduli(exp_sum(cells, N, ms) / len(cells))
+
+
+def _moduli(sums: np.ndarray) -> np.ndarray:
+    """|s| for each normalized Weyl sum s, by scalar abs: numpy's
+    vectorised complex abs rounds differently, and the reports print these
+    moduli."""
     return np.array([abs(v) for v in sums])
 
 
@@ -184,7 +188,8 @@ def equidist_order(
         raise ValueError("need at least one approximation")
     finest = max(approximations, key=lambda a: a.N)
     ms = _sweep(finest.N, m_grid)
-    alpha, per_m, moduli = _finest_fit(finest.cells, finest.N, ms)
+    moduli = weyl_moduli(finest.cells, finest.N, ms)
+    alpha, per_m = _finest_fit(moduli, ms)
     if len(approximations) >= 2:
         alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli))
     return OrderEstimate(alpha, per_m, ORDER_CAP)
@@ -204,21 +209,12 @@ def _sweep(N: int, m_grid: Sequence[int] | None = None) -> list[int]:
     return ms
 
 
-def _finest_fit(
-    cells: Sequence[int], N: int, ms: Sequence[int]
-) -> tuple[float, tuple[tuple[float, float], ...], np.ndarray]:
-    """The bound-fitting order of the cells c/N over the sweep ``ms``, with
-    the per-frequency (m, |W(m)|) pairs it was fitted from and the moduli.
-
-    ``cells`` may be an int64 array: :func:`exp_sum` reduces it to the same
-    int64 phases as the tuple of the same integers, so the fit is the same
-    to the bit.  The cells are not checked here; they must be strictly
-    increasing, non-negative and below N, as :class:`NApproximation`
-    requires.
-    """
-    moduli = weyl_moduli(cells, N, ms)
+def _finest_fit(moduli: np.ndarray, ms: Sequence[int]) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The bound-fitting order of the finest member's Weyl moduli over the
+    sweep ``ms``, with the per-frequency (m, |W(m)|) pairs it was fitted
+    from."""
     per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
-    return decay_exponent_fit(per_m), per_m, moduli
+    return decay_exponent_fit(per_m), per_m
 
 
 def _sequence_order(

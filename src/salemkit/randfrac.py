@@ -6,22 +6,21 @@ and keeps each child with probability N_{i+1}**(-beta), so a depth-i cell
 survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
-walks the same trial stream, trials 0..trials-1.  The dimension and
-order experiments share their trials among threads through
-``core_sets._share``: each trial is a pure function of (config, t), so
-every statistic is the same whichever thread scores it, and the draws,
-keep-masks and sums of a trial fill blocks that the experiment's calling
-thread allocated.  The lemma-6.3 experiment draws its trials' stage-1
-cells on the calling thread and sums them all in one grouped
-``core_sets.exp_sums`` call, whose slabs are shared among the threads.
-Each stage draws its keep-mask first, in blocks, from the trial's one stream,
-and builds only the surviving cells.  Each experiment builds only what it
-reads, and every trial is read as the int64 arrays of its stages: the
-lemma-6.3 experiment reads the first stage, order trials are scored from
-the final stage with one frequency sweep per experiment, and a dumped
-trial is rendered from every stage.  The dimension walk reads only the
-size of the last stage, so it takes that stage's draws and counts them
-without building it.
+walks the same trial stream, trials 0..trials-1, in one loop: its trials
+are drawn through ``core_sets._share``, shared among threads, and the
+order and lemma-6.3 experiments then score every trial they drew with one
+grouped ``core_sets.exp_sums`` call, whose slabs are shared among the
+threads too.  Each trial is a pure function of (config, t), so every
+statistic is the same whichever thread draws it, and the draws and
+keep-masks of a trial fill blocks that the experiment's calling thread
+allocated.  Each stage draws its keep-mask first, in blocks, from the
+trial's one stream, and builds only the surviving cells.  Each experiment
+builds only what it reads, and every trial is read as the int64 arrays of
+its stages: the lemma-6.3 experiment reads the first stage, order trials
+are scored from the final stage against one frequency sweep per
+experiment, and a dumped trial is rendered from every stage.  The
+dimension walk reads only the size of the last stage, so it takes that
+stage's draws and counts them without building it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sums
-from .equidist import _finest_fit, _sweep
+from .equidist import _finest_fit, _moduli, _sweep
 
 
 @dataclass(frozen=True)
@@ -232,17 +231,16 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     """
     # Each final stage is scored as the int64 array _refine returns: its
     # cells are sorted, distinct and below M by construction.  The sweep is
-    # built at the first survivor (by each thread that scores one at once,
-    # all equal), so an experiment whose trials all went extinct needs none
-    # and is not refused at M < 16.
+    # built only when a trial survives, so an experiment whose trials all
+    # went extinct is not refused at M < 16.
     M = config.resolution()
-    sweep = functools.cache(functools.partial(_sweep, M))
-
-    def score(t: int) -> float | None:
-        final = _refine(config, t)[-1]
-        return _finest_fit(final, M, sweep())[0] if final.size else None
-
-    alphas = [alpha for alpha in _share(score, config.trials, _CHUNK) if alpha is not None]
+    finals = _share(lambda t: _refine(config, t)[-1], config.trials, _CHUNK)
+    finals = [final for final in finals if final.size]
+    alphas = []
+    if finals:
+        sweep = _sweep(M)
+        sums = exp_sums(finals, M, sweep)
+        alphas = [_finest_fit(_moduli(row / len(final)), sweep)[0] for row, final in zip(sums, finals)]
     median = statistics.median(alphas) if alphas else None
     return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
 
@@ -311,7 +309,7 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         raise ValueError("u_max must lie in [2, N_1]")
     us = range(2, u_max + 1)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
-    stage1 = [_refine(config, t)[0] for t in range(config.trials)]
+    stage1 = _share(lambda t: _refine(config, t)[0], config.trials, _CHUNK)
     vals = _mu1_hats(stage1, N1, config.beta, us)
     satisfied = int(np.count_nonzero(np.all(np.abs(vals) < bounds, axis=1)))
     return LemmaCheckReport(

@@ -5,11 +5,10 @@ from salemkit import core_sets
 
 @pytest.fixture
 def tabulated_calls():
-    """Start with no run of exp_sum calls in progress and no unit-root table
-    cached, so a test sees only the phase path its own calls choose.  Gives
-    a counter of the exp_sum calls since then that gathered from a table:
-    each such call asks the table cache once."""
-    core_sets._run_denominator = core_sets._run_phases = 0
+    """Start with no unit-root table cached.  Gives a counter of the
+    exp_sums calls since then that gathered from a table: each such call
+    asks the table cache once, and whether it does depends only on its own
+    denominator and phase count."""
     core_sets._unit_roots.cache_clear()
 
     def count() -> int:

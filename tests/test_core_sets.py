@@ -69,6 +69,16 @@ def first_primes(count):
     return primes
 
 
+@st.composite
+def integer_containers(draw):
+    """A numpy integer dtype or object, and members and frequencies within
+    its range, its extremes drawn often; object values reach 2**70."""
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.uint32, np.int64, np.uint64, object]))
+    lo, hi = (-(2**70), 2**70) if dtype is object else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    value = st.one_of(st.integers(lo, hi), st.sampled_from([lo, hi, hi // 2 + 1]))
+    return dtype, draw(st.lists(value, min_size=1, max_size=30)), draw(st.lists(value, min_size=1, max_size=6))
+
+
 class TestIntegerSet:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
@@ -292,10 +302,35 @@ class TestExpSum:
         for v, k in zip(got, freqs):
             assert abs(v - exact_phase_sum(numerators, D, k)) <= 1e-14 * len(numerators)
 
+    @given(
+        case=integer_containers(),
+        D=st.sampled_from([7, 1009, 2**12, 2**40 + 15, 2**63 + 1]),
+        side=st.sampled_from(["members", "freqs", "both"]),
+    )
+    @example(case=(np.int32, list(range(1, 200, 7)), [3, 5, 700]), D=1009, side="members")
+    @example(case=(np.int32, list(range(1, 200, 7)), [3, 5, 700]), D=1009, side="freqs")
+    @example(case=(np.uint64, [2**63 + 5, 3, 2**64 - 1], [1, 2**63 + 1]), D=7, side="both")
+    @settings(max_examples=100, deadline=None)
+    def test_any_integer_container_keeps_the_lists_bits(self, case, D, side):
+        # the path is picked by the values, not by what holds them: members
+        # or frequencies in a numpy integer array of any width or sign, or
+        # in an object array, sum to the bits of the same values in a list,
+        # also past int64 (uint64 and object values up to 2**64 and 2**70).
+        # The sums are also held to the exact oracle, since the list takes
+        # the same path: a uint64 past int64 must not wrap.
+        dtype, members, freqs = case
+        ref = exp_sum(members, D, freqs).view(np.int64)
+        a = np.array(members, dtype=dtype) if side != "freqs" else members
+        k = np.array(freqs, dtype=dtype) if side != "members" else freqs
+        got = exp_sum(a, D, k)
+        assert np.array_equal(got.view(np.int64), ref)
+        for v, kk in zip(got, freqs):
+            assert abs(v - exact_phase_sum(members, D, kk)) <= 1e-14 * len(members)
+
     @pytest.mark.parametrize(
         "D, rows, cols",
         [
-            (2**20, 25, 41943),  # rows * cols = D - 1: exponentiated, then tabulated as the run crosses D
+            (2**20, 25, 41943),  # rows * cols = D - 1: exponentiated at every call
             (2**20, 16, 65536),  # tabulated, rows * cols = D
             (10**6, 16, 62500),  # tabulated, and -2 pi / D is inexact
             (2**20 + 1, 16, 65536),  # above the table cap, rows * cols = D - 1
@@ -306,40 +341,41 @@ class TestExpSum:
     )
     def test_bits_match_exponentiated_residues(self, D, rows, cols, tabulated_calls):
         # neither the phase table nor the power-of-two mask may move a
-        # single bit of the sums; the run of two calls tabulates from the
-        # call at which it has asked for D phases, if D is under the cap
+        # single bit of the sums; each call tabulates exactly when it asks
+        # for D phases itself, if D is under the cap, so repeating it
+        # changes nothing
         rng = np.random.default_rng(D + rows)
         a = rng.integers(0, D, cols)
         k = rng.integers(0, D, rows)
         ref = exponentiated(a, D, k)
-        expected = 0
+        tabulated = D <= 2**20 and rows * cols >= D
         for call in (1, 2):
             assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref.view(np.int64))
-            expected += D <= 2**20 and call * rows * cols >= D
-            assert tabulated_calls() == expected
+            assert tabulated_calls() == call * tabulated
         if D <= 2**20:
             assert not core_sets._unit_roots(D).flags.writeable
 
-    @pytest.mark.parametrize("D, cols, rows", [(1000, 100, (3, 3, 3, 1)), (1024, 128, (3, 3, 1, 1))])
-    def test_run_switches_to_table_at_crossing_call(self, D, cols, rows, tabulated_calls):
-        # a run of small calls, none of D phases by itself, exponentiates
-        # until the call that brings its phases to exactly D, then gathers
+    @pytest.mark.parametrize("D, cols", [(1000, 100), (1024, 128)])
+    def test_path_reads_only_its_own_call(self, D, cols, tabulated_calls):
+        # a call gathers from the table exactly when it asks for at least D
+        # phases itself: small calls after a large one at the same D, however
+        # many, exponentiate, and one phase short of D is not enough
         rng = np.random.default_rng(D)
         a = rng.integers(0, D, cols)
-        for n, tabulated in zip(rows + (3, 1), (0, 0, 0, 1, 2, 3)):
-            k = rng.integers(0, D, n)
-            assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
-            assert tabulated_calls() == tabulated
-
-    def test_new_denominator_restarts_count(self, tabulated_calls):
-        # 900 phases at each call: a run neither carries its count into
-        # another denominator's run nor takes it back up on returning
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, 10**6, 300)
-        for D, rows, tabulated in [(1000, 3, 0), (999, 3, 0), (1000, 3, 0), (1000, 1, 1)]:
+        full = D // cols  # rows * cols = D
+        tabulated = 0
+        for rows in (full, 3, 3, 3, 3, 1, full, full - 1):
             k = rng.integers(0, D, rows)
             assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
+            tabulated += rows == full
             assert tabulated_calls() == tabulated
+        # a grouped call counts the phases of all its groups: four groups
+        # of a quarter of the members each reach D together, not alone
+        k = rng.integers(0, D, full)
+        got = exp_sums([a[j::4] for j in range(4)], D, k)
+        assert tabulated_calls() == tabulated + 1
+        for j, row in enumerate(got):
+            assert np.array_equal(row.view(np.int64), exponentiated(a[j::4], D, k).view(np.int64))
 
     def test_interleaved_denominators_build_no_table(self, tabulated_calls):
         # characterize's pattern: one call per denominator in turn, each
@@ -367,15 +403,13 @@ class TestExpSum:
         assert np.array_equal(table.view(np.int64), ref.view(np.int64))
 
     def test_racing_calls_build_one_table(self, tabulated_calls):
-        # eight threads whose calls reach the table switch at once, as two
-        # shared trials can: one of them builds the 4 MiB table of 2**18
-        # unit roots while the others wait for it, and every sum keeps its
-        # bits
+        # eight threads whose calls, each of D phases, ask for a new table
+        # at once: one of them builds the 4 MiB table of 2**18 unit roots
+        # while the others wait for it, and every sum keeps its bits
         D = 2**18
-        core_sets._run_denominator, core_sets._run_phases = D, D
         rng = np.random.default_rng(15)
-        a = rng.integers(0, D, 50)
-        k = rng.integers(0, D, 3)
+        a = rng.integers(0, D, D // 4)
+        k = rng.integers(0, D, 4)
         ref = exponentiated(a, D, k).view(np.int64)
         start = threading.Barrier(8)
         got = []
@@ -444,21 +478,22 @@ class TestExpSum:
     def test_split_moves_no_bit(self, D, tabulated, cols, slabs, last, seed):
         # slabs of at most 64 entries, so few rows make many slabs: at 1 to
         # 4 workers, with the table or np.exp, the mask or % D, every sum
-        # is the exponentiated residues' sum bit for bit
+        # is the exponentiated residues' sum bit for bit.  A call asks for
+        # at most 576 phases, under every drawn D, so it exponentiates; to
+        # gather from the table, D is cut to the call's phases, or for a
+        # drawn power of two to the largest power of two within them.
         rows = 64 // cols
+        n = (slabs - 1) * rows + min(last, rows)
+        if tabulated:
+            D = 1 << ((n * cols).bit_length() - 1) if D & (D - 1) == 0 else n * cols
         rng = np.random.default_rng(seed)
         a = rng.integers(0, D, cols)
-        k = rng.integers(0, D, (slabs - 1) * rows + min(last, rows))
+        k = rng.integers(0, D, n)
         ref = exponentiated(a, D, k).view(np.int64)
         info = core_sets._unit_roots.cache_info()
         asked = info.hits + info.misses
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core_sets, "_CHUNK", 64)
-            if tabulated:
-                mp.setattr(core_sets, "_run_denominator", D)
-                mp.setattr(core_sets, "_run_phases", D)
-            else:
-                mp.setattr(core_sets, "_TABLE_MAX", 0)
             for workers in (1, 2, 3, 4):
                 mp.setattr(core_sets, "_WORKERS", workers)
                 assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
@@ -504,12 +539,12 @@ class TestExpSum:
         # while every pool thread is busy elsewhere, ten calls of 3 slabs
         # each submit jobs that they cancel behind the busy pool; those jobs
         # hold no block, so once the calls return, all that stays traced is
-        # the unit-root table that their run built
+        # the unit-root table that each call, of 180,000 >= D phases, reads
         monkeypatch.setattr(core_sets, "_WORKERS", 4)
         release = threading.Event()
         busy = [core_sets._pool().submit(release.wait) for _ in range(4)]
         rng = np.random.default_rng(14)
-        D = 786433
+        D = 174763
         a = rng.integers(0, D, 20000)
         ks = [rng.integers(0, D, 9) for _ in range(10)]  # 3 rows a slab, 3 slabs
         refs = [exponentiated(a, D, k).view(np.int64) for k in ks]
@@ -522,7 +557,7 @@ class TestExpSum:
             release.set()
         for future in busy:
             future.result(timeout=60)
-        assert tabulated_calls() > 0
+        assert tabulated_calls() == 10
         assert traced < core_sets._unit_roots(D).nbytes + (1 << 16)
         assert all(np.array_equal(g.view(np.int64), ref) for g, ref in zip(got, refs))
 
@@ -654,7 +689,10 @@ class TestExpSums:
         # workers, with the table or np.exp, the mask or % D, each group's
         # row is exp_sum of that group alone bit for bit, and an empty
         # group's row is 0.  Where every product fits int64, each row is
-        # also the sum of the group's exponentiated residues.
+        # also the sum of the group's exponentiated residues.  The groups
+        # ask for at most 720 phases, under every drawn D, so the call
+        # exponentiates; to gather from the table, a last group of D
+        # members brings the call to at least D phases.
         D, freqs, groups = case
         refs = [exp_sum(g, D, freqs).view(np.int64) for g in groups]
         small = D <= 2**14  # every product fits int64, so every member takes the int64 path
@@ -663,24 +701,22 @@ class TestExpSums:
             for g, ref in zip(groups, refs):
                 if len(g):
                     assert np.array_equal(exponentiated(np.array(g, dtype=np.int64), D, k).view(np.int64), ref)
+        tabulated = tabulated and small
+        extra = [np.arange(D)] if tabulated else []
+        info = core_sets._unit_roots.cache_info()
+        asked = info.hits + info.misses
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core_sets, "_CHUNK", 64)
-            if not tabulated:
-                mp.setattr(core_sets, "_TABLE_MAX", 0)
             for workers in (1, 2, 4):
                 mp.setattr(core_sets, "_WORKERS", workers)
-                mp.setattr(core_sets, "_run_denominator", D)
-                mp.setattr(core_sets, "_run_phases", D if tabulated else 0)
-                got = exp_sums(groups, D, freqs)
-                assert got.shape == (len(groups), len(freqs))
+                got = exp_sums(groups + extra, D, freqs)
+                assert got.shape == (len(groups) + len(extra), len(freqs))
                 for g, row, ref in zip(groups, got, refs):
                     assert np.array_equal(row.view(np.int64), ref)
                     if not len(g):
                         assert not row.any()
-                if small:
-                    # an empty float64 group did not turn the joined members float64
-                    added = sum(map(len, groups)) * len(freqs)
-                    assert core_sets._run_phases == (D if tabulated else 0) + added
+        info = core_sets._unit_roots.cache_info()
+        assert info.hits + info.misses - asked == 3 * tabulated
 
     def test_no_frequencies(self):
         assert exp_sums([[1, 2], []], 7, []).shape == (2, 0)
@@ -697,12 +733,10 @@ class TestExpSums:
         cfg = RandomFractalConfig(0.5, (4096,), 1, 200, 20260810)
         stage1 = [_refine(cfg, t)[0] for t in range(cfg.trials)]
         k = np.arange(2, 65)
-        edges = np.cumsum([0] + [len(c) for c in stage1]).tolist()
-        spans = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
-        slabs = core_sets._slabs(spans, len(k))
+        slabs = core_sets._slabs([(g, c) for g, c in enumerate(stage1) if len(c)], len(k))
         assert len(slabs) > 4
-        blocks = max((min(hi, len(k)) - lo) * (run[-1][2] - run[0][1]) for run, lo, hi in slabs) * (8 + 16)
-        output, joined = len(stage1) * len(k) * 16, edges[-1] * 8
+        blocks = max((min(hi, len(k)) - lo) * len(a) for _, a, lo, hi in slabs) * (8 + 16)
+        output, joined = len(stage1) * len(k) * 16, sum(map(len, stage1)) * 8
         refs = [exp_sum(c, 4096, k).view(np.int64) for c in stage1]
         core_sets._unit_roots(4096)  # built before the calls, outside their peaks
         for workers in (1, 2, 4):

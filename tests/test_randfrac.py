@@ -21,7 +21,7 @@ from salemkit.randfrac import (
 )
 from salemkit.cli import run_command
 from salemkit.core_sets import _CHUNK, exp_sum, exp_sums
-from salemkit.equidist import NApproximation, _finest_fit, _sweep, equidist_order
+from salemkit.equidist import NApproximation, _finest_fit, _sweep, equidist_order, weyl_moduli
 from salemkit.formats import canonical_json
 
 SEED = 20260810
@@ -596,19 +596,23 @@ class TestOrderExperiment:
         assert stats.median_alpha is None
         assert json.loads(canonical_json(stats))["median_alpha"] is None
 
-    # The trials are scored from the int64 arrays of the refinement, the
-    # oracle from the same cells through NApproximation.  The cases take
-    # each phase path of exp_sum, starting from no run and no table.  At
-    # M = 210,000 (not a power of two, reduced with % M) the dense trials
-    # of beta = 1/4 gather from the table of unit roots.  The sparse ones of
-    # beta = 3/4, some of them extinct, ask for fewer than M phases in all,
-    # oracle and experiment together, so they call np.exp.  M = 2,100,000
-    # > 2**20 is above the table.  M = 64 reduces with the mask and gathers
-    # from its table.
+    # The trials are scored from the int64 arrays of the refinement by one
+    # grouped call, the oracle from the same cells through NApproximation,
+    # one exp_sum call per survivor.  The cases take each phase path, and
+    # ``tabulated`` counts the calls, oracle's and experiment's, that
+    # gather from the table of unit roots: those that ask for at least M
+    # phases themselves.  At M = 210,000 (not a power of two, reduced with
+    # % M) each dense trial of beta = 1/4 asks for 0.8-1.0 million phases, so all
+    # 5 calls gather.  The sparse trials of beta = 3/4, some of them
+    # extinct, ask for 19,760 phases in all, so every call exponentiates.
+    # M = 2,100,000 > 2**20 is above the table.  M = 64 reduces with the
+    # mask: 12 of the 19 survivors ask for 64 phases or more, and the
+    # grouped call for 1,536, so 13 calls gather and the other 7
+    # exponentiate, however many gathered before them at the same M.
     @pytest.mark.parametrize(
         "beta, sizes, trials, extinct, tabulated",
-        [(0.25, (10, 30, 700), 4, 0, True), (0.75, (10, 30, 700), 12, 3, False),
-         (0.75, (10, 300, 700), 6, 1, False), (0.9, (4, 4, 4), 30, 11, True)],
+        [(0.25, (10, 30, 700), 4, 0, 5), (0.75, (10, 30, 700), 12, 3, 0),
+         (0.75, (10, 300, 700), 6, 1, 0), (0.9, (4, 4, 4), 30, 11, 13)],
         ids=["table", "exp", "above-table", "mask"],
     )
     def test_alphas_match_corollary64_check(self, beta, sizes, trials, extinct, tabulated, tabulated_calls):
@@ -618,8 +622,25 @@ class TestOrderExperiment:
         stats = order_experiment(cfg)
         assert stats.alphas == tuple(alphas)
         assert stats.extinct == extinct
-        # one exp_sum call per survivor, in the oracle and in the experiment
-        assert tabulated_calls() == (2 * len(alphas) if tabulated else 0)
+        assert tabulated_calls() == tabulated
+
+    def test_one_kernel_call_per_experiment(self, monkeypatch):
+        # every surviving final stage is scored by one exp_sums call, a row
+        # per survivor; an experiment whose trials all went extinct makes
+        # none
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return exp_sums(*args)
+
+        monkeypatch.setattr(randfrac, "exp_sums", counted)
+        stats = order_experiment(RandomFractalConfig(0.9, (4, 4), 2, 40, SEED))
+        assert 0 < stats.extinct < stats.trials
+        assert calls == [len(stats.alphas)]
+        calls.clear()
+        assert order_experiment(RandomFractalConfig(0.95, (16, 16), 2, 3, 10)).extinct == 3
+        assert calls == []
 
     def test_survivor_below_16_refused(self):
         # M = 8 is too coarse to sweep; trial 0 keeps 2 of its 8 cells
@@ -646,11 +667,11 @@ def serial_dimension(config):
 
 def serial_alphas(config):
     """Oracle for order_experiment's sharing: the fitted order of each
-    surviving trial, from a loop over _refine and _finest_fit on this
-    thread; ValueError when a trial survives at M < 16."""
+    surviving trial, from a loop over _refine, weyl_moduli and _finest_fit
+    on this thread; ValueError when a trial survives at M < 16."""
     M = config.resolution()
     finals = [randfrac._refine(config, t)[-1] for t in range(config.trials)]
-    return [_finest_fit(f, M, _sweep(M))[0] for f in finals if f.size]
+    return [_finest_fit(weyl_moduli(f, M, _sweep(M)), _sweep(M))[0] for f in finals if f.size]
 
 
 @st.composite
@@ -698,36 +719,57 @@ class TestSharedTrials:
                     if core_sets._executor is not None:
                         core_sets._executor.shutdown()
 
-    def test_trial_exp_sum_submits_no_job(self, monkeypatch):
-        # at 64**3 and beta = 1/4 every final stage is thousands of cells,
-        # so its sweep's exp_sum is many slabs; inside a trial it sums them
-        # on the trial's own thread, and the pool gets only the
-        # experiment's one job
-        cfg = RandomFractalConfig(0.25, (64, 64, 64), 3, 4, SEED)
-        M = cfg.resolution()
-        assert all(randfrac._refine(cfg, t)[-1].size * len(_sweep(M)) > 2 * _CHUNK for t in range(cfg.trials))
-        monkeypatch.setattr(core_sets, "_WORKERS", 2)
-        alphas = serial_alphas(cfg)  # its exp_sum calls are made here, so they share their slabs
-        pool = core_sets._pool()
-        submitted = []
+    @given(
+        beta=st.sampled_from([0.0, 0.5, 0.9]),
+        N1=st.sampled_from([16, 64, 256]),
+        trials=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(beta=0.9, N1=16, trials=9, seed=7)  # extinct trials
+    @settings(max_examples=30, deadline=None)
+    def test_shared_lemma_draws_keep_their_bits(self, beta, N1, trials, seed):
+        # at 1, 2 and 4 threads, with a fresh pool each, lemma 6.3 draws
+        # the stage-1 cells of a serial _refine loop and sums them to the
+        # bits of one serial _mu1_hats call, so its fraction is the loop's
+        cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
+        us = range(2, 17)
+        stage1 = [randfrac._refine(cfg, t)[0] for t in range(trials)]
+        mu1_hats = randfrac._mu1_hats
+        want = mu1_hats(stage1, N1, beta, us)
+        bounds = np.arange(2, 17, dtype=float) ** ((beta - 1.0) / 2.0)
+        fraction = int(np.count_nonzero(np.all(np.abs(want) < bounds, axis=1))) / trials
+        for workers in (1, 2, 4):
+            seen = []
 
-        def submit(fn, *args):
-            submitted.append(fn)
-            return type(pool).submit(pool, fn, *args)
+            def spy(cells, *args):
+                seen.append((cells, mu1_hats(cells, *args)))
+                return seen[-1][1]
 
-        monkeypatch.setattr(pool, "submit", submit)
-        assert order_experiment(cfg).alphas == tuple(alphas)
-        assert len(submitted) == 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core_sets, "_WORKERS", workers)
+                mp.setattr(core_sets, "_executor", None)
+                mp.setattr(randfrac, "_mu1_hats", spy)
+                try:
+                    assert lemma63_experiment(cfg, 1.0, 16).satisfied_fraction == fraction
+                finally:
+                    if core_sets._executor is not None:
+                        core_sets._executor.shutdown()
+            (cells, vals), = seen
+            assert len(cells) == trials
+            assert all(np.array_equal(c, s) and c.dtype == np.int64 for c, s in zip(cells, stage1))
+            assert np.array_equal(vals.view(np.int64), want.view(np.int64))
 
     def test_second_thread_costs_one_block_pair(self, monkeypatch):
         # at W = 2 the calling thread allocates one more residue and phase
-        # block pair, for the pool thread, and the draws, keep-masks and
-        # exp_sum blocks of its trials fill that pair in place.  Beside the
-        # pair, the peak may hold what a second trial holds at once: its
-        # cells, and the two buffers of np.getbufsize() int64 entries that
-        # numpy's ufunc iterator takes for exp_sum's outer product of rows
-        # shorter than that (none of them is one of the blocks).  The
-        # pool's thread and the unit-root table are built before the peaks.
+        # block pair, for the pool thread, whose trials' draws and
+        # keep-masks fill it in place, and one more for the slabs that the
+        # pool thread takes of the grouped exp_sums call after them.  Beside
+        # the pair, the peak may hold what a second thread holds at once: a
+        # trial's cells, and the two buffers of np.getbufsize() int64
+        # entries that numpy's ufunc iterator takes for exp_sums' outer
+        # product of rows shorter than that (none of them is one of the
+        # blocks).  The pool's thread and the unit-root table are built
+        # before the peaks.
         cfg = RandomFractalConfig(0.25, (16, 16, 16), 3, 8, SEED)
         peaks = {}
         for workers in (1, 2):
