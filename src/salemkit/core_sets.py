@@ -493,6 +493,16 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 16, *, integers: bool
     grid-supported spectra a forced top sample would alias a low frequency.
     With ``integers=True`` samples are rounded and deduplicated, which keeps
     every integer at the low end of the range where spacing is below 1.
+
+    The integer grid evaluates only the sparse tail of the ladder.  Step j
+    to j+1 is lo * 2**(j/per_octave) * (2**(1/per_octave) - 1) long, which
+    grows with j; while it is at most 1/2, consecutive samples differ by
+    less than 1, so their roundings differ by at most 1 and hit every
+    integer between round(lo) and the rounding of the first sample past
+    that prefix.  The prefix is that range, and the tail is rounded from
+    the same floats as before, so the grid is the one the whole ladder
+    rounds to.  The bound 1/2 leaves room for the rounding of the index
+    where the prefix ends.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("lo and hi must be finite")
@@ -501,7 +511,12 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 16, *, integers: bool
     if per_octave < 1:
         raise ValueError("per_octave must be positive")
     steps = int(math.ceil(math.log2(hi / lo) * per_octave)) if hi > lo else 0
-    vals = [lo * 2 ** (j / per_octave) for j in range(steps + 1)]
-    if integers:
-        return [v for v in sorted({int(round(v)) for v in vals}) if lo <= v <= hi]
-    return sorted(v for v in set(vals) if v <= hi)
+    if not integers:
+        vals = [lo * 2 ** (j / per_octave) for j in range(steps + 1)]
+        return sorted(v for v in set(vals) if v <= hi)
+    # Steps j -> j+1 with j < first are at most 1/2 long.
+    dense = per_octave * (math.log2(0.5 / math.expm1(math.log(2) / per_octave)) - math.log2(lo))
+    first = min(steps, max(0, math.floor(dense)))
+    tail = [round(lo * 2 ** (j / per_octave)) for j in range(first, steps + 1)]
+    prefix = range(math.ceil(lo), min(tail[0], math.floor(hi) + 1))
+    return [*prefix, *(v for v in sorted(set(tail)) if lo <= v <= hi)]

@@ -18,14 +18,20 @@ a float frequency is the binary rational it holds.
 The grid is evaluated level by level in order of the frequencies' factor
 counts: the frequencies that still need factor k form a suffix, and factor
 k is summed over that suffix in numpy, digit by digit, and multiplied into
-the running product.  Every rounding step is the one the scalar product
-takes, so each value has the same bits as the scalar product at that
-frequency.
+the running product.  The frequencies are read once per grid, as arrays of
+the numerators n and denominators s of the rationals they hold (an integer
+is n/1 and takes no Fraction), and factor k takes the integer pairs
+n * p_k and s * D_k of its scale p_k / D_k = eta_1...eta_k / M_{k+1}:
+int64 arrays while every phase fits, object arrays of Python ints through
+the same numpy code otherwise.  Every rounding step is the one the scalar
+product takes, so each value has the same bits as the scalar product at
+that frequency.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .cantor import LevelPlan
-from .core_sets import SpectrumSample, decay_exponent_fit
+from .core_sets import _INT64_MAX, SpectrumSample, decay_exponent_fit
 
 # Largest |u| at which the transform is evaluated.  Rejecting larger |u|
 # also keeps infinities out of Fraction(u), which raises OverflowError.
@@ -65,25 +71,22 @@ class DecayReport:
         }
 
 
-def _level_sums(digits: Sequence[int], p: Sequence[int], D: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _level_sums(digits: Sequence[int], p: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of (1/d) * sum_a e^{-2 pi i p_j a / D_j}
-    over the d digits, for each pair (p_j, D_j).
+    over the d digits, for each pair (p_j, D_j) of the arrays ``p`` and
+    ``D``.
 
     Each phase is the integer residue p_j*a mod D_j over D_j, one correctly
     rounded float, and the arithmetic is that of the scalar loop
     ``total += cmath.exp(-2j * math.pi * (p * a % D / D))`` followed by
-    ``total / d``, so the bits are the same.  The pairs are int64 while
-    every p_j*a fits and D_j <= 2**53, where r / D divides two exact doubles
-    and rounds as Python's int division, and Python ints in object arrays
-    otherwise.
+    ``total / d``, so the bits are the same.  The caller passes int64
+    arrays only while every p_j*a fits and D_j <= 2**53, where r / D divides
+    two exact doubles and rounds as Python's int division, and object
+    arrays of Python ints otherwise.
     """
     # Not routed through core_sets.exp_sum: at exact zeros of the transform
     # the reports print this sum's rounding noise, which the kernel's
     # angles and pairwise summation round differently.
-    pmax = max(map(abs, p))
-    exact64 = max(D) <= 2**53 and pmax < 2**63 and pmax * max(digits) < 2**63
-    dtype = np.int64 if exact64 else object
-    p, D = np.array(p, dtype), np.array(D, dtype)
     # The digits are added one by one in order, as the loop adds them;
     # .sum() would add pairwise.
     total = np.zeros(len(p), complex)
@@ -114,11 +117,31 @@ def _factor_counts(plan: LevelPlan, us: Sequence) -> tuple[np.ndarray, np.ndarra
     return counts, active
 
 
+def _ratios(us: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Each frequency as the exact rational n/s it holds, in lowest terms
+    (an integer, Python or numpy, as n/1 without a Fraction): int64 arrays
+    of n and s when every n and s fits, object arrays of Python ints
+    otherwise."""
+    try:
+        nums, dens = list(map(operator.index, us)), [1] * len(us)
+    except TypeError:
+        nums, dens = zip(*(
+            (operator.index(u), 1) if isinstance(u, (int, np.integer)) else Fraction(u).as_integer_ratio() for u in us
+        ))
+    # |n| within int64, so np.abs cannot wrap at -2**63.
+    fits = -_INT64_MAX <= min(nums) and max(nums) <= _INT64_MAX and max(dens) <= _INT64_MAX
+    dtype = np.int64 if fits else object
+    return np.array(nums, dtype), np.array(dens, dtype)
+
+
 def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[complex]:
     """The factor product at each u of ``us`` with ``counts[j]`` factors,
     level by level.  The counts must not decrease along ``us``, so the
     frequencies that take factor k+1 are a suffix."""
-    nums, dens = zip(*(Fraction(u).as_integer_ratio() for u in us))
+    nums, dens = _ratios(us)
+    # Largest |n| and s over each suffix, for the int64 fit of every level.
+    nmax = np.maximum.accumulate(np.abs(nums)[::-1])[::-1]
+    smax = np.maximum.accumulate(dens[::-1])[::-1]
     for k in range(int(counts[-1])):
         start = int(np.searchsorted(counts, k, side="right"))
         # Factor k+1 takes eta_1...eta_k * u / M_{k+1} as an unreduced
@@ -126,11 +149,18 @@ def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[comple
         # same floats.
         eta = plan.eta_product(k)
         p_scale, D_scale = eta.numerator, eta.denominator * plan.M(k + 1)
-        lre, lim = _level_sums(
-            plan.levels[k].digits,
-            [n * p_scale for n in nums[start:]],
-            [s * D_scale for s in dens[start:]],
+        digits = plan.levels[k].digits
+        # _level_sums' fit rule, with |p| bounded by the suffix's largest |n|
+        # (at least 1, so that p_scale itself fits) times p_scale.
+        fits = (
+            nums.dtype == np.int64
+            and int(smax[start]) * D_scale <= 2**53
+            and max(int(nmax[start]), 1) * p_scale * max(digits[-1], 1) <= _INT64_MAX
         )
+        dtype = np.int64 if fits else object
+        p = nums[start:].astype(dtype, copy=False) * p_scale
+        D = dens[start:].astype(dtype, copy=False) * D_scale
+        lre, lim = _level_sums(digits, p, D)
         if k == 0:
             # The running product is the first factor itself, not 1 times it.
             re, im = lre, lim

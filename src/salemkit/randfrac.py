@@ -8,19 +8,22 @@ are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
 walks the same trial stream, trials 0..trials-1, in one loop: its trials
 are drawn through ``core_sets._share``, shared among threads, and the
-order and lemma-6.3 experiments then score every trial they drew with one
-grouped ``core_sets.exp_sums`` call, whose slabs are shared among the
-threads too.  Each trial is a pure function of (config, t), so every
-statistic is the same whichever thread draws it, and the draws and
-keep-masks of a trial fill blocks that the experiment's calling thread
-allocated.  Each stage draws its keep-mask first, in blocks, from the
-trial's one stream, and builds only the surviving cells.  Each experiment
-builds only what it reads, and every trial is read as the int64 arrays of
-its stages: the lemma-6.3 experiment reads the first stage, order trials
-are scored from the final stage against one frequency sweep per
-experiment, and a dumped trial is rendered from every stage.  The
-dimension walk reads only the size of the last stage, so it takes that
-stage's draws and counts them without building it.
+lemma-6.3 experiment then scores every trial it drew with one grouped
+``core_sets.exp_sums`` call, whose slabs are shared among the threads too.
+The order experiment draws and scores its trials the same way in batches
+of whole trials, one call per batch, so that it holds at most about
+``_BATCH_CELLS`` final-stage cells at a time.  Each trial is a pure
+function of (config, t), so every statistic is the same whichever thread
+draws it, and the draws and keep-masks of a trial fill blocks that the
+experiment's calling thread allocated.  Each stage draws its keep-mask
+first, in blocks, from the trial's one stream, and builds only the
+surviving cells.  Each experiment builds only what it reads, and every
+trial is read as the int64 arrays of its stages: the lemma-6.3
+experiment reads the first stage, order trials are scored from the final
+stage against the one frequency sweep of their resolution, and a dumped
+trial is rendered from every stage.  The dimension walk reads only the
+size of the last stage, so it takes that stage's draws and counts them
+without building it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ import numpy as np
 
 from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sums
 from .equidist import _finest_fit, _moduli, _sweep
+
+
+# Final-stage cells that the order experiment holds for one exp_sums call,
+# counted at their expected number per trial: 5 MB of int64 cells.  The
+# benchmark's corollary-6.4 runs at 64**3 (about 579k and 26k expected
+# cells over 50 trials) take one call each; a 64**4 run at beta 0.25 takes
+# 2 of its 262k-cell trials a call.
+_BATCH_CELLS = 5 << 17
 
 
 @dataclass(frozen=True)
@@ -228,21 +239,40 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     """Corollary 6.4 across trials: the equidistribution order of every
     surviving trial's final-stage cells, their median (None when every
     trial went extinct) and the extinct count, against the target 1 - beta.
+
+    The trials are drawn and scored in batches of whole trials, one
+    :func:`exp_sums` call per batch, so that at most about ``_BATCH_CELLS``
+    final-stage cells are held at once.  A batch takes as many trials as
+    that bound holds at the expected M**(1 - beta) cells a trial.  Each
+    trial is its own group of the call, so its alpha has the same bits in
+    any batch.
     """
+    M = config.resolution()
+    batch = max(1, int(_BATCH_CELLS // M ** (1.0 - config.beta)))
+    alphas = []
+    for lo in range(0, config.trials, batch):
+        alphas += _batch_alphas(config, range(lo, min(lo + batch, config.trials)))
+    median = statistics.median(alphas) if alphas else None
+    return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
+
+
+def _batch_alphas(config: RandomFractalConfig, trials: range) -> list[float]:
+    """The order of each surviving trial of ``trials``: their final stages
+    drawn through ``_share`` and scored by one :func:`exp_sums` call, a row
+    per survivor.  The batch's stages are dropped when this returns, before
+    the next batch is drawn."""
     # Each final stage is scored as the int64 array _refine returns: its
     # cells are sorted, distinct and below M by construction.  The sweep is
     # built only when a trial survives, so an experiment whose trials all
     # went extinct is not refused at M < 16.
     M = config.resolution()
-    finals = _share(lambda t: _refine(config, t)[-1], config.trials, _CHUNK)
+    finals = _share(lambda i: _refine(config, trials[i])[-1], len(trials), _CHUNK)
     finals = [final for final in finals if final.size]
-    alphas = []
-    if finals:
-        sweep = _sweep(M)
-        sums = exp_sums(finals, M, sweep)
-        alphas = [_finest_fit(_moduli(row / len(final)), sweep)[0] for row, final in zip(sums, finals)]
-    median = statistics.median(alphas) if alphas else None
-    return OrderStats(1.0 - config.beta, median, tuple(alphas), config.trials - len(alphas), config.trials)
+    if not finals:
+        return []
+    sweep = _sweep(M)
+    sums = exp_sums(finals, M, sweep)
+    return [_finest_fit(_moduli(row / len(final)), sweep)[0] for row, final in zip(sums, finals)]
 
 
 def mu1_hat(cells: np.ndarray, N1: int, beta: float, us: Sequence) -> np.ndarray:

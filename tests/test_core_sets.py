@@ -837,7 +837,33 @@ class TestDecayExponentFit:
         assert decay_exponent_fit(smaller) >= decay_exponent_fit(samples) - 1e-12
 
 
+def ladder_integer_grid(lo, hi, per_octave):
+    """Oracle: every ladder sample lo * 2**(j/per_octave) evaluated, rounded
+    and deduplicated, kept within [lo, hi]."""
+    steps = int(math.ceil(math.log2(hi / lo) * per_octave)) if hi > lo else 0
+    vals = [lo * 2 ** (j / per_octave) for j in range(steps + 1)]
+    return [v for v in sorted({int(round(v)) for v in vals}) if lo <= v <= hi]
+
+
 class TestGeometricGrid:
+    @given(
+        st.floats(0, 100, exclude_min=True),
+        st.one_of(st.just(1.0), st.floats(1, 1e6)),
+        st.one_of(st.just(1), st.integers(1, 4096)),
+    )
+    @example(2, 3**7 / 2, 2048)
+    @example(1, 10**5 - 1, 8)
+    @example(0.3, 1.0, 1)
+    @example(0.5, 2e5, 1)
+    @example(100, 1e6, 4096)
+    @example(7.5, 1.0, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_grid_is_the_rounded_ladder(self, lo, ratio, per_octave):
+        # The dense prefix is emitted as a range and only the tail is
+        # evaluated, yet the grid is the whole ladder's rounding.
+        hi = lo * ratio
+        assert geometric_grid(lo, hi, per_octave, integers=True) == ladder_integer_grid(lo, hi, per_octave)
+
     def test_integer_grid_covers_low_range(self):
         grid = geometric_grid(2, 100, 16, integers=True)
         assert grid[:8] == [2, 3, 4, 5, 6, 7, 8, 9]

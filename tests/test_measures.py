@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salemkit import measures
-from salemkit.cantor import build_stage, make_plan, ternary_plan
+from salemkit.cantor import Level, LevelPlan, build_stage, make_plan, ternary_plan
 from salemkit.core_sets import IntegerSet, dft_char, geometric_grid
 from salemkit.generators import power_law_set, quadratic_residues, squares_below
 from salemkit.measures import decay_check, dyadic_block_envelope, mu_hat
@@ -83,6 +83,17 @@ def loop_truncation(plan, u):
     return plan.depth, True
 
 
+def exact(u):
+    """u as the exact rational it holds, in Python ints: a numpy integer's
+    own Fraction keeps a numpy numerator, whose products wrap."""
+    return Fraction(int(u)) if isinstance(u, np.integer) else Fraction(u)
+
+
+def bits(z):
+    """The exact bits of a complex, signs of zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
 def loop_mu_hat(plan, u, factors):
     """Oracle: the scalar factor product at one u.  Factor k+1 takes
     eta_1...eta_k * u / M_{k+1} as an unreduced integer pair, and the
@@ -133,6 +144,22 @@ def unsorted_frequencies(draw):
     ), min_size=1, max_size=16))
     us += [0] + us[: draw(st.integers(1, len(us)))]
     return draw(st.permutations(us))
+
+
+def wide_eta_plan():
+    """eta = 1 - 2**-41 at every level, so the scale eta_1...eta_k gains 41
+    bits of numerator and denominator a level.  At level 2, p * a leaves
+    int64 for integer frequencies above 2**63 / (7 * 2**41), about 6e5,
+    while D = 2**47 fits; at level 3, D = 2**91 passes 2**53 too."""
+    return LevelPlan(tuple(Level(8, (0, 3, 7), Fraction(2**41 - 1, 2**41)) for _ in range(6)), 0.5)
+
+
+def past_int64_plan():
+    """The plan CI's past-int64 pipeline writes by hand: at level 3, D =
+    9 * 1000003**3 passes 2**53 while p stays small.  Under the truncation
+    rule integer frequencies stop at level 2, so only a forced depth
+    reaches it."""
+    return LevelPlan(tuple(Level(1000003, (0, 500001), Fraction(1, 3)) for _ in range(4)), 0.05)
 
 
 def squares_plan():
@@ -499,3 +526,76 @@ class TestDecayCheck:
         m = ternary_plan(4, unit_eta=True)
         for x in (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
             assert linear_stage_cdf(m, 2, x) == 0.5
+
+
+# Integer, numpy-integer, float and Fraction frequencies, mixed in one grid.
+def mixed_frequencies(lo, hi):
+    return st.one_of(
+        st.integers(lo, hi),
+        st.integers(lo, hi).map(np.int64),
+        st.floats(lo, hi),
+        st.fractions(lo, hi, max_denominator=2**40),
+    )
+
+
+class TestIntegerPairArrays:
+    """The grid is read once as arrays of integer pairs, and each level
+    takes int64 or object arrays by the fit rule: every value keeps the
+    bits of the scalar cmath product, whatever type holds its frequency and
+    wherever the pairs leave int64."""
+
+    @given(st.lists(mixed_frequencies(-10**6, 10**6), min_size=1, max_size=12))
+    @example([10**6, np.int64(10**6), 5 * 10**5, np.int64(-999_999), 0])
+    @example([Fraction(2**59 + 1, 2**40), 123456.789, np.int64(2**19 + 1)])
+    # Numerators of -2**63, whose int64 abs would wrap, and below it.
+    @example([Fraction(-(2**63), 3**28), -Fraction(2**70 + 1, 2**51), 5])
+    @settings(max_examples=60, deadline=None)
+    def test_mu_hat_bits_match_scalar_oracle(self, us):
+        for plan in (wide_eta_plan(), past_int64_plan()):
+            for depth in (None, plan.depth):
+                values = mu_hat(plan, us, depth=depth).tolist()
+                for u, value in zip(us, values):
+                    factors = loop_truncation(plan, u)[0] if depth is None else depth
+                    assert bits(value) == bits(loop_mu_hat(plan, exact(u), factors))
+
+    @given(st.lists(mixed_frequencies(2, 10**6), min_size=1, max_size=12))
+    @example([10**6, np.int64(999_999), 600_000.5, Fraction(10**6 - 1, 3)])
+    @settings(max_examples=60, deadline=None)
+    def test_decay_check_bits_match_scalar_oracle(self, grid):
+        grid = grid + [2, 5, 9, 17]
+        for plan in (wide_eta_plan(), past_int64_plan()):
+            report = decay_check(plan, grid, 0.5)
+            for sample, u in zip(report.spectrum, sorted(grid)):
+                assert sample.frequency == float(u)
+                assert bits(sample.value) == bits(loop_mu_hat(plan, exact(u), loop_truncation(plan, u)[0]))
+
+    def test_numpy_integer_grid_equals_python_ints(self):
+        us = [2, 999, 600_000, 10**6, -10**6]
+        for plan in (wide_eta_plan(), past_int64_plan()):
+            for depth in (None, plan.depth):
+                want = mu_hat(plan, us, depth=depth).tolist()
+                assert mu_hat(plan, np.array(us), depth=depth).tolist() == want
+                assert mu_hat(plan, [np.int64(u) for u in us], depth=depth).tolist() == want
+
+    @pytest.mark.parametrize("plan, us, depth, want", [
+        # All six levels: p * a leaves int64 at level 2 for u = 10**6 only,
+        # D at level 3.
+        (wide_eta_plan(), [1000, 5 * 10**5], None, [np.int64] * 2 + [np.object_] * 4),
+        (wide_eta_plan(), [1000, 10**6], None, [np.int64] + [np.object_] * 5),
+        (wide_eta_plan(), [np.int64(1000), np.int64(10**6)], None, [np.int64] + [np.object_] * 5),
+        # D passes 2**53 at level 3, reached only at a forced depth.
+        (past_int64_plan(), [2000, 10**6], None, [np.int64, np.int64]),
+        (past_int64_plan(), [2000, 10**6], 4, [np.int64, np.int64, np.object_, np.object_]),
+    ])
+    def test_pairs_leave_int64_partway(self, monkeypatch, plan, us, depth, want):
+        seen = []
+        original = measures._level_sums
+
+        def spy(digits, p, D):
+            assert p.dtype == D.dtype
+            seen.append(p.dtype.type)
+            return original(digits, p, D)
+
+        monkeypatch.setattr(measures, "_level_sums", spy)
+        mu_hat(plan, us, depth=depth)
+        assert seen == want

@@ -642,6 +642,44 @@ class TestOrderExperiment:
         assert order_experiment(RandomFractalConfig(0.95, (16, 16), 2, 3, 10)).extinct == 3
         assert calls == []
 
+    @pytest.mark.parametrize("bound", [1, 40, 10**6])
+    def test_batches_of_whole_trials_keep_the_bits(self, monkeypatch, bound):
+        # A trial at M = 16 expects 16**(1 - 0.9) ~ 1.32 cells, so the
+        # bounds take 1, 30 and all 40 trials a batch.  Every batch is one
+        # call with a row per survivor, and each alpha keeps its bits.
+        cfg = RandomFractalConfig(0.9, (4, 4), 2, 40, SEED)
+        want = order_experiment(cfg)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return exp_sums(*args)
+
+        monkeypatch.setattr(randfrac, "_BATCH_CELLS", bound)
+        monkeypatch.setattr(randfrac, "exp_sums", counted)
+        assert order_experiment(cfg) == want
+        per_batch = max(1, int(bound // 16 ** (1 - 0.9)))
+        finals = [randfrac._refine(cfg, t)[-1] for t in range(cfg.trials)]
+        survivors = [sum(f.size > 0 for f in finals[lo : lo + per_batch]) for lo in range(0, 40, per_batch)]
+        assert calls == [n for n in survivors if n]
+        assert len(calls) > 1 or bound == 10**6
+
+    @pytest.mark.parametrize("beta, levels, trials, calls", [
+        # The benchmark's corollary-6.4 runs: one call each.
+        (0.25, (64, 64, 64), 50, [50]),
+        (0.5, (64, 64, 64), 50, [50]),
+        # The 64**4 order rung holds two 262k-cell trials at a time.
+        (0.25, (64, 64, 64, 64), 20, [2] * 10),
+    ])
+    def test_batch_sizes_at_scale(self, monkeypatch, beta, levels, trials, calls):
+        # Only the batching is checked: every trial's final stage is
+        # replaced by one cell, so no trial is drawn at scale.
+        seen = []
+        monkeypatch.setattr(randfrac, "_refine", lambda config, t: [np.array([t], dtype=np.int64)])
+        monkeypatch.setattr(randfrac, "exp_sums", lambda groups, *args: seen.append(len(groups)) or exp_sums(groups, *args))
+        order_experiment(RandomFractalConfig(beta, levels, len(levels), trials, SEED))
+        assert seen == calls
+
     def test_survivor_below_16_refused(self):
         # M = 8 is too coarse to sweep; trial 0 keeps 2 of its 8 cells
         cfg = RandomFractalConfig(0.5, (2, 2, 2), 3, 4, 0)

@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts at tiny sizes, each in its own
 interpreter as a user would start it."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import salemkit as sk
-from salemkit.formats import fmt_float
+from salemkit.cantor import ternary_plan
+from salemkit.cli import run_command
+from salemkit.formats import fmt_float, save_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,3 +73,19 @@ def test_ternary_control(tmp_path):
     lines = spectrum.read_text().splitlines()
     assert lines[0] == "u,re,im,abs"
     assert len(lines) == 1 + len(range(2, 3**3 + 1))
+
+
+def test_size_ladder_rung_runs_the_command(tmp_path):
+    # One run of the smallest measure-decay rung in a fresh process: its
+    # report is the one the same command writes here.
+    spec = importlib.util.spec_from_file_location("size_ladder", ROOT / "scripts" / "size_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    size, argv = ladder.rungs("measure-decay")[0]
+    assert size == 3**7
+    row = ladder.run_rung(str(ROOT / "src"), argv, 1)
+    assert len(row["seconds"]) == 1 and row["median_s"] > 0 and row["maxrss_mb"] > 0
+    save_plan(ternary_plan(14, unit_eta=True), tmp_path / "ternary14.txt")
+    assert run_command([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    assert row["sha256"] == hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert [s for s, _ in ladder.rungs("corollary64")] == [64**3, 64**4]
