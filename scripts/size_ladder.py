@@ -8,7 +8,7 @@ Families:
   corollary64    the order experiment at beta 0.25, 20 trials, seed
                  20261019, on levels 64**3 and 64**4.
 
-Each rung runs ``--runs`` times, each in a fresh interpreter that imports
+Each rung runs ``RUNS`` (3) times, each in a fresh interpreter that imports
 salemkit from ``--src`` and times the one command in process, writing its
 report to a temporary directory.  A rung records the median wall time, the
 largest ``ru_maxrss`` of its runs, the sha256 of the report (the same in
@@ -34,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STOP_SECONDS = 30.0
 STOP_MB = 1024.0
+RUNS = 3
 
 # Run in the fresh interpreter: argv is src, then the salemkit command.
 CHILD = r"""
@@ -115,13 +116,10 @@ def main() -> int:
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the salemkit package")
     ap.add_argument("--family", action="append", choices=("measure-decay", "corollary64"),
                     help="family to run (repeatable; default both)")
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--output", help="write the ladder as JSON")
     args = ap.parse_args()
-    if args.runs < 1:
-        ap.error("--runs must be positive")
     families = args.family or ["measure-decay", "corollary64"]
-    payload = {"src": args.src, "runs": args.runs, "families": {f: ladder(f, args.src, args.runs) for f in families}}
+    payload = {"src": args.src, "runs": RUNS, "families": {f: ladder(f, args.src, RUNS) for f in families}}
     if args.output:
         Path(args.output).write_text(json.dumps(payload, indent=1) + "\n")
     return 0

@@ -122,12 +122,9 @@ def _ratios(us: Sequence) -> tuple[np.ndarray, np.ndarray]:
     (an integer, Python or numpy, as n/1 without a Fraction): int64 arrays
     of n and s when every n and s fits, object arrays of Python ints
     otherwise."""
-    try:
-        nums, dens = list(map(operator.index, us)), [1] * len(us)
-    except TypeError:
-        nums, dens = zip(*(
-            (operator.index(u), 1) if isinstance(u, (int, np.integer)) else Fraction(u).as_integer_ratio() for u in us
-        ))
+    nums, dens = zip(*(
+        (operator.index(u), 1) if isinstance(u, (int, np.integer)) else Fraction(u).as_integer_ratio() for u in us
+    ))
     # |n| within int64, so np.abs cannot wrap at -2**63.
     fits = -_INT64_MAX <= min(nums) and max(nums) <= _INT64_MAX and max(dens) <= _INT64_MAX
     dtype = np.int64 if fits else object
