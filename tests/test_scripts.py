@@ -85,7 +85,14 @@ def test_size_ladder_rung_runs_the_command(tmp_path):
     assert size == 3**7
     row = ladder.run_rung(str(ROOT / "src"), argv, 1)
     assert len(row["seconds"]) == 1 and row["median_s"] > 0 and row["maxrss_mb"] > 0
+    assert len(row["import_s"]) == 1 and 0 < row["median_import_s"] == row["import_s"][0]
     save_plan(ternary_plan(14, unit_eta=True), tmp_path / "ternary14.txt")
     assert run_command([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
     assert row["sha256"] == hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert [s for s, _ in ladder.rungs("corollary64")] == [64**3, 64**4]
+    lemma63 = ladder.rungs("lemma63")
+    assert [s for s, _ in lemma63] == [200, 800, 3200, 12800]
+    for s, cmd in lemma63:
+        assert cmd == ["lemma63", "--beta", "0.5", "--n1", "4096", "--u-max", "64", "--trials", str(s),
+                       "--seed", "20261019", "--output", "{tmp}/report.json"]
+    assert list(ladder.FAMILIES) == ["measure-decay", "corollary64", "lemma63"]
