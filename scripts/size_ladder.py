@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Size ladder: wall time and peak memory of three command families as the
+"""Size ladder: wall time and peak memory of four command families as the
 input grows, each rung in a fresh process.
 
 Families:
@@ -9,7 +9,10 @@ Families:
                  20261019, on levels 64**3 and 64**4;
   lemma63        lemma 6.3 at beta 0.5, N1 4096, u_max 64, seed 20261019,
                  on 200, 800, 3200 and 12800 trials (each trial is seeded
-                 on its own).
+                 on its own);
+  witnesses      ap-find --n 3 to CSV on bernoulli_set(N, 0.3, 20261019)
+                 at N = 4096, 16384 and 65536: the progression search and
+                 the witness printer, whose rows grow like N**2.
 
 Each rung runs ``RUNS`` (3) times, each in a fresh interpreter that imports
 salemkit from ``--src`` and times the one command in process, writing its
@@ -19,8 +22,9 @@ command line's start-up before any work.  A rung records each run's wall
 time and import time with their medians, the largest ``ru_maxrss`` of its
 runs, the sha256 of the report (the same in every run, or the rung fails)
 and the log-log growth exponent log(t / t_below) / log(size / size_below)
-from the rung below, where the size is u_max, the resolution M or the
-trial count.  A family stops after its first rung over 30 s or 1 GB.  This
+from the rung below, where the size is u_max, the resolution M, the
+trial count or the horizon N.  The inputs (the ternary plan and the
+Bernoulli sets) are written before the clock starts.  A family stops after its first rung over 30 s or 1 GB.  This
 script makes no speed claim; it names the rungs whose time or memory grows
 faster than the algorithm's.
 
@@ -41,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STOP_SECONDS = 30.0
 STOP_MB = 1024.0
 RUNS = 3
-FAMILIES = ("measure-decay", "corollary64", "lemma63")
+FAMILIES = ("measure-decay", "corollary64", "lemma63", "witnesses")
 
 # Run in the fresh interpreter: argv is src, then the salemkit command.
 CHILD = r"""
@@ -51,15 +55,22 @@ sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 from salemkit import cantor, cli, formats
 import_s = time.perf_counter() - start
+from salemkit import generators
 argv = sys.argv[2:]
 with tempfile.TemporaryDirectory() as tmp:
     argv = [a.replace("{tmp}", tmp) for a in argv]
-    # The measure-decay family's plan, written before the clock starts.
+    # The inputs, written before the clock starts: the measure-decay
+    # family's plan, and a Bernoulli set for each {tmp}/bernoulli_<N>.txt.
     formats.save_plan(cantor.ternary_plan(14, unit_eta=True), Path(tmp) / "ternary14.txt")
+    for a in argv:
+        name = Path(a).name
+        if name.startswith("bernoulli_"):
+            N = int(name[len("bernoulli_"):-len(".txt")])
+            formats.save_integer_set(generators.bernoulli_set(N, 0.3, 20261019), a)
     start = time.perf_counter()
     code = cli.run_command(argv)
     seconds = time.perf_counter() - start
-    report = Path(tmp) / "report.json"
+    report = Path(argv[argv.index("--output") + 1])
     digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
 maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"code": code, "seconds": seconds, "import_s": import_s, "maxrss_mb": maxrss_mb, "sha256": digest}))
@@ -85,6 +96,11 @@ def rungs(family: str) -> list[tuple[int, list[str]]]:
             (trials, ["lemma63", "--beta", "0.5", "--n1", "4096", "--u-max", "64", "--trials", str(trials),
                       "--seed", "20261019", "--output", "{tmp}/report.json"])
             for trials in (200, 800, 3200, 12800)
+        ]
+    if family == "witnesses":
+        return [
+            (N, ["ap-find", "--input", f"{{tmp}}/bernoulli_{N}.txt", "--n", "3", "--output", "{tmp}/witnesses.csv"])
+            for N in (4096, 16384, 65536)
         ]
     raise ValueError(f"unknown family {family!r}")
 

@@ -187,7 +187,7 @@ def cmd_lemma63(args) -> int:
     if args.spectrum:
         us = range(1, args.u_max + 1)
         values = randfrac.mu1_hat(randfrac._refine(config, 0)[0], args.n1, config.beta, us)
-        samples = [core_sets.SpectrumSample(float(u), complex(v)) for u, v in zip(us, values)]
+        samples = list(map(core_sets.SpectrumSample, map(float, us), values.tolist()))
         formats.atomic_write_text(args.spectrum, formats.spectrum_csv(samples, freq_label="u"))
     formats.write_report(report, args.output)
     return 0

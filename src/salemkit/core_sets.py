@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,10 +130,31 @@ class DensityEstimate:
     empty: bool = False
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
+class SpectrumSample(NamedTuple):
+    """One row of a spectrum: a frequency and the complex value there.  A
+    tuple, so a list of rows splits into its two columns by ``zip``, and
+    callers build the rows from whole columns with ``map(SpectrumSample,
+    ...)``."""
+
     frequency: float
     value: complex
+
+
+@dataclass(frozen=True)
+class NApproximation:
+    """The cells [j/N, (j+1)/N) of the grid of size N that meet a target
+    set, as strictly increasing indices below N."""
+
+    N: int
+    cells: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", as_integers(self.cells, "cells"))
+        if self.N < 1:
+            raise ValueError("N must be positive")
+        require_increasing(self.cells, "cells must be strictly increasing and non-negative")
+        if self.cells and self.cells[-1] >= self.N:
+            raise ValueError("cells must lie below N")
 
 
 def fractional_density(A: IntegerSet, grid: Sequence[int]) -> DensityEstimate:
@@ -432,19 +453,29 @@ def _reduce(values: Sequence[int], D: int) -> np.ndarray:
 
 
 def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
-    """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N}.
+    """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N}, one
+    :class:`SpectrumSample` (float(k), value) per frequency k.
 
     Sparse sum over the members only, so the cost is |A| per frequency.
     Phases are reduced to (k*n) mod N exactly by :func:`exp_sum` at every
-    horizon, so integral phases contribute exactly 1.
+    horizon, so integral phases contribute exactly 1.  Each sum s is
+    normalized as the scalar ``complex(s) / N`` is: CPython divides by the
+    complex (float(N), 0.0), which gives the parts (re + im*0.0) / N and
+    (im - re*0.0) / N, written out here on the arrays of parts.  The rows
+    are built from the ``tolist`` columns, without a Python loop per row.
     """
     N = A.horizon
     ks = as_integers(freqs, "freqs")
-    for k in ks:
-        if not 0 <= k < N:
-            raise ValueError(f"frequency {k} outside [0, {N})")
+    if not ks:
+        return []
+    if min(ks) < 0 or max(ks) >= N:
+        k = next(k for k in ks if not 0 <= k < N)
+        raise ValueError(f"frequency {k} outside [0, {N})")
     values = exp_sum(A.elements, N, ks)
-    return [SpectrumSample(float(k), complex(v) / N) for k, v in zip(ks, values)]
+    n = float(N)
+    re, im = values.real, values.imag
+    values.real, values.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
+    return list(map(SpectrumSample, map(float, ks), values.tolist()))
 
 
 def weyl_sum(points: Sequence[Fraction], m: int) -> complex:

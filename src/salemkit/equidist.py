@@ -26,6 +26,9 @@ from .core_sets import (
     EXPONENT_CAP,
     ZERO_FLOOR,
     IntegerSet,
+    # Defined beside IntegerSet, so that formats reads and writes it
+    # without loading this module; re-exported from here.
+    NApproximation,
     as_integers,
     decay_exponent_fit,
     density_fit,
@@ -40,20 +43,6 @@ ORDER_CAP = EXPONENT_CAP
 # A characterization whose order clears this floor but misses the density
 # exponent is "salem-type" rather than "neither".
 SALEM_TYPE_FLOOR = 0.05
-
-
-@dataclass(frozen=True)
-class NApproximation:
-    N: int
-    cells: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", as_integers(self.cells, "cells"))
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        require_increasing(self.cells, "cells must be strictly increasing and non-negative")
-        if self.cells and self.cells[-1] >= self.N:
-            raise ValueError("cells must lie below N")
 
 
 @dataclass(frozen=True)

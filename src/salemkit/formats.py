@@ -4,9 +4,12 @@ Text formats are line-oriented and exact (rationals as p/q); JSON reports
 are canonical: sorted keys, floats at 12 significant digits, no
 environment- or clock-dependent content.  Writes are atomic (temp file
 then rename) so partially written reports are never observed.  A CSV
-export is built as one string: a spectrum row by one ``%`` format, and
-the witness rows of an int64 search block by one numpy decimal render,
-which also prints the int64 stages of a trial dump.
+export is built as one string from columns, not from a Python object per
+field: a spectrum's rows by one ``%`` format over its zipped columns of
+frequencies, parts and moduli, and the witness rows of an int64 search
+by a numpy decimal render of runs of its blocks, which also prints the
+int64 stages of a trial dump.  An integer set file in the form
+:func:`save_integer_set` writes is read in one pass.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
-from .core_sets import IntegerSet, SpectrumSample
-from .equidist import NApproximation
+from .core_sets import IntegerSet, NApproximation, SpectrumSample
 
 
 class FormatError(ValueError):
@@ -139,9 +141,21 @@ def save_integer_set(A: IntegerSet, path) -> None:
 
 
 def load_integer_set(path) -> IntegerSet:
+    """The integer set in ``path``.  A file that is an optional
+    "# horizon=" first line and one integer per line is read in one pass by
+    ``int``, which strips the same whitespace as ``str.strip``; any other
+    file (blank or "#" lines, a bad line, an entry not above the one
+    before) is read line by line, which gives the same set, or names the
+    line at fault."""
+    lines = Path(path).read_text().splitlines()
+    head = 1 if lines and lines[0].startswith("# horizon=") else 0
+    try:
+        return _integer_set(list(map(int, lines[head:])), int(lines[0][10:]) if head else None)
+    except ValueError:
+        pass
     horizon = None
     elements: list[int] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -162,6 +176,10 @@ def load_integer_set(path) -> IntegerSet:
         if elements and value <= elements[-1]:
             raise FormatError(f"line {lineno}: duplicate or decreasing entry {value}")
         elements.append(value)
+    return _integer_set(elements, horizon)
+
+
+def _integer_set(elements: list[int], horizon: int | None) -> IntegerSet:
     try:
         return IntegerSet(tuple(elements), horizon if horizon is not None else (elements[-1] + 1 if elements else 1))
     except ValueError as exc:
@@ -284,20 +302,32 @@ def load_points(path) -> list[Fraction]:
 
 
 def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") -> str:
-    """One row per sample, by one % format: %d prints an integral frequency
-    as int() does, and "%.12g" % x is format(x, ".12g"), which is what
-    fmt_float prints.  A finite value whose modulus overflows a double has
-    abs "inf"."""
-    lines = [f"{freq_label},re,im,abs"]
-    for s in samples:
-        f, v = s.frequency, s.value
-        row = "%d,%.12g,%.12g,%.12g" if float(f).is_integer() else "%.12g,%.12g,%.12g,%.12g"
-        try:
-            modulus = abs(v)
-        except OverflowError:
-            modulus = math.inf
-        lines.append(row % (f, v.real, v.imag, modulus))
-    return "\n".join(lines) + "\n"
+    """One row per sample, by one % format over the zipped columns of
+    frequencies, real and imaginary parts and moduli: %d prints an integral
+    frequency as int() does, and "%.12g" % x is format(x, ".12g"), which is
+    what fmt_float prints.  The row format is chosen row by row only when
+    some frequency is not integral.  The moduli are ``np.hypot`` of the
+    parts, the libm ``hypot`` that CPython's complex ``abs`` calls, so each
+    is the float ``abs`` returns, and "inf" where ``abs`` would overflow."""
+    head = f"{freq_label},re,im,abs\n"
+    rows = list(samples)
+    if not rows:
+        return head
+    freqs, values = zip(*rows)
+    v = np.array(values, dtype=complex)
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(v.real, v.imag)
+    columns = zip(freqs, v.real.tolist(), v.imag.tolist(), moduli.tolist())
+    f = np.array(freqs, dtype=float)
+    integral = np.isfinite(f) & (np.floor(f) == f)
+    if integral.all():
+        return head + "".join(map(_INTEGRAL_ROW.__mod__, columns))
+    row_formats = [_INTEGRAL_ROW if i else _REAL_ROW for i in integral.tolist()]
+    return head + "".join(map(str.__mod__, row_formats, columns))
+
+
+_INTEGRAL_ROW = "%d,%.12g,%.12g,%.12g\n"
+_REAL_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 
 
 def stage_csv(stage: CantorStage) -> str:
@@ -320,44 +350,71 @@ def witnesses_csv(blocks: Iterable[tuple], values: Sequence[int]) -> str:
     """The witness CSV: a header, then one "start,difference,length" row
     per witness of the search's column blocks (start indices into the
     sorted ``values``, differences, lengths), as ``aps._run_blocks``
-    yields them.  A block searched on int64 is printed by
-    :func:`_decimal_rows` without a Python object per row; any other block
-    is printed row by row, where ``str`` prints an int or Fraction as
+    yields them.  Consecutive blocks searched on int64 are joined into runs
+    of at least ``_RUN_ROWS`` rows (or the rest), each printed by one
+    :func:`_decimal_rows` call without a Python object per row; any other
+    block is printed row by row, where ``str`` prints an int or Fraction as
     fmt_rational does.
     """
     parts = ["start,difference,length\n"]
     row = "%s,%s,%s\n".__mod__
     v = None
+    run: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def print_run() -> None:
+        if run:
+            parts.append(_decimal_rows(*map(np.concatenate, zip(*run))))
+            run.clear()
+
     for starts, diffs, lengths in blocks:
         if diffs.dtype == np.int64:
             # The search ran on int64, so every value fits.
             if v is None:
                 v = np.array(values, dtype=np.int64)
-            parts.append(_decimal_rows(v[starts], diffs, lengths))
+            run.append((v[starts], diffs, lengths))
+            if sum(len(d) for _, d, _ in run) >= _RUN_ROWS:
+                print_run()
         else:
+            print_run()
             parts.extend(map(row, zip(map(values.__getitem__, starts.tolist()), diffs.tolist(), lengths.tolist())))
+    print_run()
     return "".join(parts)
+
+
+# Rows per _decimal_rows call of the witness CSV: the search's blocks hold
+# a few thousand witnesses, too few for numpy rather than the calls to set
+# the time, while a run of this size keeps its matrix and columns within
+# about a megabyte.
+_RUN_ROWS = 1 << 14
 
 
 def _decimal_rows(*columns: np.ndarray, end: str = "\n") -> str:
     """Rows "a,b,c" of equal-length non-negative int64 columns, each ended
     by ``end`` and each entry in decimal as ``str`` prints it.
 
-    One uint8 matrix holds a row per line.  Each column's digits are
-    written right to left by a scalar % 10 and //= 10; a digit position
-    left of a value's leading digit is 0 (the last digit never is, so 0
-    prints as "0"), and the zero bytes are dropped at the end.
+    One uint8 matrix holds a row per line.  Each column is cast to the
+    narrowest of uint16, uint32 and uint64 that holds its largest value,
+    and its digits are written right to left, one division pass per digit
+    position: q = x // 10 and the digit x - 10*q, exact integer arithmetic
+    at every size.  A digit position left of a value's leading digit, where
+    x is already 0, is 0 (the last position never is, so 0 prints as "0"),
+    and the zero bytes are dropped at the end.
     """
-    widths = [len(str(int(c.max()))) if c.size else 1 for c in columns]
+    tops = [int(c.max()) if c.size else 0 for c in columns]
+    widths = [len(str(top)) for top in tops]
     mat = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
     stop = 0
-    for c, width in zip(columns, widths):
-        x = np.array(c, dtype=np.int64)
-        for j in range(stop + width - 1, stop - 1, -1):
-            mat[:, j] = x % 10 + 48
-            if j < stop + width - 1:
-                mat[x == 0, j] = 0
-            x //= 10
+    for c, top, width in zip(columns, tops, widths):
+        x = c.astype(np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.uint64)
+        last = stop + width - 1
+        for j in range(last, stop - 1, -1):
+            q = x // 10
+            digit = x - q * 10
+            digit += 48
+            if j < last:
+                digit *= x != 0
+            mat[:, j] = digit
+            x = q
         stop += width + 1
         mat[:, stop - 1] = ord(",")
     mat[:, -1] = ord(end)

@@ -131,10 +131,10 @@ def _ratios(us: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nums, dtype), np.array(dens, dtype)
 
 
-def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[complex]:
+def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> np.ndarray:
     """The factor product at each u of ``us`` with ``counts[j]`` factors,
-    level by level.  The counts must not decrease along ``us``, so the
-    frequencies that take factor k+1 are a suffix."""
+    level by level, as a complex array.  The counts must not decrease along
+    ``us``, so the frequencies that take factor k+1 are a suffix."""
     nums, dens = _ratios(us)
     # Largest |n| and s over each suffix, for the int64 fit of every level.
     nmax = np.maximum.accumulate(np.abs(nums)[::-1])[::-1]
@@ -166,7 +166,9 @@ def _transform(plan: LevelPlan, us: Sequence, counts: np.ndarray) -> list[comple
             # complex multiply rounds differently.
             ar, ai = re[start:], im[start:]
             re[start:], im[start:] = ar * lre - ai * lim, ar * lim + ai * lre
-    return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
+    out = np.empty(len(re), complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def mu_hat(plan: LevelPlan, us: Sequence, *, depth: int | None = None) -> np.ndarray:
@@ -221,7 +223,10 @@ def decay_check(
     its modulus, and judge the fitted exponent against beta - tolerance.
     Each grid frequency is sampled as given (a ``Fraction`` exactly); the
     report lists it as an int or a float.  The complex samples are kept on
-    the report's ``spectrum``."""
+    the report's ``spectrum``, one :class:`SpectrumSample` (float(u),
+    value) per frequency, built from the ``tolist`` columns.  The moduli
+    are ``np.hypot`` of the parts, the libm ``hypot`` that CPython's
+    complex ``abs`` calls, so each is the float ``abs(value)`` returns."""
     grid = sorted(u_grid)
     if not grid:
         raise ValueError("empty u grid")
@@ -231,8 +236,9 @@ def decay_check(
         raise ValueError(f"grid exceeds the largest supported frequency {U_MAX:g}")
     counts, capped = _factor_counts(plan, grid)
     values = _transform(plan, grid, counts)
-    samples = [(u if isinstance(u, int) else float(u), abs(value)) for u, value in zip(grid, values)]
-    spectrum = [SpectrumSample(float(u), value) for u, value in zip(grid, values)]
+    moduli = np.hypot(values.real, values.imag).tolist()
+    samples = [(u if isinstance(u, int) else float(u), mag) for u, mag in zip(grid, moduli)]
+    spectrum = list(map(SpectrumSample, map(float, grid), values.tolist()))
     envelope = dyadic_block_envelope(samples)
     alpha_hat = decay_exponent_fit(envelope)
     return DecayReport(

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from salemkit.cantor import Level, make_plan
 from salemkit.core_sets import (
     EXPONENT_CAP,
     IntegerSet,
+    SpectrumSample,
     decay_exponent_fit,
     dft_char,
     exp_sum,
@@ -276,6 +278,64 @@ class TestDftChar:
         A = IntegerSet.from_elements(elems, N)
         for s, k in zip(dft_char(A, ks), ks):
             assert abs(s.value - exact_phase_sum(A.elements, N, k) / N) <= 1e-14 * len(A) / N
+
+
+def scalar_dft_rows(ks, sums, N):
+    """Oracle: dft_char's rows by the scalar loop, as (frequency, real,
+    imaginary) hex strings."""
+    rows = [(float(k), complex(s) / N) for k, s in zip(ks, sums)]
+    return [(f.hex(), v.real.hex(), v.imag.hex()) for f, v in rows]
+
+
+def hex_rows(samples):
+    return [(s.frequency.hex(), s.value.real.hex(), s.value.imag.hex()) for s in samples]
+
+
+# Parts where the normalization's im*0.0 and re*0.0 terms count: signed
+# zeros, subnormals, infinities, nan and the largest doubles.
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308,
+              -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -0.5]
+
+
+class TestDftCharRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        N=st.one_of(st.integers(1, 2**20), st.integers(2**53 - 8, 2**53 + 2**20), st.integers(2**63 - 8, 2**64 + 2**20)),
+        parts=st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(EDGE_PARTS))] * 2), min_size=1, max_size=16),
+    )
+    @example(N=2**53 + 1, parts=[(1.0, -0.0), (-0.0, 0.0), (math.inf, 1.0), (1.0, -math.inf), (math.nan, 5e-324)])
+    @example(N=3, parts=[(0.0, -0.0), (-0.0, -0.0), (5e-324, -5e-324)])
+    def test_rows_match_scalar_normalization(self, N, parts):
+        # Any sums, through the patched kernel: each row is float(k) and
+        # complex(s) / N to the bit, whatever the parts hold.
+        sums = [complex(re, im) for re, im in parts]
+        ks = list(range(min(N, len(sums))))
+        A = IntegerSet((0,), N)
+        patched = mock.patch.object(core_sets, "exp_sum", lambda members, D, freqs: np.array(sums[: len(freqs)], complex))
+        # inf * 0.0 is nan in Python too, without numpy's warning
+        with patched, np.errstate(invalid="ignore"):
+            rows = dft_char(A, ks)
+        assert hex_rows(rows) == scalar_dft_rows(ks, sums, N)
+        assert all(type(s) is SpectrumSample and type(s.value) is complex for s in rows)
+
+    @pytest.mark.parametrize("N", [2**53 + 1, 2**53 + 3, 2**62 + 11, 2**64 + 13])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_kernel_rows_match_scalar_loop_past_2_53(self, N, data):
+        # float(N) rounds here, and past 2**63 the sums run on Python ints
+        values = st.integers(0, N - 1) | st.integers(0, 2**20).map(lambda j: N - 1 - j)
+        A = IntegerSet.from_elements(data.draw(st.sets(values, min_size=1, max_size=8)), N)
+        ks = data.draw(st.lists(values, min_size=1, max_size=6))
+        assert hex_rows(dft_char(A, ks)) == scalar_dft_rows(ks, exp_sum(A.elements, N, ks), N)
+
+    def test_empty_frequencies(self):
+        assert dft_char(IntegerSet((0,), 10**400), []) == []
+
+    def test_first_frequency_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match=r"frequency -1 outside \[0, 8\)"):
+            dft_char(IntegerSet((0,), 8), [3, -1, 9])
+        with pytest.raises(ValueError, match=r"frequency 9 outside \[0, 8\)"):
+            dft_char(IntegerSet((0,), 8), [3, 9, -1])
 
 
 class TestExpSum:

@@ -81,6 +81,37 @@ def line_loop_load_approximation(path):
         raise FormatError(str(exc)) from exc
 
 
+def line_loop_load_integer_set(path):
+    """Oracle: an integer set file read line by line."""
+    horizon = None
+    elements = []
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("horizon="):
+                if lineno != 1:
+                    raise FormatError("horizon header must be the first line")
+                try:
+                    horizon = int(body.split("=", 1)[1])
+                except ValueError as exc:
+                    raise FormatError(f"bad horizon header {line!r}") from exc
+            continue
+        try:
+            value = int(line)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: not an integer: {line!r}") from exc
+        if elements and value <= elements[-1]:
+            raise FormatError(f"line {lineno}: duplicate or decreasing entry {value}")
+        elements.append(value)
+    try:
+        return IntegerSet(tuple(elements), horizon if horizon is not None else (elements[-1] + 1 if elements else 1))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def outcome(load, path):
     try:
         return load(path)
@@ -105,6 +136,27 @@ def approximation_texts(draw):
     if header is not None:
         lines.insert(0, header % N)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def integer_set_texts(draw):
+    """Integer set files: a "# horizon=" header (or another first line, or
+    none), entries padded with whitespace or written as "+7" or "1_000",
+    and maybe blank and "#" lines, a late header, a bad, negative,
+    repeated or decreasing entry."""
+    pad = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\u3000", "\x0b", "\x0c"])
+    values = sorted(draw(st.sets(st.integers(0, 2000), max_size=12)))
+    spell = st.sampled_from(["%d", "+%d", " %d ", "%d\t"])
+    lines = [draw(pad) + draw(spell) % v + draw(pad) for v in values]
+    extras = draw(st.lists(st.sampled_from(["", "   ", "# note", "  #x", "#", "# horizon=3000", "1_000", "1__0", "3.5",
+                                            "1 2", "abc", "+7", "-1", "0", "2000", "0x10"]), max_size=3))
+    for line in extras:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    header = draw(st.sampled_from(["# horizon=%d", "# horizon= %d ", "#horizon=%d", " # horizon=%d", "# horizon=%d=",
+                                   "# horizon=x%d", "# c\n# horizon=%d", "# horizon=-%d", None]))
+    if header is not None:
+        lines.insert(0, header % draw(st.sampled_from([0, 1, 2001, 2**70])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
 
 
 class TestIntegerSetFiles:
@@ -133,6 +185,25 @@ class TestIntegerSetFiles:
         path = tmp_path / "set.txt"
         path.write_text("1\n5\n")
         assert load_integer_set(path).horizon == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_set_texts())
+    @example("# horizon=2001\n0\n7\n1000\n")
+    @example("# horizon=2001\n 0 \n+7\n1_000\n")
+    @example("# horizon=2001\n0\n\n7\n")
+    @example("# horizon=2001\n0\n# c\n7\n")
+    @example("# horizon=2001\n7\n0\n")
+    @example("# horizon=2001\n7\n7\n")
+    @example("# horizon=5\n0\n9\n")
+    @example("# horizon=0\n")
+    @example("# horizon=x\n0\n")
+    @example("0\n# horizon=9\n1\n")
+    @example("-1\n3\n")
+    @example("")
+    def test_one_pass_read_matches_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("set") / "set.txt"
+        path.write_text(text)
+        assert outcome(load_integer_set, path) == outcome(line_loop_load_integer_set, path)
 
 
 class TestPlanFiles:
@@ -310,6 +381,11 @@ def field_spectrum_csv(samples, freq_label):
 
 
 _INT64_MAX = 2**63 - 1
+# Doubles where complex abs and hypot take their special cases: signed
+# zeros, subnormals, the largest finite doubles, infinities and nan.
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.4916681462400413e-154,
+                1.3407807929942596e154, 1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+                math.nan, 1.0, 3.0, -4.0]
 
 
 @st.composite
@@ -326,12 +402,43 @@ def decimal_columns(draw):
     return columns
 
 
+# Where _decimal_rows' column dtype changes, where a double stops holding
+# every integer, and the ends of the int64 range.
+DECIMAL_EDGES = sorted({0, 9, 10, 99, 100} | {2**e + o for e in (16, 32, 49, 53) for o in (-1, 0, 1)} | {_INT64_MAX})
+
+
+@st.composite
+def wide_decimal_columns(draw):
+    """0-30 rows (0 gives empty columns) of 1-4 columns, each drawn over
+    the whole non-negative int64 range or below a narrower top, and from
+    the edges below that top."""
+    rows = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        top = draw(st.sampled_from([9, 10**4, 2**16, 2**32, 2**53, _INT64_MAX]))
+        value = st.one_of(st.integers(0, top), st.sampled_from([e for e in DECIMAL_EDGES if e <= top]))
+        columns.append(draw(st.lists(value, min_size=rows, max_size=rows)))
+    return columns
+
+
 class TestDecimalRows:
     @settings(max_examples=400, deadline=None)
     @given(decimal_columns())
     @example([[0]])
     @example([[0, 9, 10], [10, 0, 99], [_INT64_MAX, 1, 0]])
     def test_rows_print_as_str(self, columns):
+        want = "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
+        arrays = [np.array(c, dtype=np.int64) for c in columns]
+        assert formats._decimal_rows(*arrays) == want
+        assert formats._decimal_rows(*arrays, end=",") == want.replace("\n", ",")
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_decimal_columns())
+    @example([[]])
+    @example([[], [], []])
+    @example([[0, 9, 10], [2**16 - 1, 2**16, 2**16 + 1], [2**32 - 1, 2**32, 2**32 + 1]])
+    @example([[2**49 - 1, 2**49, 2**49 + 1], [2**53 - 1, 2**53, 2**53 + 1], [_INT64_MAX, 0, 7]])
+    def test_rows_print_as_str_over_int64(self, columns):
         want = "".join(",".join(map(str, row)) + "\n" for row in zip(*columns))
         arrays = [np.array(c, dtype=np.int64) for c in columns]
         assert formats._decimal_rows(*arrays) == want
@@ -491,6 +598,36 @@ class TestCsv:
         samples = [SpectrumSample(f, complex(re, im)) for f, re, im in rows]
         assert spectrum_csv(samples) == field_spectrum_csv(samples, "m")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20),
+        st.lists(st.tuples(*[st.sampled_from(EDGE_DOUBLES)] * 2), max_size=20),
+    )
+    @example([(1e308, 1e308), (1.7976931348623157e308, 1.0), (math.inf, math.nan), (math.nan, -math.inf)],
+             [(math.nan, 1.0), (-0.0, -0.0), (3.0, 4.0), (5e-324, 5e-324), (2.2250738585072014e-308, 1e-310)])
+    @example([(0.0, math.nan)], [(1e308, 1.7976931348623157e308)])
+    def test_hypot_is_complex_abs(self, pairs, edges):
+        # the spectrum's moduli are np.hypot of the parts: the float abs
+        # returns, and inf where abs overflows
+        pairs = pairs + edges
+        re, im = (np.array(part) for part in zip(*pairs))
+        with np.errstate(over="ignore"):
+            moduli = np.hypot(re, im).tolist()
+        for (r, i), modulus in zip(pairs, moduli):
+            if math.isinf(r) or math.isinf(i):
+                want = math.inf
+            elif math.isnan(r) or math.isnan(i):
+                # What abs returns here, spelled out: CPython's abs takes
+                # this branch without clearing errno, so after an overflow
+                # (hypot's above, or abs's own) it raises OverflowError.
+                want = math.nan
+            else:
+                try:
+                    want = abs(complex(r, i))
+                except OverflowError:
+                    want = math.inf
+            assert modulus.hex() == want.hex()
+
     def test_witness_blocks_print_as_rows(self):
         # One int64 block as the search yields it (start indices into the
         # values), and the same values past int64 in an object block.
@@ -505,6 +642,23 @@ class TestCsv:
         blocks = [(starts, diffs.astype(object), lengths)]
         assert witnesses_csv(blocks, big) == header + "".join("%s,%s,%s\n" % (2**63 + s, d, k) for s, d, k in rows)
         assert witnesses_csv([], values) == header
+
+    @pytest.mark.parametrize("run_rows", [1, 2, 5, 1 << 14])
+    def test_witness_runs_keep_the_row_order(self, monkeypatch, run_rows):
+        # int64 blocks of 0-4 rows joined into runs of at least run_rows
+        # rows, with object blocks between them printed row by row
+        monkeypatch.setattr(formats, "_RUN_ROWS", run_rows)
+        rng = np.random.default_rng(5)
+        values = tuple(sorted(rng.choice(10**6, 40, replace=False).tolist()))
+        blocks, rows = [], []
+        for size in rng.integers(0, 5, 30):
+            starts, diffs, lengths = rng.integers(0, 40, size), rng.integers(1, 10**5, size), rng.integers(3, 12, size)
+            if rng.random() < 0.2:
+                diffs = diffs.astype(object)
+            blocks.append((starts, diffs, lengths))
+            rows += [(values[s], d, k) for s, d, k in zip(starts.tolist(), diffs.tolist(), lengths.tolist())]
+        want = "start,difference,length\n" + "".join("%s,%s,%s\n" % row for row in rows)
+        assert witnesses_csv(iter(blocks), values) == want
 
     def test_stage_columns(self):
         text = stage_csv(build_stage(ternary_plan(2), 1))

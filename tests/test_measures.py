@@ -463,6 +463,20 @@ class TestDecayCheck:
             assert [s.value for s in report.spectrum] == mu_hat(m, sorted(grid)).tolist()
             assert "spectrum" not in report.as_dict()
 
+    def test_fitted_moduli_are_complex_abs(self, monkeypatch):
+        # the envelope is fitted from abs(value) of every sample, to the
+        # bit; numpy's complex abs rounds about 1 % of these otherwise
+        fitted = []
+        envelope = measures.dyadic_block_envelope
+        monkeypatch.setattr(measures, "dyadic_block_envelope", lambda samples: fitted.append(samples) or envelope(samples))
+        for plan, grid in ((ternary_plan(14, unit_eta=True), geometric_grid(2, 3**7, 2048, integers=True)),
+                           (squares_plan(), geometric_grid(2.0, 10**5, 64))):
+            report = decay_check(plan, grid, 0.5)
+            samples = fitted.pop()
+            assert [u for u, _ in samples] == [u if isinstance(u, int) else float(u) for u in sorted(grid)]
+            assert [mag.hex() for _, mag in samples] == [abs(s.value).hex() for s in report.spectrum]
+            assert all(type(mag) is float for _, mag in samples)
+
     def test_fraction_grid_sampled_exactly(self):
         # rational frequencies are sampled at themselves, not at the
         # nearest binary rationals; the report lists them as floats

@@ -14,7 +14,8 @@ import pytest
 import salemkit as sk
 from salemkit.cantor import ternary_plan
 from salemkit.cli import run_command
-from salemkit.formats import fmt_float, save_plan
+from salemkit.formats import fmt_float, save_integer_set, save_plan
+from salemkit.generators import bernoulli_set
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,4 +96,21 @@ def test_size_ladder_rung_runs_the_command(tmp_path):
     for s, cmd in lemma63:
         assert cmd == ["lemma63", "--beta", "0.5", "--n1", "4096", "--u-max", "64", "--trials", str(s),
                        "--seed", "20261019", "--output", "{tmp}/report.json"]
-    assert list(ladder.FAMILIES) == ["measure-decay", "corollary64", "lemma63"]
+    assert list(ladder.FAMILIES) == ["measure-decay", "corollary64", "lemma63", "witnesses"]
+
+
+def test_size_ladder_writes_the_witness_input(tmp_path):
+    # The smallest witnesses rung in a fresh process: the child writes the
+    # Bernoulli set named in argv before the clock, and the CSV is the one
+    # ap-find writes here from the same set.
+    spec = importlib.util.spec_from_file_location("size_ladder", ROOT / "scripts" / "size_ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    rungs = ladder.rungs("witnesses")
+    assert [s for s, _ in rungs] == [4096, 16384, 65536]
+    for N, cmd in rungs:
+        assert cmd == ["ap-find", "--input", f"{{tmp}}/bernoulli_{N}.txt", "--n", "3", "--output", "{tmp}/witnesses.csv"]
+    row = ladder.run_rung(str(ROOT / "src"), rungs[0][1], 1)
+    save_integer_set(bernoulli_set(4096, 0.3, 20261019), tmp_path / "bernoulli_4096.txt")
+    assert run_command([a.replace("{tmp}", str(tmp_path)) for a in rungs[0][1]]) == 0
+    assert row["sha256"] == hashlib.sha256((tmp_path / "witnesses.csv").read_bytes()).hexdigest()
