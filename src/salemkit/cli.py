@@ -251,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = add("construct", cmd_construct, "exact stage endpoints of a plan at a given depth")
-    p.add_argument("--plan", "--config", dest="plan", required=True)
+    p.add_argument("--plan", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--output")
 
     p = add("measure-decay", cmd_measure_decay, "fit the spectral decay exponent of the stagewise measure")
-    p.add_argument("--plan", "--config", dest="plan", required=True)
+    p.add_argument("--plan", required=True)
     p.add_argument("--beta", type=float, help="target exponent (default: the plan's beta)")
     p.add_argument("--u-min", type=float, default=2.0)
     p.add_argument("--u-max", type=float, default=4096.0)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("approximate", cmd_approximate, "grid cells meeting a plan stage or a rational point list")
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--plan", "--config", dest="plan")
+    target.add_argument("--plan")
     add_points_flags(target)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--N", type=int, required=True)

@@ -11,12 +11,12 @@ evaluations can run concurrently and results never depend on evaluation
 order.  The module state only picks where a value is computed, never the
 value: one work-sharing helper, ``_share``, runs the items of a call
 (exp_sums' slabs of groups and frequency rows, the random experiments'
-trials) on the calling thread and the threads of a pool built at the
-first call of more than one item.  The threads are the CPUs the process
-may run on, up to 4, the calling thread included; there is no setting,
-and a process started under ``taskset -c 0`` runs every item on its
-calling thread.  The calling thread allocates every buffer that a pool
-thread fills.
+trials) on the calling thread and on threads that a call of more than
+one item starts and joins before it returns.  The threads are the CPUs
+the process may run on, up to 4, the calling thread included; there is
+no setting, and a process started under ``taskset -c 0`` runs every item
+on its calling thread.  The calling thread allocates every buffer that
+the other threads fill.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ try:
     _WORKERS = min(4, len(os.sched_getaffinity(0)))
 except AttributeError:  # no sched_getaffinity outside Linux
     _WORKERS = min(4, os.cpu_count() or 1)
-# The pool of the other threads, and its guard.
-_executor = None
-_executor_lock = threading.Lock()
 # While a thread runs _share's items, ``_local.blocks`` is the residue
 # and phase block pair that it fills in place.
 _local = threading.local()
@@ -228,10 +225,11 @@ def exp_sums(groups: Sequence[Sequence[int]], denominator: int, freqs: Sequence[
     one row (:func:`_slabs`): runs of whole groups with every frequency
     row, their members joined side by side, and a group too wide for that,
     a run of its own used in place and cut by rows.  It sums them through
-    :func:`_share`: the calling thread and up to W - 1 pool threads, W
-    being the CPUs the process may run on (``os.sched_getaffinity``) up to
-    4, each take the next slab until none is left, so a thread the host
-    runs slowly takes fewer.  A call of one slab never touches the pool.
+    :func:`_share`: the calling thread and up to W - 1 threads started for
+    the call, W being the CPUs the process may run on
+    (``os.sched_getaffinity``) up to 4, each take the next slab until none
+    is left, so a thread the host runs slowly takes fewer.  A call of one
+    slab starts no thread.
     Each thread fills one residue block and one phase block in place for
     every slab it takes, allocated by the calling thread.  Each group's
     sums are those of its own columns of the block, in the order numpy sums
@@ -335,56 +333,51 @@ def _slab_sums(
 
 def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
     """[fn(0), ..., fn(n - 1)], run on the calling thread and up to W - 1
-    pool threads, each taking the next item from one iterator under a lock.
+    threads started for this call, each taking the next item from one
+    iterator under a lock; every thread has joined when the call returns.
 
     Each thread runs its items with a residue block (int64) and a phase
     block (complex) of ``entries`` entries, which :func:`_blocks` gives
-    it.  The calling thread allocates every pair: a pool thread's freed
+    it.  The calling thread allocates every pair: a started thread's freed
     blocks would stay in its own malloc arena.  One item, or one CPU,
-    leaves the pool unbuilt.  Once the calling thread finds no item left,
-    it cancels the jobs not yet started and waits for the rest; jobs read
-    fn and the blocks from a list emptied before the call returns, so a
-    cancelled job holds neither.  After an item raises, no thread takes
-    another, and the exception is raised once every started job is done.
+    starts no thread.  After an item raises, no thread takes another, and
+    the first exception is raised once every thread has joined.
     """
     threads = 1 if n < 2 else min(_WORKERS, n)
     results = [None] * n
-    pairs = [(np.empty(entries, dtype=np.int64), np.empty(entries, dtype=complex)) for _ in range(threads)]
-    work = [fn, iter(range(n)), threading.Lock(), results, pairs]
-    futures = [_pool().submit(_drain, work, j) for j in range(1, threads)]
-    try:
-        _drain(work, 0)
-    finally:
-        for future in futures:
-            # A job not yet started would find no item left.
-            if not future.cancel():
-                future.exception()
-        work.clear()
-    for future in futures:
-        if not future.cancelled():
-            future.result()
-    return results
+    items = iter(range(n))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
 
-
-def _drain(work: list, j: int) -> None:
-    """Run the items that this thread takes from ``work`` (fn, the item
-    iterator, its lock, the results and the block pairs), with pair j as
-    this thread's blocks until it finds none left."""
-    fn, _, lock, results, pairs = work
-    outer = getattr(_local, "blocks", None)
-    _local.blocks = pairs[j]
-    try:
-        while True:
+    def drain(blocks: tuple[np.ndarray, np.ndarray]) -> None:
+        outer = getattr(_local, "blocks", None)
+        _local.blocks = blocks
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(items, None)
+                if i is None:
+                    return
+                results[i] = fn(i)
+        except BaseException as exc:
             with lock:
-                i = next(work[1], None)
-            if i is None:
-                return
-            results[i] = fn(i)
-    finally:
-        _local.blocks = outer
-        with lock:
-            # Exhausted already, unless an item raised.
-            work[1] = iter(())
+                errors.append(exc)
+        finally:
+            _local.blocks = outer
+
+    pairs = [(np.empty(entries, dtype=np.int64), np.empty(entries, dtype=complex)) for _ in range(threads)]
+    others = [threading.Thread(target=drain, args=(pair,), name="share") for pair in pairs[1:]]
+    for thread in others:
+        thread.start()
+    drain(pairs[0])
+    for thread in others:
+        thread.join()
+    if errors:
+        # Raised from the list, not from a name: the traceback holds this
+        # frame and the items' frames, so neither may hold the exception.
+        del errors[1:]
+        raise errors.pop()
+    return results
 
 
 def _blocks(entries: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -395,31 +388,6 @@ def _blocks(entries: int) -> tuple[np.ndarray, np.ndarray] | None:
     if pair is None or len(pair[0]) < entries:
         return None
     return pair[0][:entries], pair[1][:entries]
-
-
-def _pool():
-    """The threads that share :func:`_share`'s items with the calling
-    thread, built at the first call of more than one item."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            # Imported here, not with the module: it takes about 4-6 ms,
-            # which a process that never splits a call should not pay.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="share")
-        return _executor
-
-
-def _drop_pool() -> None:
-    """In a forked child: the parent's threads do not exist there, so the
-    child builds its own pool."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @functools.lru_cache(maxsize=2)

@@ -145,10 +145,11 @@ def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
 
 
 def _moduli(sums: np.ndarray) -> np.ndarray:
-    """|s| for each normalized Weyl sum s, by scalar abs: numpy's
-    vectorised complex abs rounds differently, and the reports print these
-    moduli."""
-    return np.array([abs(v) for v in sums])
+    """|s| for each normalized Weyl sum s: ``np.hypot`` of the parts, the
+    libm ``hypot`` that CPython's complex ``abs`` calls, so each is the
+    float ``abs(s)`` returns.  The reports print these moduli, and numpy's
+    complex ``np.abs`` may round differently."""
+    return np.hypot(sums.real, sums.imag)
 
 
 def equidist_order(

@@ -341,7 +341,7 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
     stage1 = _share(lambda t: _refine(config, t)[0], config.trials, _CHUNK)
     vals = _mu1_hats(stage1, N1, config.beta, us)
-    satisfied = int(np.count_nonzero(np.all(np.abs(vals) < bounds, axis=1)))
+    satisfied = int(np.count_nonzero(np.all(_moduli(vals) < bounds, axis=1)))
     return LemmaCheckReport(
         N1=N1,
         epsilon1=float(epsilon1),

@@ -70,6 +70,17 @@ class TestExitCodes:
                    "--output", str(out)) == 2
         assert not out.exists()
 
+    def test_plan_takes_no_config_alias(self, squares_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.txt"
+        assert run("plan", "--input", str(squares_file), "--horizons", "100,100",
+                   "--beta", "0.5", "--output", str(plan_path)) == 0
+        out = tmp_path / "out.txt"
+        assert run("construct", "--config", str(plan_path), "--depth", "1", "--output", str(out)) == 2
+        assert run("measure-decay", "--config", str(plan_path), "--output", str(out)) == 2
+        assert run("approximate", "--config", str(plan_path), "--N", "64", "--output", str(out)) == 2
+        assert not out.exists()
+        assert run("approximate", "--plan", str(plan_path), "--N", "64", "--output", str(out)) == 0
+
     def test_refused_random_salem_writes_no_trial_file(self, tmp_path, capsys):
         dump = tmp_path / "trial.json"
         out = tmp_path / "stats.json"

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import math
 import os
 import signal
@@ -510,8 +511,6 @@ class TestExpSum:
         ref = exponentiated(a, D, k)
         for calls, workers in enumerate((1, 2, 4), 1):
             monkeypatch.setattr(core_sets, "_WORKERS", workers)
-            if workers > 1:
-                core_sets._pool()  # its threads are built outside the peak
             tracemalloc.start()
             try:
                 got = exp_sum(a, D, k)
@@ -560,49 +559,32 @@ class TestExpSum:
         info = core_sets._unit_roots.cache_info()
         assert info.hits + info.misses - asked == 4 * tabulated
 
-    def test_one_slab_leaves_pool_unbuilt(self, monkeypatch):
+    def test_one_slab_starts_no_thread(self, monkeypatch):
         # a 63-row call over 1000 members, a slab of exactly 2**16 entries,
         # and one row longer than a slab: each is one slab, summed on the
         # caller
-        monkeypatch.setattr(core_sets, "_executor", None)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
         monkeypatch.setattr(core_sets, "_WORKERS", 4)
         rng = np.random.default_rng(9)
         for D, cols, rows in [(4096, 1000, 63), (2**20, 1024, 64), (10**8, 70000, 1)]:
             a = rng.integers(0, D, cols)
             k = rng.integers(0, D, rows)
             assert np.array_equal(exp_sum(a, D, k).view(np.int64), exponentiated(a, D, k).view(np.int64))
-        assert core_sets._executor is None
+        assert started == []
 
-    def test_busy_pool_holds_up_no_call(self, monkeypatch):
-        # while every pool thread is busy elsewhere, a call of many slabs
-        # sums them all on its calling thread and returns without waiting
+    def test_calls_leave_only_the_table(self, monkeypatch, tabulated_calls):
+        # ten calls of 3 slabs each, at 4 workers: once the calls return,
+        # all that stays traced is the unit-root table that each call, of
+        # 180,000 >= D phases, reads, and no thread started for them is
+        # alive
         monkeypatch.setattr(core_sets, "_WORKERS", 4)
-        release = threading.Event()
-        busy = [core_sets._pool().submit(release.wait) for _ in range(4)]
-        rng = np.random.default_rng(13)
-        D = 10**8
-        a = rng.integers(0, D, 20000)
-        k = rng.integers(0, D, 30)  # 3 rows a slab, 10 slabs
-        got = []
-        caller = threading.Thread(target=lambda: got.append(exp_sum(a, D, k)))
-        try:
-            caller.start()
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-        finally:
-            release.set()
-        for future in busy:
-            future.result(timeout=60)
-        assert np.array_equal(got[0].view(np.int64), exponentiated(a, D, k).view(np.int64))
-
-    def test_cancelled_jobs_hold_no_blocks(self, monkeypatch, tabulated_calls):
-        # while every pool thread is busy elsewhere, ten calls of 3 slabs
-        # each submit jobs that they cancel behind the busy pool; those jobs
-        # hold no block, so once the calls return, all that stays traced is
-        # the unit-root table that each call, of 180,000 >= D phases, reads
-        monkeypatch.setattr(core_sets, "_WORKERS", 4)
-        release = threading.Event()
-        busy = [core_sets._pool().submit(release.wait) for _ in range(4)]
         rng = np.random.default_rng(14)
         D = 174763
         a = rng.integers(0, D, 20000)
@@ -614,29 +596,74 @@ class TestExpSum:
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-            release.set()
-        for future in busy:
-            future.result(timeout=60)
         assert tabulated_calls() == 10
         assert traced < core_sets._unit_roots(D).nbytes + (1 << 16)
+        assert not any(t.name == "share" for t in threading.enumerate())
         assert all(np.array_equal(g.view(np.int64), ref) for g, ref in zip(got, refs))
 
-    def test_concurrent_callers_build_one_pool(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("bad", [0, 4, 9])
+    def test_a_raising_slab_leaves_nothing(self, monkeypatch, workers, bad):
+        # a call of 10 slabs whose slab ``bad`` raises, on the calling
+        # thread or another: its exception is raised once every thread has
+        # joined, and once it is dropped, with the garbage collector off,
+        # nothing of the call stays traced.  On one thread no slab is
+        # taken after it.
+        monkeypatch.setattr(core_sets, "_WORKERS", workers)
+        slab_sums = core_sets._slab_sums
+        rng = np.random.default_rng(13)
+        D = 2**18
+        a = rng.integers(0, D, 20000)
+        k = rng.integers(0, D, 30)  # 3 rows a slab, 10 slabs
+        calls = []
+
+        def spy(a, ks, *args):
+            calls.append(ks)
+            if len(calls) == bad + 1:
+                raise ArithmeticError("slab")
+            slab_sums(a, ks, *args)
+
+        monkeypatch.setattr(core_sets, "_slab_sums", spy)
+        core_sets._unit_roots(D)  # built before the call, outside the trace
+        gc.disable()
+        tracemalloc.start()
+        try:
+            try:
+                exp_sum(a, D, k)
+            except ArithmeticError as exc:
+                assert str(exc) == "slab"
+            else:
+                pytest.fail("the raising slab's exception was not raised")
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert not any(t.name == "share" for t in threading.enumerate())
+        assert len(calls) == bad + 1 if workers == 1 else bad < len(calls)
+        assert traced < 1 << 16
+
+    def test_no_item_is_taken_after_a_raise(self, monkeypatch):
+        # at W = 2 the started thread raises on its first item, and the
+        # calling thread's item returns only once that thread has ended:
+        # neither thread takes another of the ten items
+        monkeypatch.setattr(core_sets, "_WORKERS", 2)
+        taken = []
+
+        def item(i):
+            taken.append(i)
+            if threading.current_thread().name == "share":
+                raise ArithmeticError(i)
+            deadline = time.monotonic() + 60
+            while any(t.name == "share" for t in threading.enumerate()) and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        with pytest.raises(ArithmeticError):
+            core_sets._share(item, 10, 1)
+        assert 1 <= len(taken) <= 2
+
+    def test_concurrent_callers_keep_their_bits(self, monkeypatch):
         # more callers and workers than cores, switching threads often:
-        # every caller's sums keep their bits, and the first split calls,
-        # made at once, build one pool between them however slow its build
-        import concurrent.futures
-
-        builds = []
-
-        class Counted(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                builds.append(args)
-                time.sleep(0.05)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(core_sets, "_executor", None)
+        # every caller's split sums keep their bits
         monkeypatch.setattr(core_sets, "_WORKERS", 4)
         rng = np.random.default_rng(12)
         calls = []
@@ -663,18 +690,13 @@ class TestExpSum:
                 t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        try:
-            assert not any(t.is_alive() for t in threads)
-            assert mismatches == []
-            assert builds == [(3,)]
-        finally:
-            core_sets._executor.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        # the parent's pool threads do not exist in a forked child: the
-        # child starts with no pool, and its first split call builds one
-        # whose thread runs beside the child's only thread
+    def test_forked_child_splits_its_calls(self, monkeypatch):
+        # a forked child's split call keeps its bits, and its threads have
+        # joined when the call returns, as in the parent
         monkeypatch.setattr(core_sets, "_WORKERS", 2)
         rng = np.random.default_rng(10)
         D = 10**8
@@ -682,14 +704,12 @@ class TestExpSum:
         k = rng.integers(0, D, 12)  # 3 rows a slab, 4 slabs
         ref = exponentiated(a, D, k).view(np.int64)
         assert np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
-        assert core_sets._executor is not None
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                fresh = core_sets._executor is None
                 bits = np.array_equal(exp_sum(a, D, k).view(np.int64), ref)
-                code = 0 if fresh and bits and threading.active_count() == 2 else 2
+                code = 0 if bits and threading.active_count() == 1 else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -801,8 +821,6 @@ class TestExpSums:
         core_sets._unit_roots(4096)  # built before the calls, outside their peaks
         for workers in (1, 2, 4):
             monkeypatch.setattr(core_sets, "_WORKERS", workers)
-            if workers > 1:
-                core_sets._pool()  # its threads are built outside the peak
             tracemalloc.start()
             try:
                 got = exp_sums(stage1, 4096, k)

@@ -21,6 +21,7 @@ from salemkit.equidist import (
 )
 
 from test_cantor import small_plans
+from test_formats import EDGE_DOUBLES, complex_abs
 
 LOG23 = math.log(2) / math.log(3)
 INT64_MAX = 2**63 - 1
@@ -258,6 +259,24 @@ class TestEquidistOrder:
         mods = weyl_moduli(approx.cells, approx.N, ms)
         for m, mod in zip(ms, mods):
             assert mod == pytest.approx(naive_weyl_modulus([Fraction(c, 32) for c in approx.cells], m), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(EDGE_DOUBLES))] * 2), min_size=1, max_size=16),
+        d=st.integers(1, 5),
+    )
+    @example(parts=[(0.0, -0.0), (-0.0, 5e-324), (math.inf, math.nan), (math.nan, 1.0), (0.6, 0.8)], d=1)
+    @example(parts=[(1.7976931348623157e308, 1.7976931348623157e308), (0.0, math.nan)], d=1)
+    def test_moduli_are_complex_abs(self, parts, d):
+        # any sums of d cells, through the patched kernel: each modulus is
+        # complex abs of the normalized sum to the bit, and inf where abs
+        # overflows
+        sums = np.array([complex(re, im) for re, im in parts])
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(equidist, "exp_sum", lambda cells, N, ms: sums.copy())
+            mods = weyl_moduli(range(d), d, range(len(sums)))
+            want = [complex_abs(v) for v in (sums / d).tolist()]
+        assert [m.hex() for m in mods.tolist()] == [w.hex() for w in want]
 
     @pytest.mark.parametrize("N", [2**31 + 1, 2**62 + 3])
     def test_moduli_beyond_int32(self, N):

@@ -32,6 +32,11 @@ def mu1(cells, N1, beta, u):
     return complex(mu1_hat(cells, N1, beta, [u])[0])
 
 
+def below(values, bounds):
+    """Whether every |value| is below its bound, by scalar complex abs."""
+    return all(abs(v) < b for v, b in zip(values.tolist(), bounds))
+
+
 def naive_mu1(cells, N1, beta, u):
     # oracle: exact integral of e^{-2 pi i u x} / p over each white cell,
     # with every phase u*c/N1 reduced mod 1 as a Fraction
@@ -514,7 +519,7 @@ class TestLemma63:
             bounds = epsilon * np.arange(2, u_max + 1, dtype=float) ** ((beta - 1.0) / 2.0)
             # the cells from the build-all-children oracle, not the experiment's refinement
             stage1 = [reference_refine(cfg, t)[0] for t in range(trials)]
-            hits = sum(bool(np.all(np.abs(mu1_hat(cells, N1, beta, us)) < bounds)) for cells in stage1)
+            hits = sum(below(mu1_hat(cells, N1, beta, us), bounds) for cells in stage1)
             got = lemma63_experiment(cfg, epsilon, u_max).satisfied_fraction
             assert got == hits / trials
             if fraction is None:
@@ -541,6 +546,18 @@ class TestLemma63:
                             "--seed", str(SEED), "--spectrum", str(tmp_path / "s.csv"),
                             "--output", str(tmp_path / "l.json")]) == 0
         assert calls == [60, 1]
+
+    def test_moduli_are_complex_abs(self, monkeypatch):
+        # transforms on the bound at u = 2, in every direction: a trial
+        # passes exactly when complex abs of its value is below the bound
+        cfg = RandomFractalConfig(0.5, (16,), 1, 200, SEED)
+        bound = np.arange(2, 3, dtype=float) ** ((cfg.beta - 1.0) / 2.0)
+        angles = np.random.default_rng(3).uniform(0, 2 * np.pi, cfg.trials)
+        vals = (bound * np.exp(1j * angles))[:, None]
+        monkeypatch.setattr(randfrac, "_mu1_hats", lambda *args: vals)
+        want = sum(below(row, bound) for row in vals) / cfg.trials
+        assert 0 < want < 1
+        assert lemma63_experiment(cfg, 1.0, 2).satisfied_fraction == want
 
     def test_u_max_validated(self):
         cfg = RandomFractalConfig(0.5, (64,), 1, 5, SEED)
@@ -730,9 +747,8 @@ class TestSharedTrials:
     @example(config=RandomFractalConfig(0.9, (4, 4, 4), 3, 6, 5))  # extinct trials
     @settings(max_examples=40, deadline=None)
     def test_shared_trials_keep_their_bits(self, config):
-        # at 1, 2 and 4 threads, with a fresh pool each, the experiments
-        # give the serial loops' numbers by ==, and refuse M < 16 exactly
-        # when the loop does
+        # at 1, 2 and 4 threads, the experiments give the serial loops'
+        # numbers by ==, and refuse M < 16 exactly when the loop does
         dims, extinct = serial_dimension(config)
         try:
             alphas, refusal = serial_alphas(config), None
@@ -741,21 +757,16 @@ class TestSharedTrials:
         for workers in (1, 2, 4):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core_sets, "_WORKERS", workers)
-                mp.setattr(core_sets, "_executor", None)
-                try:
-                    stats = dimension_experiment(config)
-                    assert stats.dims == dims
-                    assert stats.extinct == extinct
-                    if refusal is not None:
-                        with pytest.raises(ValueError, match=f"^{refusal}$"):
-                            order_experiment(config)
-                        continue
-                    orders = order_experiment(config)
-                    assert orders.alphas == tuple(alphas)
-                    assert orders.median_alpha == (statistics.median(alphas) if alphas else None)
-                finally:
-                    if core_sets._executor is not None:
-                        core_sets._executor.shutdown()
+                stats = dimension_experiment(config)
+                assert stats.dims == dims
+                assert stats.extinct == extinct
+                if refusal is not None:
+                    with pytest.raises(ValueError, match=f"^{refusal}$"):
+                        order_experiment(config)
+                    continue
+                orders = order_experiment(config)
+                assert orders.alphas == tuple(alphas)
+                assert orders.median_alpha == (statistics.median(alphas) if alphas else None)
 
     @given(
         beta=st.sampled_from([0.0, 0.5, 0.9]),
@@ -766,16 +777,16 @@ class TestSharedTrials:
     @example(beta=0.9, N1=16, trials=9, seed=7)  # extinct trials
     @settings(max_examples=30, deadline=None)
     def test_shared_lemma_draws_keep_their_bits(self, beta, N1, trials, seed):
-        # at 1, 2 and 4 threads, with a fresh pool each, lemma 6.3 draws
-        # the stage-1 cells of a serial _refine loop and sums them to the
-        # bits of one serial _mu1_hats call, so its fraction is the loop's
+        # at 1, 2 and 4 threads, lemma 6.3 draws the stage-1 cells of a
+        # serial _refine loop and sums them to the bits of one serial
+        # _mu1_hats call, so its fraction is the loop's
         cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
         us = range(2, 17)
         stage1 = [randfrac._refine(cfg, t)[0] for t in range(trials)]
         mu1_hats = randfrac._mu1_hats
         want = mu1_hats(stage1, N1, beta, us)
         bounds = np.arange(2, 17, dtype=float) ** ((beta - 1.0) / 2.0)
-        fraction = int(np.count_nonzero(np.all(np.abs(want) < bounds, axis=1))) / trials
+        fraction = sum(below(row, bounds) for row in want) / trials
         for workers in (1, 2, 4):
             seen = []
 
@@ -785,13 +796,8 @@ class TestSharedTrials:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core_sets, "_WORKERS", workers)
-                mp.setattr(core_sets, "_executor", None)
                 mp.setattr(randfrac, "_mu1_hats", spy)
-                try:
-                    assert lemma63_experiment(cfg, 1.0, 16).satisfied_fraction == fraction
-                finally:
-                    if core_sets._executor is not None:
-                        core_sets._executor.shutdown()
+                assert lemma63_experiment(cfg, 1.0, 16).satisfied_fraction == fraction
             (cells, vals), = seen
             assert len(cells) == trials
             assert all(np.array_equal(c, s) and c.dtype == np.int64 for c, s in zip(cells, stage1))
@@ -799,15 +805,14 @@ class TestSharedTrials:
 
     def test_second_thread_costs_one_block_pair(self, monkeypatch):
         # at W = 2 the calling thread allocates one more residue and phase
-        # block pair, for the pool thread, whose trials' draws and
+        # block pair, for the second thread, whose trials' draws and
         # keep-masks fill it in place, and one more for the slabs that the
-        # pool thread takes of the grouped exp_sums call after them.  Beside
-        # the pair, the peak may hold what a second thread holds at once: a
-        # trial's cells, and the two buffers of np.getbufsize() int64
-        # entries that numpy's ufunc iterator takes for exp_sums' outer
-        # product of rows shorter than that (none of them is one of the
-        # blocks).  The pool's thread and the unit-root table are built
-        # before the peaks.
+        # second thread takes of the grouped exp_sums call after them.
+        # Beside the pair, the peak may hold what a second thread holds at
+        # once: a trial's cells, and the two buffers of np.getbufsize()
+        # int64 entries that numpy's ufunc iterator takes for exp_sums'
+        # outer product of rows shorter than that (none of them is one of
+        # the blocks).  The unit-root table is built before the peaks.
         cfg = RandomFractalConfig(0.25, (16, 16, 16), 3, 8, SEED)
         peaks = {}
         for workers in (1, 2):
