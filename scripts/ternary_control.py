@@ -42,7 +42,8 @@ def main() -> int:
     print(f"box dimension {payload['box_dimension']:.4f}, decay alpha "
           f"{decay.alpha_hat:.4f}, order alpha {order.alpha:.4f}")
     if args.spectrum:
-        atomic_write_text(args.spectrum, spectrum_csv(decay.spectrum, freq_label="u"))
+        us, values = zip(*decay.spectrum)
+        atomic_write_text(args.spectrum, spectrum_csv(us, values, freq_label="u"))
     write_report(payload, args.output)
     return 0
 

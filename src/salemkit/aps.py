@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core_sets import _CHUNK, _INT64_MAX, IntegerSet, as_integers, dft_char, fractional_density, geometric_grid
+from .core_sets import _CHUNK, _INT64_MAX, IntegerSet, as_integers, dft_values, fractional_density, geometric_grid
 
 
 class APWitness(NamedTuple):
@@ -261,11 +261,12 @@ def check_thm32_hypotheses(A: IntegerSet, beta: float, C: float) -> HypothesisRe
     alpha_hat = dens.exponent
     density_ok = alpha_hat > 0.5
     exponent_ok = beta > 2 - 2 * alpha_hat
-    spectrum = dft_char(A, geometric_grid(1, A.horizon - 1, 8, integers=True))
+    ks = geometric_grid(1, A.horizon - 1, 8, integers=True)
+    values = dft_values(A, ks)
+    # np.hypot of the parts is the float complex abs returns.
+    moduli = np.hypot(values.real, values.imag).tolist()
     violations = tuple(
-        int(s.frequency)
-        for s in spectrum
-        if s.frequency >= 1 and abs(s.value) > C * (s.frequency * A.horizon) ** (-beta / 2) + 1e-15
+        int(f) for f, mag in zip(map(float, ks), moduli) if f >= 1 and mag > C * (f * A.horizon) ** (-beta / 2) + 1e-15
     )
     ap_found = bool(find_ap_integers(A, 3, first_only=True))
     failed = []

@@ -65,11 +65,12 @@ def cmd_dft(args) -> int:
         freqs = list(range(A.horizon))
     else:
         freqs = core_sets.geometric_grid(1, A.horizon - 1, args.per_octave, integers=True)
-    samples = core_sets.dft_char(A, freqs)
+    values = core_sets.dft_values(A, freqs)
     if args.format == "csv":
-        formats.write_text(args.output, formats.spectrum_csv(samples, freq_label="m"))
+        formats.write_text(args.output, formats.spectrum_csv(freqs, values, freq_label="m"))
     else:
-        spectrum = [{"m": s.frequency, "re": s.value.real, "im": s.value.imag, "abs": abs(s.value)} for s in samples]
+        columns = zip(map(float, freqs), values.real.tolist(), values.imag.tolist(), equidist._moduli(values).tolist())
+        spectrum = [{"m": m, "re": re, "im": im, "abs": mag} for m, re, im, mag in columns]
         formats.write_report({"spectrum": spectrum}, args.output)
     return 0
 
@@ -101,7 +102,8 @@ def cmd_measure_decay(args) -> int:
     beta = args.beta if args.beta is not None else plan.beta
     report = measures.decay_check(plan, grid, beta, args.tolerance)
     if args.spectrum:
-        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(report.spectrum, freq_label="u"))
+        us, values = zip(*report.spectrum)
+        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(us, values, freq_label="u"))
     formats.write_report(report, args.output)
     return 0 if report.passed or not args.strict else 1
 
@@ -187,8 +189,7 @@ def cmd_lemma63(args) -> int:
     if args.spectrum:
         us = range(1, args.u_max + 1)
         values = randfrac.mu1_hat(randfrac._refine(config, 0)[0], args.n1, config.beta, us)
-        samples = list(map(core_sets.SpectrumSample, map(float, us), values.tolist()))
-        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(samples, freq_label="u"))
+        formats.atomic_write_text(args.spectrum, formats.spectrum_csv(us, values, freq_label="u"))
     formats.write_report(report, args.output)
     return 0
 

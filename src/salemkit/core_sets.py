@@ -128,10 +128,10 @@ class DensityEstimate:
 
 
 class SpectrumSample(NamedTuple):
-    """One row of a spectrum: a frequency and the complex value there.  A
-    tuple, so a list of rows splits into its two columns by ``zip``, and
-    callers build the rows from whole columns with ``map(SpectrumSample,
-    ...)``."""
+    """One row of a spectrum: a frequency and the complex value there, as
+    :func:`dft_char` and ``measures.decay_check`` give them.  A tuple, so
+    a list of rows splits into the two columns that
+    ``formats.spectrum_csv`` takes by ``zip``."""
 
     frequency: float
     value: complex
@@ -189,9 +189,17 @@ def density_fit(samples: Sequence[tuple[int, int]]) -> tuple[float, float, bool]
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares line through (log x, log y) over positive (x, y) pairs:
-    its slope and the RMS misfit of the logs around it."""
-    x = np.log([p for p, _ in points])
-    y = np.log([q for _, q in points])
+    its slope and the RMS misfit of the logs around it.
+
+    Each log is taken of the coordinate's correctly rounded double, the
+    value numpy's int64 and uint64 casts give below 2**64, so an int past
+    2**64 is read like any other; one past the double range raises
+    ``ValueError``."""
+    try:
+        x = np.log([float(p) for p, _ in points])
+        y = np.log([float(q) for _, q in points])
+    except OverflowError as exc:
+        raise ValueError("log-log fit coordinates must lie within the double range") from exc
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
 
@@ -420,22 +428,22 @@ def _reduce(values: Sequence[int], D: int) -> np.ndarray:
     return np.asarray([int(v) % D for v in values], dtype=object)
 
 
-def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
-    """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N}, one
-    :class:`SpectrumSample` (float(k), value) per frequency k.
+def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
+    """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N} at
+    each integer frequency k of ``freqs``, as one complex array: the value
+    column of the spectrum whose frequency column is ``freqs``.
 
     Sparse sum over the members only, so the cost is |A| per frequency.
     Phases are reduced to (k*n) mod N exactly by :func:`exp_sum` at every
     horizon, so integral phases contribute exactly 1.  Each sum s is
     normalized as the scalar ``complex(s) / N`` is: CPython divides by the
     complex (float(N), 0.0), which gives the parts (re + im*0.0) / N and
-    (im - re*0.0) / N, written out here on the arrays of parts.  The rows
-    are built from the ``tolist`` columns, without a Python loop per row.
+    (im - re*0.0) / N, written out here on the arrays of parts.
     """
     N = A.horizon
     ks = as_integers(freqs, "freqs")
     if not ks:
-        return []
+        return np.zeros(0, dtype=complex)
     if min(ks) < 0 or max(ks) >= N:
         k = next(k for k in ks if not 0 <= k < N)
         raise ValueError(f"frequency {k} outside [0, {N})")
@@ -443,7 +451,14 @@ def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
     n = float(N)
     re, im = values.real, values.imag
     values.real, values.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
-    return list(map(SpectrumSample, map(float, ks), values.tolist()))
+    return values
+
+
+def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:
+    """:func:`dft_values` as rows: one :class:`SpectrumSample` (float(k),
+    value) per frequency k, built from the ``tolist`` columns."""
+    ks = as_integers(freqs, "freqs")
+    return list(map(SpectrumSample, map(float, ks), dft_values(A, ks).tolist()))
 
 
 def weyl_sum(points: Sequence[Fraction], m: int) -> complex:

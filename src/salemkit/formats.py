@@ -5,10 +5,11 @@ are canonical: sorted keys, floats at 12 significant digits, no
 environment- or clock-dependent content.  Writes are atomic (temp file
 then rename) so partially written reports are never observed.  A CSV
 export is built as one string from columns, not from a Python object per
-field: a spectrum's rows by one ``%`` format over its zipped columns of
-frequencies, parts and moduli, and the witness rows of an int64 search
-by a numpy decimal render of runs of its blocks, which also prints the
-int64 stages of a trial dump.  An integer set file in the form
+field: a spectrum, which its callers hand over as its two columns of
+frequencies and complex values, by one ``%`` format over the zipped
+columns of frequencies, parts and moduli, and the witness rows of an
+int64 search by a numpy decimal render of runs of its blocks, which also
+prints the int64 stages of a trial dump.  An integer set file in the form
 :func:`save_integer_set` writes is read in one pass.
 """
 
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
-from .core_sets import IntegerSet, NApproximation, SpectrumSample
+from .core_sets import IntegerSet, NApproximation
 
 
 class FormatError(ValueError):
@@ -301,24 +302,27 @@ def load_points(path) -> list[Fraction]:
 # CSV exports.
 
 
-def spectrum_csv(samples: Iterable[SpectrumSample], *, freq_label: str = "m") -> str:
-    """One row per sample, by one % format over the zipped columns of
-    frequencies, real and imaginary parts and moduli: %d prints an integral
-    frequency as int() does, and "%.12g" % x is format(x, ".12g"), which is
-    what fmt_float prints.  The row format is chosen row by row only when
-    some frequency is not integral.  The moduli are ``np.hypot`` of the
-    parts, the libm ``hypot`` that CPython's complex ``abs`` calls, so each
-    is the float ``abs`` returns, and "inf" where ``abs`` would overflow."""
+def spectrum_csv(freqs: Sequence, values: Sequence[complex], *, freq_label: str = "m") -> str:
+    """One row per frequency of a spectrum held as two columns, its
+    frequencies and their complex values, by one % format over the zipped
+    columns of frequencies, real and imaginary parts and moduli.  Each
+    frequency is printed as ``float`` of it: %d prints an integral one as
+    int() does, and "%.12g" % x is format(x, ".12g"), which is what
+    fmt_float prints.  The row format is chosen row by row only when some
+    frequency is not integral.  The moduli are ``np.hypot`` of the parts,
+    the libm ``hypot`` that CPython's complex ``abs`` calls, so each is the
+    float ``abs`` returns, and "inf" where ``abs`` would overflow."""
     head = f"{freq_label},re,im,abs\n"
-    rows = list(samples)
-    if not rows:
+    if not len(freqs):
         return head
-    freqs, values = zip(*rows)
-    v = np.array(values, dtype=complex)
+    fs = list(map(float, freqs))
+    v = np.asarray(values, dtype=complex)
+    if len(v) != len(fs):
+        raise ValueError("a spectrum needs one value per frequency")
     with np.errstate(over="ignore"):
         moduli = np.hypot(v.real, v.imag)
-    columns = zip(freqs, v.real.tolist(), v.imag.tolist(), moduli.tolist())
-    f = np.array(freqs, dtype=float)
+    columns = zip(fs, v.real.tolist(), v.imag.tolist(), moduli.tolist())
+    f = np.array(fs)
     integral = np.isfinite(f) & (np.floor(f) == f)
     if integral.all():
         return head + "".join(map(_INTEGRAL_ROW.__mod__, columns))

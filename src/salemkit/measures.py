@@ -224,9 +224,11 @@ def decay_check(
     Each grid frequency is sampled as given (a ``Fraction`` exactly); the
     report lists it as an int or a float.  The complex samples are kept on
     the report's ``spectrum``, one :class:`SpectrumSample` (float(u),
-    value) per frequency, built from the ``tolist`` columns.  The moduli
-    are ``np.hypot`` of the parts, the libm ``hypot`` that CPython's
-    complex ``abs`` calls, so each is the float ``abs(value)`` returns."""
+    value) per frequency, built from the ``tolist`` columns; a spectrum
+    file takes them unzipped, as ``formats.spectrum_csv``'s frequency and
+    value columns.  The moduli are ``np.hypot`` of the parts, the libm
+    ``hypot`` that CPython's complex ``abs`` calls, so each is the float
+    ``abs(value)`` returns."""
     grid = sorted(u_grid)
     if not grid:
         raise ValueError("empty u grid")

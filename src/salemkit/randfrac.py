@@ -8,16 +8,16 @@ are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
 walks the same trial stream, trials 0..trials-1, in one loop: its trials
 are drawn through ``core_sets._share``, shared among threads, and the
-lemma-6.3 experiment then scores every trial it drew with one grouped
-``core_sets.exp_sums`` call, whose slabs are shared among the threads too.
-The order experiment draws and scores its trials the same way in batches
-of whole trials, one call per batch, so that it holds at most about
-``_BATCH_CELLS`` final-stage cells at a time.  Each trial is a pure
-function of (config, t), so every statistic is the same whichever thread
-draws it, and the draws and keep-masks of a trial fill blocks that the
-experiment's calling thread allocated.  Each stage draws its keep-mask
-first, in blocks, from the trial's one stream, and builds only the
-surviving cells.  Each experiment builds only what it reads, and every
+lemma-6.3 and order experiments score them in batches of whole trials,
+each batch with one grouped ``core_sets.exp_sums`` call, whose slabs are
+shared among the threads too.  A batch holds at most about
+``_LEMMA_BATCH_ENTRIES`` stage-1 cells and transform values, or
+``_BATCH_CELLS`` final-stage cells, at their expected counts.  Each
+trial is a pure function of (config, t), so every statistic is the same
+whichever thread draws it, and the draws and keep-masks of a trial fill
+blocks that the experiment's calling thread allocated.  Each stage draws
+its keep-mask first, in blocks, from the trial's one stream, and builds
+only the surviving cells.  Each experiment builds only what it reads, and every
 trial is read as the int64 arrays of its stages: the lemma-6.3
 experiment reads the first stage, order trials are scored from the final
 stage against the one frequency sweep of their resolution, and a dumped
@@ -48,6 +48,11 @@ from .equidist import _finest_fit, _moduli, _sweep
 # cells over 50 trials) take one call each; a 64**4 run at beta 0.25 takes
 # 2 of its 262k-cell trials a call.
 _BATCH_CELLS = 5 << 17
+# Entries that lemma 6.3 holds for one batch of trials, counting each
+# trial's expected N_1**(1 - beta) stage-1 cells and its row of
+# transform values.  The benchmark's 200-trial runs (at most 127 entries
+# a trial) take one batch each.
+_LEMMA_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,7 @@ def mu1_hat(cells: np.ndarray, N1: int, beta: float, us: Sequence) -> np.ndarray
 def _mu1_hats(stage1: Sequence[np.ndarray], N1: int, beta: float, us: Sequence) -> np.ndarray:
     """:func:`mu1_hat` of every trial's cells in ``stage1``, one row per
     trial, from one :func:`exp_sums` call over them all.  The frequencies
-    are reduced once, for every trial.
+    are reduced once per call, for every trial of it.
 
     Each sum s is closed with its factor f and p as the scalar
     ``complex(s) * f / p`` is: CPython's complex product, then its quotient
@@ -331,6 +336,13 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
     difference is |mu1_hat| itself.  Requires u_max <= N_1.  Every trial is
     scored, extinct ones included: an empty trial has the zero transform,
     so it passes exactly when epsilon1 > 0.
+
+    The trials are drawn and scored in batches of whole trials, one
+    :func:`_mu1_hats` call per batch, so that the memory held does not grow
+    with the trial count.  A batch takes as many trials as
+    ``_LEMMA_BATCH_ENTRIES`` holds at the expected N_1**(1 - beta) cells and
+    the u_max - 1 values a trial.  Each trial is its own group of the call,
+    so its row has the same bits in any batch.
     """
     if config.depth != 1:
         raise ValueError("the single-stage check needs a depth-1 config")
@@ -339,9 +351,13 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
         raise ValueError("u_max must lie in [2, N_1]")
     us = range(2, u_max + 1)
     bounds = epsilon1 * np.arange(2, u_max + 1, dtype=float) ** ((config.beta - 1.0) / 2.0)
-    stage1 = _share(lambda t: _refine(config, t)[0], config.trials, _CHUNK)
-    vals = _mu1_hats(stage1, N1, config.beta, us)
-    satisfied = int(np.count_nonzero(np.all(_moduli(vals) < bounds, axis=1)))
+    batch = max(1, int(_LEMMA_BATCH_ENTRIES // (N1 ** (1.0 - config.beta) + len(us))))
+    satisfied = 0
+    for lo in range(0, config.trials, batch):
+        trials = range(lo, min(lo + batch, config.trials))
+        stage1 = _share(lambda i: _refine(config, trials[i])[0], len(trials), _CHUNK)
+        vals = _mu1_hats(stage1, N1, config.beta, us)
+        satisfied += int(np.count_nonzero(np.all(_moduli(vals) < bounds, axis=1)))
     return LemmaCheckReport(
         N1=N1,
         epsilon1=float(epsilon1),

@@ -9,6 +9,7 @@ from salemkit.core_sets import IntegerSet
 from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set
 from salemkit.generators import squares_below
 from test_aps import loop_runs
+from test_core_sets import math_log_fit
 
 
 def run(*argv):
@@ -159,6 +160,63 @@ class TestExitCodes:
         save_integer_set(A, path)
         assert run("thm32-check", "--input", str(path), "--beta", "0.7") == 0
         assert run("thm32-check", "--input", str(path), "--beta", "0.7", "--strict") == 1
+
+
+# The hand-written set of CI's past-int64 spectra, with horizon 2**64 + 13.
+PAST_2P63 = (0, 3, 4294967297, 9223372036854775807, 9223372036854775808, 9223372036854775813, 18446744073709551617)
+
+
+class TestPast2p64:
+    """density, thm32-check and characterize fit checkpoints and sizes at
+    and past 2**64, which np.log could not read as Python ints."""
+
+    @pytest.fixture
+    def past_2p63(self, tmp_path):
+        path = tmp_path / "past_2p63_set.txt"
+        save_integer_set(IntegerSet(PAST_2P63, 2**64 + 13), path)
+        return path
+
+    @staticmethod
+    def fit(grid):
+        # oracle: counts by brute force, then the math.log fit, clamped
+        samples = [(n, sum(1 for a in PAST_2P63 if a < n)) for n in grid]
+        slope, resid = math_log_fit([(n, c) for n, c in samples if c > 0])
+        return samples, min(1.0, max(0.0, slope)), resid
+
+    def test_density(self, past_2p63, tmp_path):
+        out = tmp_path / "density.json"
+        assert run("density", "--input", str(past_2p63), "--output", str(out)) == 0
+        report = json.loads(out.read_text())
+        samples, exponent, resid = self.fit([2**j for j in range(2, 65)] + [2**64 + 13])
+        assert [tuple(s) for s in report["samples"]] == samples
+        assert report["exponent"] == pytest.approx(exponent, rel=1e-10)
+        assert report["residual"] == pytest.approx(resid, rel=1e-9)
+
+    def test_thm32_check(self, past_2p63, tmp_path):
+        out = tmp_path / "thm32.json"
+        assert run("thm32-check", "--input", str(past_2p63), "--beta", "1", "--C", "1", "--output", str(out)) == 0
+        report = json.loads(out.read_text())
+        _, exponent, _ = self.fit([2**j for j in range(1, 64)] + [2**64 + 13])
+        assert report["alpha_hat"] == pytest.approx(exponent, rel=1e-10)
+        assert report["failed"] == ["density", "exponent-relation"]
+
+    def test_characterize(self, tmp_path):
+        paths = [str(tmp_path / f"approx{e}.txt") for e in (60, 66, 70)]
+        for e, path in zip((60, 66, 70), paths):
+            assert run("approximate", "--points", "1/3,2/3,5/7", "--N", str(2**e), "--output", path) == 0
+        out = tmp_path / "characterize.json"
+        assert run("characterize", "--inputs", *paths, "--beta", "0.5", "--output", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert [s["N"] for s in report["density_exponents"]] == [2**60, 2**66, 2**70]
+        assert [s["count"] for s in report["density_exponents"]] == [3, 3, 3]
+        assert report["beta_hat"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_past_the_double_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        save_integer_set(IntegerSet((0, 1, 5), 2**1100), path)
+        assert run("density", "--input", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("salemkit:") and "double range" in err and "Traceback" not in err
 
 
 class TestApFind:

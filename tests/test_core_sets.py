@@ -23,15 +23,17 @@ from salemkit.core_sets import (
     SpectrumSample,
     decay_exponent_fit,
     dft_char,
+    dft_values,
     exp_sum,
     exp_sums,
     fractional_density,
     geometric_grid,
+    loglog_fit,
     weyl_sum,
 )
 from salemkit.aps import dyadic_embed
 from salemkit.equidist import NApproximation, characterize_salem, equidist_order, integers_from_approximations
-from salemkit.generators import power_law_set
+from salemkit.generators import power_law_set, quadratic_residues
 from salemkit.randfrac import RandomFractalConfig, _refine
 
 
@@ -215,6 +217,54 @@ class TestFractionalDensity:
         assert counts == sorted(counts)
 
 
+def math_log_fit(points):
+    """Oracle: the least-squares slope of log y against log x and the RMS
+    misfit of the logs around the line, by math.log and Python floats."""
+    x = [math.log(p) for p, _ in points]
+    y = [math.log(q) for _, q in points]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x)
+    resid = math.sqrt(sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y)) / len(x))
+    return slope, resid
+
+
+class TestLogLogFit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1)), min_size=2, max_size=12,
+                    unique_by=lambda p: float(p[0])))
+    def test_ints_below_2_64_read_as_numpy_casts_them(self, points):
+        # the fit takes the log of each coordinate's correctly rounded
+        # double, which is what np.log of an int64 or uint64 array reads
+        def numpy_log(values):
+            return np.log(np.array(values, dtype=np.uint64 if max(values) > 2**63 - 1 else np.int64))
+
+        x, y = numpy_log([p for p, _ in points]), numpy_log([q for _, q in points])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+        assert [v.hex() for v in loglog_fit(points)] == [float(slope).hex(), resid.hex()]
+
+    def test_past_2_64_matches_math_log(self):
+        points = [(2**60, 3), (2**66, 5), (2**70 + 1, 9), (10**30, 40)]
+        slope, resid = loglog_fit(points)
+        want_slope, want_resid = math_log_fit(points)
+        assert slope == pytest.approx(want_slope, rel=1e-12)
+        assert resid == pytest.approx(want_resid, rel=1e-9)
+
+    def test_past_the_double_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="double range"):
+            loglog_fit([(2, 1), (2**1024, 5)])
+        with pytest.raises(ValueError, match="double range"):
+            fractional_density(IntegerSet((0, 1, 5), 2**1100), [2, 2**1100])
+
+    def test_density_past_2_64(self):
+        A = IntegerSet.from_elements([0, 3, 2**40, 2**63 + 5, 2**64 + 1, 2**70], 2**72 + 9)
+        grid = [2**j for j in range(1, 72)] + [A.horizon]
+        est = fractional_density(A, grid)
+        slope, resid = math_log_fit([(n, c) for n, c in est.samples if c > 0])
+        assert est.exponent == pytest.approx(slope, rel=1e-12)
+        assert est.residual == pytest.approx(resid, rel=1e-9)
+
+
 class TestDftChar:
     def test_full_set_orthogonality(self):
         A = IntegerSet((0, 1, 2, 3), 4)
@@ -337,6 +387,72 @@ class TestDftCharRows:
             dft_char(IntegerSet((0,), 8), [3, -1, 9])
         with pytest.raises(ValueError, match=r"frequency 9 outside \[0, 8\)"):
             dft_char(IntegerSet((0,), 8), [3, 9, -1])
+
+
+def next_prime(n):
+    while n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def qr_sum(p, k):
+    """The closed form of sum_{r in QR(p) with 0} e(-k r / p) at k not 0
+    mod p: (1 + (k/p) * conj(g)) / 2, with the Gauss sum g = sqrt(p) for p
+    = 1 mod 4 and i sqrt(p) for p = 3 mod 4."""
+    legendre = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+    conj_g = math.sqrt(p) if p % 4 == 1 else -1j * math.sqrt(p)
+    return (1 + legendre * conj_g) / 2
+
+
+# Unit roundoff of a double.
+U = 2.0**-53
+
+
+class TestDftValues:
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(3, 10**5).map(next_prime), data=st.data())
+    @example(p=1_000_003, data=None)
+    def test_quadratic_residues_closed_form(self, p, data):
+        # QR(p) with 0 has the Gauss-sum transform at every k != 0.  Each
+        # term's angle (-2 pi / p) * r carries three roundings (pi, the
+        # quotient, the product), at most 3u * 2 pi, and its exp a few ulp;
+        # the pairwise sum of n unit terms adds about u * n * log2(n).
+        A = quadratic_residues(p)
+        n = len(A)
+        assert n == (p + 1) // 2
+        if data is None:
+            ks = [1, 2, 3, 5, 123_456, p - 2, p - 1]
+        else:
+            ks = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=12))
+        values = dft_values(A, [0, *ks])
+        assert values[0] == complex(n / p)
+        tolerance = n * U * (3 * 2 * math.pi + 8 + math.log2(n) + 16) / p
+        for k, value in zip(ks, values[1:].tolist()):
+            assert abs(value - qr_sum(p, k) / p) <= tolerance
+
+    @settings(max_examples=100, deadline=None)
+    @given(A=integer_sets(min_size=1), data=st.data())
+    def test_columns_are_dft_char_rows(self, A, data):
+        ks = data.draw(st.lists(st.integers(0, A.horizon - 1), max_size=20))
+        values = dft_values(A, ks)
+        assert values.dtype == complex and values.shape == (len(ks),)
+        rows = [(float(k).hex(), v.real.hex(), v.imag.hex()) for k, v in zip(ks, values.tolist())]
+        assert rows == hex_rows(dft_char(A, ks))
+
+    @pytest.mark.parametrize("N", [2**53 + 3, 2**64 + 13])
+    def test_columns_are_dft_char_rows_past_2_53(self, N):
+        A = IntegerSet.from_elements([0, 3, 2**32 + 1, N - 2], N)
+        ks = [1, 2, 2**53 + 1, N - 1]
+        values = dft_values(A, ks)
+        rows = [(float(k).hex(), v.real.hex(), v.imag.hex()) for k, v in zip(ks, values.tolist())]
+        assert rows == hex_rows(dft_char(A, ks))
+
+    def test_checks_match_dft_char(self):
+        assert dft_values(IntegerSet((0,), 10**400), []).shape == (0,)
+        with pytest.raises(ValueError, match=r"frequency 9 outside \[0, 8\)"):
+            dft_values(IntegerSet((0,), 8), [3, 9, -1])
+        with pytest.raises(ValueError, match="freqs"):
+            dft_values(IntegerSet((0, 1, 3), 8), [1.5])
 
 
 class TestExpSum:

@@ -590,10 +590,11 @@ class TestReportBytes:
 
 class TestCsv:
     def test_spectrum_header(self):
-        from salemkit.core_sets import SpectrumSample
-
-        text = spectrum_csv([SpectrumSample(2.0, 0.5 + 0j)])
+        text = spectrum_csv([2.0], [0.5 + 0j])
         assert text.splitlines()[0] == "m,re,im,abs"
+        assert spectrum_csv([], np.zeros(0, complex), freq_label="u") == "u,re,im,abs\n"
+        with pytest.raises(ValueError, match="one value per frequency"):
+            spectrum_csv([2, 3], [0.5 + 0j])
 
     @pytest.mark.parametrize("freq_label", ["m", "u"])
     def test_spectrum_bytes_match_field_renderer(self, freq_label):
@@ -601,7 +602,17 @@ class TestCsv:
                  math.nan, math.inf, -math.inf]
         values = [complex(re, im) for re in parts for im in parts]
         samples = [SpectrumSample(f, v) for f in (2.0, 2.5, 1e20, 1e-7, 2**0.5, -0.0, 3, math.inf, math.nan) for v in values]
-        assert spectrum_csv(samples, freq_label=freq_label) == field_spectrum_csv(samples, freq_label)
+        assert spectrum_csv(*zip(*samples), freq_label=freq_label) == field_spectrum_csv(samples, freq_label)
+
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=20))
+    @example([2**53 + 1, 2**53 + 3, 2**63 + 1, 2**64 + 13, 2**64 - 1])
+    @settings(max_examples=100, deadline=None)
+    def test_integer_frequencies_print_as_their_floats(self, ks):
+        # a column of ints prints each k as float(k) prints, as the rows
+        # of dft_char hold it: past 2**53 that is the rounded double
+        values = np.exp(1j * np.arange(len(ks)))
+        samples = [SpectrumSample(float(k), v) for k, v in zip(ks, values.tolist())]
+        assert spectrum_csv(ks, values) == field_spectrum_csv(samples, "m")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=20))
@@ -611,7 +622,9 @@ class TestCsv:
     @example([(math.inf, 0.0, math.nan)] + [(0.0, 0.0, 0.0)] * 10 + [(0.0, 1.8941775056029057e300, 1.7976931348623157e308)])
     def test_spectrum_bytes_match_field_renderer_on_any_doubles(self, rows):
         samples = [SpectrumSample(f, complex(re, im)) for f, re, im in rows]
-        assert spectrum_csv(samples) == field_spectrum_csv(samples, "m")
+        freqs = [f for f, _, _ in rows]
+        values = np.array([complex(re, im) for _, re, im in rows])
+        assert spectrum_csv(freqs, values) == field_spectrum_csv(samples, "m")
 
     @settings(max_examples=300, deadline=None)
     @given(

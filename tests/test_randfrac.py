@@ -547,6 +547,42 @@ class TestLemma63:
                             "--output", str(tmp_path / "l.json")]) == 0
         assert calls == [60, 1]
 
+    @pytest.mark.parametrize("per_batch", [1, 3, 7])
+    def test_small_batches_keep_fraction_and_bits(self, per_batch):
+        # forced batches of 1, 3 and 7 trials (the last one shorter): one
+        # _mu1_hats call a batch, whose rows, stacked, are the bits of one
+        # call over every trial, so the fraction is the one-batch fraction.
+        # The second config has 8 extinct trials of 50.
+        for beta, N1, trials, seed, u_max in [(0.5, 256, 20, SEED, 64), (0.9, 16, 50, 7, 16)]:
+            cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
+            us = range(2, u_max + 1)
+            want = randfrac._mu1_hats([randfrac._refine(cfg, t)[0] for t in range(trials)], N1, beta, us)
+            fraction = lemma63_experiment(cfg, 1.0, u_max).satisfied_fraction
+            mu1_hats = randfrac._mu1_hats
+            seen = []
+
+            def spy(cells, *args):
+                seen.append(mu1_hats(cells, *args))
+                return seen[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                # one entry more than per_batch trials hold, so the float
+                # quotient cannot round below per_batch
+                mp.setattr(randfrac, "_LEMMA_BATCH_ENTRIES", per_batch * (N1 ** (1.0 - beta) + len(us)) + 1)
+                mp.setattr(randfrac, "_mu1_hats", spy)
+                assert lemma63_experiment(cfg, 1.0, u_max).satisfied_fraction == fraction
+            assert [len(v) for v in seen] == [len(range(lo, min(lo + per_batch, trials)))
+                                              for lo in range(0, trials, per_batch)]
+            assert np.array_equal(np.concatenate(seen).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("N1", [256, 1024, 4096])
+    def test_benchmark_runs_take_one_batch(self, monkeypatch, N1):
+        calls = []
+        mu1_hats = randfrac._mu1_hats
+        monkeypatch.setattr(randfrac, "_mu1_hats", lambda cells, *args: calls.append(len(cells)) or mu1_hats(cells, *args))
+        lemma63_experiment(RandomFractalConfig(0.5, (N1,), 1, 200, SEED), 1.0, 64)
+        assert calls == [200]
+
     def test_moduli_are_complex_abs(self, monkeypatch):
         # transforms on the bound at u = 2, in every direction: a trial
         # passes exactly when complex abs of its value is below the bound
