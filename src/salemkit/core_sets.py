@@ -11,11 +11,11 @@ evaluations can run concurrently and results never depend on evaluation
 order.  The module state only picks where a value is computed, never the
 value: one work-sharing helper, ``_share``, runs the items of a call
 (exp_sums' slabs of groups and frequency rows, the random experiments'
-trials) on the calling thread and on threads that a call of more than
-one item starts and joins before it returns.  The threads are the CPUs
-the process may run on, up to 4, the calling thread included; there is
-no setting, and a process started under ``taskset -c 0`` runs every item
-on its calling thread.  The calling thread allocates every buffer that
+trials of more than one block of draws) on the calling thread and on
+threads that a call of more than one item starts and joins before it
+returns.  The threads are the CPUs the process may run on, up to 4,
+the calling thread included; there is no setting, and a process started
+under ``taskset -c 0`` runs every item on its calling thread.  The calling thread allocates every buffer that
 the other threads fill.
 """
 
@@ -348,7 +348,12 @@ def _share(fn: Callable[[int], object], n: int, entries: int) -> list:
     block (complex) of ``entries`` entries, which :func:`_blocks` gives
     it.  The calling thread allocates every pair: a started thread's freed
     blocks would stay in its own malloc arena.  One item, or one CPU,
-    starts no thread.  After an item raises, no thread takes another, and
+    starts no thread.  An item is worth a thread only when numpy, which
+    releases the GIL, does most of its work: exp_sums' slabs of up to
+    2**16 phases, and random trials whose draws fill more than one block
+    on average.  Smaller trials are mostly GIL-held Python, so two threads
+    slow each other down, and ``randfrac`` draws them on its calling
+    thread instead.  After an item raises, no thread takes another, and
     the first exception is raised once every thread has joined.
     """
     threads = 1 if n < 2 else min(_WORKERS, n)
@@ -438,7 +443,9 @@ def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
     horizon, so integral phases contribute exactly 1.  Each sum s is
     normalized as the scalar ``complex(s) / N`` is: CPython divides by the
     complex (float(N), 0.0), which gives the parts (re + im*0.0) / N and
-    (im - re*0.0) / N, written out here on the arrays of parts.
+    (im - re*0.0) / N, written out here on the arrays of parts.  A
+    horizon past the double range has no float(N) and raises
+    ``ValueError`` before any sum is taken.
     """
     N = A.horizon
     ks = as_integers(freqs, "freqs")
@@ -447,8 +454,11 @@ def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
     if min(ks) < 0 or max(ks) >= N:
         k = next(k for k in ks if not 0 <= k < N)
         raise ValueError(f"frequency {k} outside [0, {N})")
+    try:
+        n = float(N)
+    except OverflowError as exc:
+        raise ValueError("the horizon must lie within the double range") from exc
     values = exp_sum(A.elements, N, ks)
-    n = float(N)
     re, im = values.real, values.imag
     values.real, values.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
     return values

@@ -249,6 +249,7 @@ def characterize_salem(
     exponent beta_hat is compared with the equidistribution order.  Verdict:
     salem when |beta_hat - alpha| <= tolerance, salem-type when alpha clears
     SALEM_TYPE_FLOOR but falls short of beta_hat, neither otherwise.
+    An N past the double range has no N**beta and raises ``ValueError``.
     """
     if len(approximations) < 3:
         raise ValueError("need at least 3 approximations")
@@ -256,7 +257,10 @@ def characterize_salem(
     stages = []
     for approx in approximations:
         count = len(approx.cells)
-        c_val = count / approx.N**beta
+        try:
+            c_val = count / approx.N**beta
+        except OverflowError as exc:
+            raise ValueError("approximation sizes must lie within the double range") from exc
         pw = math.log(count) / math.log(approx.N) if count > 0 and approx.N > 1 else 0.0
         stages.append(StageDensity(approx.N, count, c_val, pw))
     c_in_bounds = all(C_BOUNDS[0] <= s.c_value <= C_BOUNDS[1] for s in stages)

@@ -7,17 +7,19 @@ survives unconditionally with probability (N_1*...*N_i)**(-beta).  Trials
 are reproducible: the per-trial stream is seeded by (master_seed,
 trial_index) and is independent of execution order.  Every experiment
 walks the same trial stream, trials 0..trials-1, in one loop: its trials
-are drawn through ``core_sets._share``, shared among threads, and the
-lemma-6.3 and order experiments score them in batches of whole trials,
-each batch with one grouped ``core_sets.exp_sums`` call, whose slabs are
-shared among the threads too.  A batch holds at most about
+are drawn by :func:`_draw_trials`, shared among threads by
+``core_sets._share`` when a trial's expected draws exceed one block and
+drawn on the calling thread otherwise, and the lemma-6.3 and order
+experiments score them in batches of whole trials, each batch with one
+grouped ``core_sets.exp_sums`` call, whose slabs are shared among the
+threads.  A batch holds at most about
 ``_LEMMA_BATCH_ENTRIES`` stage-1 cells and transform values, or
 ``_BATCH_CELLS`` final-stage cells, at their expected counts.  Each
 trial is a pure function of (config, t), so every statistic is the same
-whichever thread draws it, and the draws and keep-masks of a trial fill
-blocks that the experiment's calling thread allocated.  Each stage draws
-its keep-mask first, in blocks, from the trial's one stream, and builds
-only the surviving cells.  Each experiment builds only what it reads, and every
+whichever thread draws it, and the draws and keep-masks of a shared
+trial fill blocks that the experiment's calling thread allocated.  Each
+stage draws its keep-mask first, in blocks, from the trial's one stream,
+and builds only the surviving cells.  Each experiment builds only what it reads, and every
 trial is read as the int64 arrays of its stages: the lemma-6.3
 experiment reads the first stage, order trials are scored from the final
 stage against the one frequency sweep of their resolution, and a dumped
@@ -34,7 +36,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,8 +120,53 @@ class LemmaCheckReport:
 
 
 def trial_rng(config: RandomFractalConfig, trial_index: int) -> np.random.Generator:
-    """Per-trial generator keyed by (master_seed, trial_index)."""
-    return np.random.default_rng([config.master_seed, trial_index])
+    """Per-trial generator keyed by (master_seed, trial_index).
+
+    Its ``SeedSequence`` takes the uint32 words of the two integers, each
+    least significant first, as one array: the words numpy's coercion of
+    the list ``[master_seed, trial_index]`` gives, so the generator state
+    is that of ``default_rng([master_seed, trial_index])``, without the
+    coercion's per-call cost.
+    """
+    words = np.array(_uint32_words(config.master_seed) + _uint32_words(trial_index), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words of the non-negative ``n``, least significant first;
+    0 is the one word 0."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _expected_draws(config: RandomFractalConfig) -> float:
+    """The uniforms one trial draws on average: sum_i N_i * prod_{j<i}
+    N_j**(1 - beta), each stage's size times the expected cells above it."""
+    draws, cells = 0.0, 1.0
+    for size in config.level_sizes[: config.depth]:
+        draws += size * cells
+        cells *= size ** (1.0 - config.beta)
+    return draws
+
+
+def _draw_trials(config: RandomFractalConfig, fn: Callable[[int], object], trials: range) -> list:
+    """[fn(t) for t in trials], each trial drawn whole by one thread.
+
+    The trials are shared among threads by ``core_sets._share`` only when
+    a trial's expected draws exceed one ``_CHUNK`` block, so that numpy's
+    block work, which releases the GIL, outweighs the Python around it:
+    the benchmark's 64**4 dimension trials (about 776k draws each) are
+    shared, its 64**3 order trials and lemma 6.3's stage-1 draws (at most
+    N_1 = 4096) run in a loop on the calling thread.  The choice reads only
+    the config, and each trial is a pure function of (config, t), so
+    either way gives the same values.
+    """
+    if _expected_draws(config) > _CHUNK:
+        return _share(lambda i: fn(trials[i]), len(trials), _CHUNK)
+    return [fn(t) for t in trials]
 
 
 def _trial_fields(config: RandomFractalConfig, trial_index: int) -> dict:
@@ -203,16 +250,24 @@ def _next_stage(
         n = block.size * size
         scratch = _blocks(n)
         if scratch is None:
-            draws, keep = np.empty(n), np.empty(n, dtype=bool)
+            keep = rng.random(n) < p
         else:
             draws, keep = scratch[1].view(np.float64)[:n], scratch[0].view(np.bool_)[:n]
-        np.less(rng.random(out=draws), p, out=keep)
+            np.less(rng.random(out=draws), p, out=keep)
         if count:
             survivors += int(np.count_nonzero(keep))
-        else:
-            idx = np.flatnonzero(keep)
-            blocks.append(block[idx // size] * size + idx % size)
-    return survivors if count else np.concatenate(blocks)
+            continue
+        idx = keep.nonzero()[0]
+        # A block of one parent c (every stage-1 block, where c = 0) needs
+        # no gather: its children are c*size + idx.
+        if block.size > 1:
+            idx = block[idx // size] * size + idx % size
+        elif block[0]:
+            idx += block[0] * size
+        blocks.append(idx)
+    if count:
+        return survivors
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
@@ -227,7 +282,7 @@ def dimension_experiment(config: RandomFractalConfig) -> DimensionStats:
     if M < 2:
         raise ValueError("dimension experiments need a resolution N_1 * ... * N_depth of at least 2")
     # Only the final count is read, so the last stage is counted, not built.
-    finals = _share(functools.partial(_final_count, config), config.trials, _CHUNK)
+    finals = _draw_trials(config, functools.partial(_final_count, config), range(config.trials))
     dims = [math.log(count) / math.log(M) for count in finals if count]
     if dims:
         arr = np.asarray(dims)
@@ -263,15 +318,15 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
 
 def _batch_alphas(config: RandomFractalConfig, trials: range) -> list[float]:
     """The order of each surviving trial of ``trials``: their final stages
-    drawn through ``_share`` and scored by one :func:`exp_sums` call, a row
-    per survivor.  The batch's stages are dropped when this returns, before
+    drawn by :func:`_draw_trials` and scored by one :func:`exp_sums` call,
+    a row per survivor.  The batch's stages are dropped when this returns, before
     the next batch is drawn."""
     # Each final stage is scored as the int64 array _refine returns: its
     # cells are sorted, distinct and below M by construction.  The sweep is
     # built only when a trial survives, so an experiment whose trials all
     # went extinct is not refused at M < 16.
     M = config.resolution()
-    finals = _share(lambda i: _refine(config, trials[i])[-1], len(trials), _CHUNK)
+    finals = _draw_trials(config, lambda t: _refine(config, t)[-1], trials)
     finals = [final for final in finals if final.size]
     if not finals:
         return []
@@ -355,7 +410,7 @@ def lemma63_experiment(config: RandomFractalConfig, epsilon1: float, u_max: int)
     satisfied = 0
     for lo in range(0, config.trials, batch):
         trials = range(lo, min(lo + batch, config.trials))
-        stage1 = _share(lambda i: _refine(config, trials[i])[0], len(trials), _CHUNK)
+        stage1 = _draw_trials(config, lambda t: _refine(config, t)[0], trials)
         vals = _mu1_hats(stage1, N1, config.beta, us)
         satisfied += int(np.count_nonzero(np.all(_moduli(vals) < bounds, axis=1)))
     return LemmaCheckReport(

@@ -218,6 +218,28 @@ class TestPast2p64:
         err = capsys.readouterr().err
         assert err.startswith("salemkit:") and "double range" in err and "Traceback" not in err
 
+    def test_dft_past_the_double_range_exits_1(self, tmp_path, capsys):
+        # the normalization needs float(N), which 2**1100 has not
+        path = tmp_path / "huge.txt"
+        save_integer_set(IntegerSet((0, 1, 5), 2**1100), path)
+        out = tmp_path / "dft.csv"
+        assert run("dft", "--input", str(path), "--freqs", "1,2", "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("salemkit:") and "double range" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_characterize_past_the_double_range_exits_1(self, tmp_path, capsys):
+        # the approximations are written, but their N**beta has no double
+        paths = [str(tmp_path / f"approx{e}.txt") for e in (1030, 1040, 1050)]
+        for e, path in zip((1030, 1040, 1050), paths):
+            assert run("approximate", "--points", "1/3,2/3,5/7", "--N", str(2**e), "--output", path) == 0
+        capsys.readouterr()
+        out = tmp_path / "characterize.json"
+        assert run("characterize", "--inputs", *paths, "--beta", "0.5", "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("salemkit:") and "double range" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestApFind:
     def test_squares_have_3ap(self, squares_file, tmp_path, capsys):

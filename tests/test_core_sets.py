@@ -430,6 +430,24 @@ class TestDftValues:
         for k, value in zip(ks, values[1:].tolist()):
             assert abs(value - qr_sum(p, k) / p) <= tolerance
 
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(3, 400).map(next_prime), t=st.integers(1, 60))
+    @example(q=3, t=1)
+    @example(q=101, t=1000)  # N near 10**10, every product k * s**2 in int64
+    @example(q=3, t=30_000)  # N near 8 * 10**9, products past int64
+    def test_squares_at_a_prime_fraction_of_the_horizon(self, q, t):
+        # The n = qt squares below N = (qt)**2 at k = N/q: each phase
+        # q t**2 s**2 / N is s**2 / q, so the sum is t periods of the Gauss
+        # sum over Z/q, of modulus sqrt(q), and |value| * N / n = 1/sqrt(q).
+        # The sum's error is bounded as in the QR(p) test, n * u * (3 * 2 pi
+        # + 8 + log2(n) + 16); scaling by N / n and taking the modulus add
+        # a few roundings of a ratio below 1.
+        n, N = q * t, (q * t) ** 2
+        A = IntegerSet.from_elements([s * s for s in range(n)], N)
+        (value,) = dft_values(A, [N // q]).tolist()
+        tolerance = U * (3 * 2 * math.pi + 8 + math.log2(n) + 16) + 4 * U
+        assert abs(abs(value) * N / n - 1 / math.sqrt(q)) <= tolerance
+
     @settings(max_examples=100, deadline=None)
     @given(A=integer_sets(min_size=1), data=st.data())
     def test_columns_are_dft_char_rows(self, A, data):

@@ -185,6 +185,22 @@ class TestRefine:
         assert randfrac._final_count(config, 0) == 8
 
 
+class TestTrialRng:
+    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**70))
+    @example(seed=0, t=0)
+    @example(seed=2**32 - 1, t=1)
+    @example(seed=2**32, t=2**32 - 1)
+    @example(seed=2**64 - 1, t=2**32)
+    @example(seed=SEED, t=2**64 + 5)
+    @settings(max_examples=200)
+    def test_state_is_that_of_the_seed_list(self, seed, t):
+        # the generator of the words [seed, t] is numpy's generator of the
+        # list [seed, t], whatever number of words each integer takes
+        config = RandomFractalConfig(0.5, (4,), 1, 1, seed)
+        want = np.random.default_rng([seed, t]).bit_generator.state
+        assert randfrac.trial_rng(config, t).bit_generator.state == want
+
+
 class TestGenerateTrial:
     def test_beta_zero_full_survival(self):
         cfg = RandomFractalConfig(0.0, (4, 4, 4), 3, 1, SEED)
@@ -849,7 +865,11 @@ class TestSharedTrials:
         # int64 entries that numpy's ufunc iterator takes for exp_sums'
         # outer product of rows shorter than that (none of them is one of
         # the blocks).  The unit-root table is built before the peaks.
-        cfg = RandomFractalConfig(0.25, (16, 16, 16), 3, 8, SEED)
+        # Each trial draws 4 + 65,536 * 4**0.5 uniforms on average, more
+        # than one block, so its trials are shared, while its final stages
+        # stay small (about 512 cells a trial).
+        cfg = RandomFractalConfig(0.5, (4, 65536), 2, 8, SEED)
+        assert randfrac._expected_draws(cfg) > _CHUNK
         peaks = {}
         for workers in (1, 2):
             monkeypatch.setattr(core_sets, "_WORKERS", workers)
@@ -862,3 +882,106 @@ class TestSharedTrials:
                 tracemalloc.stop()
             assert got == want
         assert peaks[2] <= peaks[1] + _CHUNK * (8 + 16) + 2 * 8 * np.getbufsize() + (1 << 16)
+
+    @given(config=shared_configs())
+    @example(config=RandomFractalConfig(0.5, (2, 2, 2), 3, 4, 0))  # a survivor at M = 8
+    @example(config=RandomFractalConfig(0.9, (4, 4, 4), 3, 6, 5))  # extinct trials
+    @settings(max_examples=25, deadline=None)
+    def test_trials_past_the_threshold_keep_their_bits(self, config):
+        # with blocks of 4 draws every trial's expected draws exceed one
+        # block, so the trials themselves are shared among 1, 2 and 4
+        # threads, and the experiments give the serial loops' numbers by ==
+        dims, extinct = serial_dimension(config)
+        try:
+            alphas, refusal = serial_alphas(config), None
+        except ValueError as exc:
+            alphas, refusal = None, str(exc)
+        for workers in (1, 2, 4):
+            shared = []
+
+            def spy(fn, n, entries):
+                shared.append(n)
+                return core_sets._share(fn, n, entries)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core_sets, "_WORKERS", workers)
+                mp.setattr(randfrac, "_CHUNK", 4)
+                mp.setattr(randfrac, "_share", spy)
+                stats = dimension_experiment(config)
+                assert shared == [config.trials]
+                assert (stats.dims, stats.extinct) == (dims, extinct)
+                if refusal is not None:
+                    with pytest.raises(ValueError, match=f"^{refusal}$"):
+                        order_experiment(config)
+                    continue
+                assert order_experiment(config).alphas == tuple(alphas)
+                assert shared == [config.trials, config.trials]
+
+    @given(
+        beta=st.sampled_from([0.0, 0.5, 0.9]),
+        N1=st.sampled_from([16, 64, 256]),
+        trials=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(beta=0.9, N1=16, trials=9, seed=7)  # extinct trials
+    @settings(max_examples=20, deadline=None)
+    def test_lemma_draws_past_the_threshold_keep_their_bits(self, beta, N1, trials, seed):
+        # with blocks of 4 draws the N_1 stage-1 draws of a trial exceed
+        # one block, so lemma 6.3 shares its trials, and its fraction is
+        # that of a serial _refine loop
+        cfg = RandomFractalConfig(beta, (N1,), 1, trials, seed)
+        stage1 = [randfrac._refine(cfg, t)[0] for t in range(trials)]
+        want = randfrac._mu1_hats(stage1, N1, beta, range(2, 17))
+        bounds = np.arange(2, 17, dtype=float) ** ((beta - 1.0) / 2.0)
+        fraction = sum(below(row, bounds) for row in want) / trials
+        for workers in (1, 2, 4):
+            shared = []
+
+            def spy(fn, n, entries):
+                shared.append(n)
+                return core_sets._share(fn, n, entries)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core_sets, "_WORKERS", workers)
+                mp.setattr(randfrac, "_CHUNK", 4)
+                mp.setattr(randfrac, "_share", spy)
+                assert lemma63_experiment(cfg, 1.0, 16).satisfied_fraction == fraction
+            assert shared == [trials]
+
+
+class TestDrawThreshold:
+    def test_expected_draws_closed_form(self):
+        # sum_i N_i * prod_{j<i} N_j**(1 - beta), summed stage by stage
+        cfg = RandomFractalConfig(0.25, (64, 64, 64, 64), 4, 1, SEED)
+        want = sum(64 * 64 ** (0.75 * i) for i in range(4))
+        assert randfrac._expected_draws(cfg) == pytest.approx(want, rel=1e-12)
+        assert randfrac._expected_draws(cfg) == pytest.approx(775_735.35, abs=0.01)
+        # only the configured depth counts, and a level of 1 keeps its cell
+        assert randfrac._expected_draws(RandomFractalConfig(0.5, (9, 1, 100), 2, 1, SEED)) == 9 + 3
+        assert randfrac._expected_draws(RandomFractalConfig(0.0, (4, 4), 2, 1, SEED)) == 4 + 16
+
+    # The benchmark's random_fractal steps: random-salem's 64**4
+    # dimension trials share, corollary 6.4's 64**3 orders and lemma 6.3's
+    # stage-1 draws run on the calling thread.
+    BENCHMARK_CONFIGS = [
+        ((0.25, (64, 64, 64, 64), 4, 20), True),
+        ((0.25, (64, 64, 64), 3, 50), False),
+        ((0.5, (64, 64, 64), 3, 50), False),
+        ((0.5, (256,), 1, 200), False),
+        ((0.5, (1024,), 1, 200), False),
+        ((0.5, (4096,), 1, 200), False),
+    ]
+
+    @pytest.mark.parametrize("args, shared", BENCHMARK_CONFIGS)
+    def test_benchmark_configs_side(self, args, shared):
+        assert (randfrac._expected_draws(RandomFractalConfig(*args, SEED)) > _CHUNK) is shared
+
+    @pytest.mark.parametrize("args, shared", BENCHMARK_CONFIGS[:3])
+    def test_draw_trials_takes_the_side(self, args, shared, monkeypatch):
+        calls = []
+        monkeypatch.setattr(randfrac, "_share", lambda fn, n, entries: calls.append(n) or [fn(i) for i in range(n)])
+        cfg = RandomFractalConfig(*args, SEED)
+        trials = range(3, 7)
+        got = randfrac._draw_trials(cfg, lambda t: randfrac._refine(cfg, t)[-1], trials)
+        assert calls == ([4] if shared else [])
+        assert all(np.array_equal(g, randfrac._refine(cfg, t)[-1]) for g, t in zip(got, trials))
