@@ -21,7 +21,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core_sets import _CHUNK, _INT64_MAX, IntegerSet, as_integers, dft_values, fractional_density, geometric_grid
+from .core_sets import (
+    _CHUNK, _INT64_MAX, IntegerSet, _moduli, as_integers, dft_values, fractional_density, geometric_grid,
+)
 
 
 class APWitness(NamedTuple):
@@ -263,8 +265,7 @@ def check_thm32_hypotheses(A: IntegerSet, beta: float, C: float) -> HypothesisRe
     exponent_ok = beta > 2 - 2 * alpha_hat
     ks = geometric_grid(1, A.horizon - 1, 8, integers=True)
     values = dft_values(A, ks)
-    # np.hypot of the parts is the float complex abs returns.
-    moduli = np.hypot(values.real, values.imag).tolist()
+    moduli = _moduli(values).tolist()
     violations = tuple(
         int(f) for f, mag in zip(map(float, ks), moduli) if f >= 1 and mag > C * (f * A.horizon) ** (-beta / 2) + 1e-15
     )

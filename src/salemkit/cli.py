@@ -62,6 +62,8 @@ def cmd_dft(args) -> int:
     if args.freqs:
         freqs = args.freqs
     elif args.all_freqs:
+        if A.horizon > sys.maxsize:
+            raise ValueError(f"--all-freqs cannot list the frequencies below a horizon past {sys.maxsize}")
         freqs = list(range(A.horizon))
     else:
         freqs = core_sets.geometric_grid(1, A.horizon - 1, args.per_octave, integers=True)
@@ -69,7 +71,7 @@ def cmd_dft(args) -> int:
     if args.format == "csv":
         formats.write_text(args.output, formats.spectrum_csv(freqs, values, freq_label="m"))
     else:
-        columns = zip(map(float, freqs), values.real.tolist(), values.imag.tolist(), equidist._moduli(values).tolist())
+        columns = zip(map(float, freqs), values.real.tolist(), values.imag.tolist(), core_sets._moduli(values).tolist())
         spectrum = [{"m": m, "re": re, "im": im, "abs": mag} for m, re, im, mag in columns]
         formats.write_report({"spectrum": spectrum}, args.output)
     return 0

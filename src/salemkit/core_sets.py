@@ -433,6 +433,24 @@ def _reduce(values: Sequence[int], D: int) -> np.ndarray:
     return np.asarray([int(v) % D for v in values], dtype=object)
 
 
+def _moduli(values: np.ndarray) -> np.ndarray:
+    """abs(s) for each complex s: ``np.hypot`` of the parts, the libm
+    ``hypot`` that CPython's complex ``abs`` calls, so each is the float
+    ``abs(s)`` returns (inf where it would overflow), not numpy's ``np.abs``."""
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag)
+
+
+def _quotient(re: np.ndarray, im: np.ndarray, d: float) -> np.ndarray:
+    """Each s = re + im*1j divided by the float ``d`` as ``complex(s) / d``
+    is: CPython divides by the complex (d, 0.0), which gives the parts
+    (re + im*0.0) / d and (im - re*0.0) / d, here on the arrays of parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = (re + im * 0.0) / d
+    out.imag = (im - re * 0.0) / d
+    return out
+
+
 def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
     """Normalized transform (1/N) * sum_{n in A} e^{-2 pi i k n / N} at
     each integer frequency k of ``freqs``, as one complex array: the value
@@ -441,10 +459,8 @@ def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
     Sparse sum over the members only, so the cost is |A| per frequency.
     Phases are reduced to (k*n) mod N exactly by :func:`exp_sum` at every
     horizon, so integral phases contribute exactly 1.  Each sum s is
-    normalized as the scalar ``complex(s) / N`` is: CPython divides by the
-    complex (float(N), 0.0), which gives the parts (re + im*0.0) / N and
-    (im - re*0.0) / N, written out here on the arrays of parts.  A
-    horizon past the double range has no float(N) and raises
+    normalized as the scalar ``complex(s) / N`` is, by :func:`_quotient`.
+    A horizon past the double range has no float(N) and raises
     ``ValueError`` before any sum is taken.
     """
     N = A.horizon
@@ -459,9 +475,7 @@ def dft_values(A: IntegerSet, freqs: Sequence[int]) -> np.ndarray:
     except OverflowError as exc:
         raise ValueError("the horizon must lie within the double range") from exc
     values = exp_sum(A.elements, N, ks)
-    re, im = values.real, values.imag
-    values.real, values.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
-    return values
+    return _quotient(values.real, values.imag, n)
 
 
 def dft_char(A: IntegerSet, freqs: Sequence[int]) -> list[SpectrumSample]:

@@ -3,10 +3,11 @@ estimation, the Salem characterization checker, and the grid-to-integer
 extraction.
 
 An N-approximation records the cells [j/N, (j+1)/N) that meet a target
-set.  The equidistribution order of a sequence of approximations is
-fitted from normalized Weyl sums of the cell fractions over a frequency
-sweep, using the shared bound-fitting estimator on the finest member and
-a uniform-constant fit along the sequence.
+set.  :func:`orders` fits the equidistribution order of each of many sets
+of cells at one N, from one grouped call for their normalized Weyl sums
+over a frequency sweep, with the shared bound-fitting estimator; that of a
+sequence of approximations is its finest member's, lowered by a
+uniform-constant fit along the sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,10 +30,12 @@ from .core_sets import (
     # Defined beside IntegerSet, so that formats reads and writes it
     # without loading this module; re-exported from here.
     NApproximation,
+    _moduli,
     as_integers,
     decay_exponent_fit,
     density_fit,
     exp_sum,
+    exp_sums,
     geometric_grid,
     loglog_fit,
     require_increasing,
@@ -144,12 +147,19 @@ def weyl_moduli(cells: Sequence[int], N: int, ms: Sequence[int]) -> np.ndarray:
     return _moduli(exp_sum(cells, N, ms) / len(cells))
 
 
-def _moduli(sums: np.ndarray) -> np.ndarray:
-    """|s| for each normalized Weyl sum s: ``np.hypot`` of the parts, the
-    libm ``hypot`` that CPython's complex ``abs`` calls, so each is the
-    float ``abs(s)`` returns.  The reports print these moduli, and numpy's
-    complex ``np.abs`` may round differently."""
-    return np.hypot(sums.real, sums.imag)
+def orders(groups: Sequence[Sequence[int]], N: int, m_grid: Sequence[int] | None = None) -> list[OrderEstimate]:
+    """``equidist_order([NApproximation(N, g)], m_grid=m_grid)`` for each
+    group g of cells, from one grouped :func:`exp_sums` call, whose rows
+    have the same bits in any grouping.  An N below 16 is refused before an
+    empty group is; no groups give [] at any N."""
+    if len(groups) == 0:
+        return []
+    ms = _sweep(N, m_grid)
+    if not all(len(g) for g in groups):
+        raise ValueError("empty approximation has no Weyl sums")
+    fs = list(map(float, ms))
+    per_ms = [tuple(zip(fs, _moduli(row / len(g)).tolist())) for row, g in zip(exp_sums(groups, N, ms), groups)]
+    return [OrderEstimate(decay_exponent_fit(per_m), per_m, ORDER_CAP) for per_m in per_ms]
 
 
 def equidist_order(
@@ -159,10 +169,10 @@ def equidist_order(
 ) -> OrderEstimate:
     """Fit the equidistribution order of an approximation sequence.
 
-    Normalized Weyl sums of the finest approximation are swept over integer
-    frequencies up to N-1 (geometric at 6 per octave by default, or an
-    explicit ``m_grid``)
-    and fed to the bound-fitting exponent estimator, which fixes C = 1 in
+    The finest approximation is fitted by :func:`orders`: its normalized
+    Weyl sums are swept over integer frequencies up to N-1 (geometric at 6
+    per octave by default, or an explicit ``m_grid``) and fed to the
+    bound-fitting exponent estimator, which fixes C = 1 in
     |W(m)| <= C m**(-alpha/2).  The default sweep is kept moderate since
     every extra sample can only pull the fitted minimum down.  Per-frequency
     moduli of the finest approximation are retained for audit.
@@ -178,11 +188,11 @@ def equidist_order(
         raise ValueError("need at least one approximation")
     finest = max(approximations, key=lambda a: a.N)
     ms = _sweep(finest.N, m_grid)
-    moduli = weyl_moduli(finest.cells, finest.N, ms)
-    alpha, per_m = _finest_fit(moduli, ms)
-    if len(approximations) >= 2:
-        alpha = min(alpha, _sequence_order(approximations, finest, ms, moduli))
-    return OrderEstimate(alpha, per_m, ORDER_CAP)
+    (estimate,) = orders([finest.cells], finest.N, ms)
+    if len(approximations) < 2:
+        return estimate
+    alpha = _sequence_order(approximations, finest, ms, estimate.per_m_bounds)
+    return replace(estimate, alpha=min(estimate.alpha, alpha))
 
 
 def _sweep(N: int, m_grid: Sequence[int] | None = None) -> list[int]:
@@ -199,23 +209,16 @@ def _sweep(N: int, m_grid: Sequence[int] | None = None) -> list[int]:
     return ms
 
 
-def _finest_fit(moduli: np.ndarray, ms: Sequence[int]) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The bound-fitting order of the finest member's Weyl moduli over the
-    sweep ``ms``, with the per-frequency (m, |W(m)|) pairs it was fitted
-    from."""
-    per_m = tuple((float(m), float(b)) for m, b in zip(ms, moduli))
-    return decay_exponent_fit(per_m), per_m
-
-
 def _sequence_order(
     approximations: Sequence[NApproximation],
     finest: NApproximation,
     ms: Sequence[int],
-    finest_moduli: np.ndarray,
+    finest_bounds: Sequence[tuple[float, float]],
 ) -> float:
     """Order implied by a uniform constant along the sequence, or ORDER_CAP
     when fewer than two approximations have a nonzero peak on their part
-    of the sweep.  Empty approximations have no Weyl sums and are skipped."""
+    of the sweep.  The finest member's moduli are read from its estimate's
+    ``per_m_bounds``; empty approximations have no Weyl sums and are skipped."""
     points = []
     lo = 0.0
     for approx in sorted(approximations, key=lambda a: a.N):
@@ -225,10 +228,9 @@ def _sequence_order(
         if start == stop or not approx.cells:
             continue
         if approx is finest:
-            part = finest_moduli[start:stop]
+            peak = max(b for _, b in finest_bounds[start:stop])
         else:
-            part = weyl_moduli(approx.cells, approx.N, ms[start:stop])
-        peak = float(part.max())
+            peak = float(weyl_moduli(approx.cells, approx.N, ms[start:stop]).max())
         if peak >= ZERO_FLOOR:
             points.append((approx.N, peak))
     if len(points) < 2:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cantor import C_BOUNDS, CantorStage, Level, LevelPlan
-from .core_sets import IntegerSet, NApproximation
+from .core_sets import IntegerSet, NApproximation, _moduli
 
 
 class FormatError(ValueError):
@@ -124,6 +124,15 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of the file at ``path``, decoded as UTF-8 whatever the
+    locale; a file that is not UTF-8 is malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _content_lines(lines: Sequence[str]) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of each line neither blank nor a "#" comment."""
     for lineno, raw in enumerate(lines, 1):
@@ -148,7 +157,7 @@ def load_integer_set(path) -> IntegerSet:
     file (blank or "#" lines, a bad line, an entry not above the one
     before) is read line by line, which gives the same set, or names the
     line at fault."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     head = 1 if lines and lines[0].startswith("# horizon=") else 0
     try:
         return _integer_set(list(map(int, lines[head:])), int(lines[0][10:]) if head else None)
@@ -206,7 +215,7 @@ def load_plan(path) -> LevelPlan:
     beta = None
     c_bounds = C_BOUNDS
     levels: list[Level] = []
-    for lineno, line in _content_lines(Path(path).read_text().splitlines()):
+    for lineno, line in _content_lines(_read_lines(path)):
         if line.startswith("beta="):
             try:
                 beta = float(line.split("=", 1)[1])
@@ -255,7 +264,7 @@ def load_approximation(path) -> NApproximation:
     same whitespace as ``str.strip``; any other file (blank or "#" lines, a
     late "N=" line, a bad line) is read line by line, which gives the same
     result, or names the line at fault."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     if lines and lines[0].startswith("N="):
         try:
             N, cells = int(lines[0][2:]), list(map(int, lines[1:]))
@@ -296,7 +305,7 @@ def save_points(points: Sequence[Fraction], path) -> None:
 
 
 def load_points(path) -> list[Fraction]:
-    return [parse_rational(line) for _, line in _content_lines(Path(path).read_text().splitlines())]
+    return [parse_rational(line) for _, line in _content_lines(_read_lines(path))]
 
 
 # CSV exports.
@@ -309,9 +318,7 @@ def spectrum_csv(freqs: Sequence, values: Sequence[complex], *, freq_label: str 
     frequency is printed as ``float`` of it: %d prints an integral one as
     int() does, and "%.12g" % x is format(x, ".12g"), which is what
     fmt_float prints.  The row format is chosen row by row only when some
-    frequency is not integral.  The moduli are ``np.hypot`` of the parts,
-    the libm ``hypot`` that CPython's complex ``abs`` calls, so each is the
-    float ``abs`` returns, and "inf" where ``abs`` would overflow."""
+    frequency is not integral.  A modulus past the double range is "inf"."""
     head = f"{freq_label},re,im,abs\n"
     if not len(freqs):
         return head
@@ -319,9 +326,7 @@ def spectrum_csv(freqs: Sequence, values: Sequence[complex], *, freq_label: str 
     v = np.asarray(values, dtype=complex)
     if len(v) != len(fs):
         raise ValueError("a spectrum needs one value per frequency")
-    with np.errstate(over="ignore"):
-        moduli = np.hypot(v.real, v.imag)
-    columns = zip(fs, v.real.tolist(), v.imag.tolist(), moduli.tolist())
+    columns = zip(fs, v.real.tolist(), v.imag.tolist(), _moduli(v).tolist())
     f = np.array(fs)
     integral = np.isfinite(f) & (np.floor(f) == f)
     if integral.all():

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .cantor import LevelPlan
-from .core_sets import _INT64_MAX, SpectrumSample, decay_exponent_fit
+from .core_sets import _INT64_MAX, SpectrumSample, _moduli, decay_exponent_fit
 
 # Largest |u| at which the transform is evaluated.  Rejecting larger |u|
 # also keeps infinities out of Fraction(u), which raises OverflowError.
@@ -226,9 +226,7 @@ def decay_check(
     the report's ``spectrum``, one :class:`SpectrumSample` (float(u),
     value) per frequency, built from the ``tolist`` columns; a spectrum
     file takes them unzipped, as ``formats.spectrum_csv``'s frequency and
-    value columns.  The moduli are ``np.hypot`` of the parts, the libm
-    ``hypot`` that CPython's complex ``abs`` calls, so each is the float
-    ``abs(value)`` returns."""
+    value columns."""
     grid = sorted(u_grid)
     if not grid:
         raise ValueError("empty u grid")
@@ -238,7 +236,7 @@ def decay_check(
         raise ValueError(f"grid exceeds the largest supported frequency {U_MAX:g}")
     counts, capped = _factor_counts(plan, grid)
     values = _transform(plan, grid, counts)
-    moduli = np.hypot(values.real, values.imag).tolist()
+    moduli = _moduli(values).tolist()
     samples = [(u if isinstance(u, int) else float(u), mag) for u, mag in zip(grid, moduli)]
     spectrum = list(map(SpectrumSample, map(float, grid), values.tolist()))
     envelope = dyadic_block_envelope(samples)

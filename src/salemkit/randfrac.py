@@ -11,8 +11,8 @@ are drawn by :func:`_draw_trials`, shared among threads by
 ``core_sets._share`` when a trial's expected draws exceed one block and
 drawn on the calling thread otherwise, and the lemma-6.3 and order
 experiments score them in batches of whole trials, each batch with one
-grouped ``core_sets.exp_sums`` call, whose slabs are shared among the
-threads.  A batch holds at most about
+grouped ``core_sets.exp_sums`` call (for orders, ``equidist.orders``'s),
+whose slabs are shared among the threads.  A batch holds at most about
 ``_LEMMA_BATCH_ENTRIES`` stage-1 cells and transform values, or
 ``_BATCH_CELLS`` final-stage cells, at their expected counts.  Each
 trial is a pure function of (config, t), so every statistic is the same
@@ -40,8 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core_sets import _CHUNK, _blocks, _share, as_integers, exp_sums
-from .equidist import _finest_fit, _moduli, _sweep
+from .core_sets import _CHUNK, _blocks, _moduli, _quotient, _share, as_integers, exp_sums
+from .equidist import orders
 
 
 # Final-stage cells that the order experiment holds for one exp_sums call,
@@ -301,7 +301,7 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
     trial went extinct) and the extinct count, against the target 1 - beta.
 
     The trials are drawn and scored in batches of whole trials, one
-    :func:`exp_sums` call per batch, so that at most about ``_BATCH_CELLS``
+    ``equidist.orders`` call per batch, so that at most about ``_BATCH_CELLS``
     final-stage cells are held at once.  A batch takes as many trials as
     that bound holds at the expected M**(1 - beta) cells a trial.  Each
     trial is its own group of the call, so its alpha has the same bits in
@@ -318,21 +318,15 @@ def order_experiment(config: RandomFractalConfig) -> OrderStats:
 
 def _batch_alphas(config: RandomFractalConfig, trials: range) -> list[float]:
     """The order of each surviving trial of ``trials``: their final stages
-    drawn by :func:`_draw_trials` and scored by one :func:`exp_sums` call,
-    a row per survivor.  The batch's stages are dropped when this returns, before
-    the next batch is drawn."""
+    drawn by :func:`_draw_trials` and scored by one ``equidist.orders``
+    call, a group per survivor.  The batch's stages are dropped when this
+    returns, before the next batch is drawn."""
     # Each final stage is scored as the int64 array _refine returns: its
-    # cells are sorted, distinct and below M by construction.  The sweep is
-    # built only when a trial survives, so an experiment whose trials all
-    # went extinct is not refused at M < 16.
-    M = config.resolution()
+    # cells are sorted, distinct and below M by construction.  orders of no
+    # groups builds no sweep, so an experiment whose trials all went
+    # extinct is not refused at M < 16.
     finals = _draw_trials(config, lambda t: _refine(config, t)[-1], trials)
-    finals = [final for final in finals if final.size]
-    if not finals:
-        return []
-    sweep = _sweep(M)
-    sums = exp_sums(finals, M, sweep)
-    return [_finest_fit(_moduli(row / len(final)), sweep)[0] for row, final in zip(sums, finals)]
+    return [est.alpha for est in orders([final for final in finals if final.size], config.resolution())]
 
 
 def mu1_hat(cells: np.ndarray, N1: int, beta: float, us: Sequence) -> np.ndarray:
@@ -355,16 +349,14 @@ def _mu1_hats(stage1: Sequence[np.ndarray], N1: int, beta: float, us: Sequence) 
     trial, from one :func:`exp_sums` call over them all.  The frequencies
     are reduced once per call, for every trial of it.
 
-    Each sum s is closed with its factor f and p as the scalar
-    ``complex(s) * f / p`` is: CPython's complex product, then its quotient
-    by the complex (p, 0.0), written out on arrays so that every row keeps
-    the bits of the scalar loop.
+    Each sum s is closed with its factor f and p with the bits of the
+    scalar ``complex(s) * f / p``: CPython's complex product, written out
+    on arrays, then ``core_sets._quotient``.
     """
-    out = np.zeros((len(stage1), len(us)), dtype=complex)
     sizes = np.array([len(cells) for cells in stage1])
     white = sizes > 0
     if not white.any() or not len(us):
-        return out
+        return np.zeros((len(stage1), len(us)), dtype=complex)
     p = N1 ** (-beta)
     qs = [Fraction(u) for u in us]
     D = math.lcm(*(q.denominator for q in qs))
@@ -374,10 +366,7 @@ def _mu1_hats(stage1: Sequence[np.ndarray], N1: int, beta: float, us: Sequence) 
         [0 if q == 0 else (1 - cmath.exp(-2j * math.pi * float(q) / N1)) / (2j * math.pi * float(q)) for q in qs],
         dtype=complex,
     )
-    re = s.real * f.real - s.imag * f.imag
-    im = s.real * f.imag + s.imag * f.real
-    out.real = (re + im * 0.0) / p
-    out.imag = (im - re * 0.0) / p
+    out = _quotient(s.real * f.real - s.imag * f.imag, s.real * f.imag + s.imag * f.real, p)
     out[:, [q == 0 for q in qs]] = (sizes / (p * N1))[:, None]
     out[~white] = 0
     return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from salemkit import cli
 from salemkit.cli import run_command
 from salemkit.core_sets import IntegerSet
-from salemkit.formats import load_approximation, load_integer_set, load_plan, save_integer_set
+from salemkit.formats import canonical_json, load_approximation, load_integer_set, load_plan, save_integer_set
 from salemkit.generators import squares_below
 from test_aps import loop_runs
 from test_core_sets import math_log_fit
@@ -14,6 +18,9 @@ from test_core_sets import math_log_fit
 
 def run(*argv):
     return run_command(list(argv))
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def witness_rows(witnesses):
@@ -239,6 +246,59 @@ class TestPast2p64:
         err = capsys.readouterr().err
         assert err.startswith("salemkit:") and "double range" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_dft_all_freqs_past_maxsize_exits_1(self, tmp_path, capsys):
+        # range(2**70) has no len, so its frequencies cannot be listed
+        path = tmp_path / "huge.txt"
+        save_integer_set(IntegerSet((0, 1, 5), 2**70), path)
+        out = tmp_path / "dft.csv"
+        assert run("dft", "--input", str(path), "--all-freqs", "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("salemkit:") and "--all-freqs" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestEncoding:
+    """Input files are UTF-8 whatever the locale, and bytes that are not
+    UTF-8 are malformed input."""
+
+    @pytest.mark.parametrize("argv", [
+        ("density", "--input", "{bad}"),
+        ("construct", "--plan", "{bad}", "--depth", "1"),
+        ("characterize", "--inputs", "{bad}", "{bad}", "{bad}", "--beta", "0.5"),
+        ("weyl", "--points-file", "{bad}", "--m", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_not_utf8_exits_3(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1")
+        out = tmp_path / "out"
+        assert run(*[a.format(bad=bad) for a in argv], "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("salemkit:") and "UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_commented_files_load_under_the_c_locale(self, squares_file, tmp_path):
+        # Under LC_ALL=C, with locale coercion and UTF-8 mode off, the
+        # locale's encoding is ASCII; the UTF-8 comment lines must still load.
+        plan_path = tmp_path / "plan.txt"
+        assert run("plan", "--input", str(squares_file), "--horizons", "100,100", "--beta", "0.5",
+                   "--output", str(plan_path)) == 0
+        for path in (squares_file, plan_path):
+            head, rest = path.read_text().split("\n", 1)
+            path.write_text(f"{head}\n# carr\u00e9s \u2264 100, \u03b2 = 1/2\n{rest}", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        code = ("import locale, sys; from salemkit.formats import canonical_json, load_integer_set, load_plan;"
+                "print(locale.getpreferredencoding(False));"
+                "print(canonical_json(load_integer_set(sys.argv[1])));"
+                "print(canonical_json(load_plan(sys.argv[2])))")
+        proc = subprocess.run([sys.executable, "-c", code, str(squares_file), str(plan_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        encoding, A, plan = proc.stdout.splitlines()
+        assert encoding.lower() in {"ascii", "ansi_x3.4-1968"}
+        assert A == canonical_json(load_integer_set(squares_file)) == canonical_json(squares_below(100))
+        assert plan == canonical_json(load_plan(plan_path))
 
 
 class TestApFind:

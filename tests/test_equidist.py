@@ -17,6 +17,7 @@ from salemkit.equidist import (
     equidist_order,
     integers_from_approximations,
     n_approximation,
+    orders,
     weyl_moduli,
 )
 
@@ -123,6 +124,22 @@ def guard_sequences(draw):
         ends = {c for o in draw(st.sets(st.integers(0, 8), max_size=6)) for c in (o, N - 1 - o)}
         approximations.append(NApproximation(N, tuple(sorted(c for c in shared | ends if 0 <= c < N))))
     return approximations
+
+
+@st.composite
+def order_groups(draw):
+    """(groups, N, m_grid) for orders: N below 2**20, where every product
+    fits in int64, or near 2**62 or past int64, where a group's products
+    with the largest frequencies pass 2**63 and it is summed in Python
+    ints, beside groups of cells 0 and 1 that stay int64; m_grid None or
+    an explicit grid of at least 4 frequencies."""
+    N = draw(st.one_of(st.integers(16, 2**20), st.sampled_from([2**62 + 3, 2**64 + 13, 10**30 + 7])))
+    cells = st.one_of(st.integers(0, N - 1), st.integers(max(0, N - 1000), N - 1), st.sampled_from([0, 1]))
+    groups = draw(st.lists(st.lists(cells, min_size=1, max_size=8, unique=True).map(sorted), min_size=1, max_size=4))
+    m_grid = None
+    if draw(st.booleans()):
+        m_grid = draw(st.lists(st.integers(2, N - 1), min_size=4, max_size=24, unique=True))
+    return groups, N, m_grid
 
 
 @st.composite
@@ -337,6 +354,34 @@ class TestEquidistOrder:
         full = [n_approximation([(Fraction(0), Fraction(1))], N) for N in (16, 64, 256)]
         assert equidist_order(full).alpha == 1.0
         assert equidist_order([NApproximation(16, ()), *full[1:]]).alpha == 1.0
+
+
+class TestOrders:
+    @settings(max_examples=60, deadline=None)
+    @given(case=order_groups())
+    @example(case=([[0, 1], [5, 2**62 - 7, 2**62 + 2]], 2**62 + 3, None))
+    @example(case=([[0], [3, 40, 41]], 64, [2, 3, 5, 63]))
+    def test_matches_equidist_order(self, case):
+        # each group's estimate is equidist_order of its approximation
+        # alone, by == on alpha and every (m, modulus) float, and is the
+        # bound fit of its own weyl_moduli over the sweep
+        groups, N, m_grid = case
+        got = orders(groups, N, m_grid)
+        assert got == [equidist_order([NApproximation(N, g)], m_grid=m_grid) for g in groups]
+        ms = equidist._sweep(N, m_grid)
+        for g, est in zip(groups, got):
+            assert est.per_m_bounds == tuple(zip(map(float, ms), weyl_moduli(g, N, ms).tolist()))
+            assert est.alpha == decay_exponent_fit(est.per_m_bounds)
+
+    def test_refusals_keep_their_order(self):
+        with pytest.raises(ValueError, match="^the largest N must be at least 16$"):
+            orders([(0,), ()], 8)
+        with pytest.raises(ValueError, match="^empty approximation has no Weyl sums$"):
+            orders([(0,), ()], 16)
+        with pytest.raises(ValueError, match="^m grid must lie within"):
+            orders([(0,)], 16, [2, 3, 4, 16])
+        assert orders([], 16) == []
+        assert orders([], 8) == []
 
 
 class TestCharacterizeSalem:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salemkit import core_sets, randfrac
+from salemkit import core_sets, equidist, randfrac
 from salemkit.randfrac import (
     OrderStats,
     RandomFractalConfig,
@@ -21,7 +21,7 @@ from salemkit.randfrac import (
 )
 from salemkit.cli import run_command
 from salemkit.core_sets import _CHUNK, exp_sum, exp_sums
-from salemkit.equidist import NApproximation, _finest_fit, _sweep, equidist_order, weyl_moduli
+from salemkit.equidist import NApproximation, equidist_order
 from salemkit.formats import canonical_json
 
 SEED = 20260810
@@ -703,7 +703,7 @@ class TestOrderExperiment:
             calls.append(len(args[0]))
             return exp_sums(*args)
 
-        monkeypatch.setattr(randfrac, "exp_sums", counted)
+        monkeypatch.setattr(equidist, "exp_sums", counted)
         stats = order_experiment(RandomFractalConfig(0.9, (4, 4), 2, 40, SEED))
         assert 0 < stats.extinct < stats.trials
         assert calls == [len(stats.alphas)]
@@ -725,7 +725,7 @@ class TestOrderExperiment:
             return exp_sums(*args)
 
         monkeypatch.setattr(randfrac, "_BATCH_CELLS", bound)
-        monkeypatch.setattr(randfrac, "exp_sums", counted)
+        monkeypatch.setattr(equidist, "exp_sums", counted)
         assert order_experiment(cfg) == want
         per_batch = max(1, int(bound // 16 ** (1 - 0.9)))
         finals = [randfrac._refine(cfg, t)[-1] for t in range(cfg.trials)]
@@ -745,7 +745,7 @@ class TestOrderExperiment:
         # replaced by one cell, so no trial is drawn at scale.
         seen = []
         monkeypatch.setattr(randfrac, "_refine", lambda config, t: [np.array([t], dtype=np.int64)])
-        monkeypatch.setattr(randfrac, "exp_sums", lambda groups, *args: seen.append(len(groups)) or exp_sums(groups, *args))
+        monkeypatch.setattr(equidist, "exp_sums", lambda groups, *args: seen.append(len(groups)) or exp_sums(groups, *args))
         order_experiment(RandomFractalConfig(beta, levels, len(levels), trials, SEED))
         assert seen == calls
 
@@ -774,11 +774,11 @@ def serial_dimension(config):
 
 def serial_alphas(config):
     """Oracle for order_experiment's sharing: the fitted order of each
-    surviving trial, from a loop over _refine, weyl_moduli and _finest_fit
-    on this thread; ValueError when a trial survives at M < 16."""
+    surviving trial, from a loop over _refine and equidist_order on this
+    thread; ValueError when a trial survives at M < 16."""
     M = config.resolution()
     finals = [randfrac._refine(config, t)[-1] for t in range(config.trials)]
-    return [_finest_fit(weyl_moduli(f, M, _sweep(M)), _sweep(M))[0] for f in finals if f.size]
+    return [equidist_order([NApproximation(M, f)]).alpha for f in finals if f.size]
 
 
 @st.composite
